@@ -30,7 +30,6 @@ from .exponents import (
     validate_params,
 )
 from .gridop import (
-    Field,
     GridMismatch,
     RadialGrid,
     Regularization,
@@ -99,7 +98,6 @@ __all__ = [
     "ExponentOutOfRange",
     "FastDecay",
     "FatTail",
-    "Field",
     "FitResult",
     "GridMismatch",
     "InsufficientPoints",

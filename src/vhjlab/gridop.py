@@ -14,6 +14,10 @@ The gradient source uses cell-averaged face gradients and b_eps(z) =
 subtracted so flat states have exactly zero absorption and the
 regularized flow stays above the unregularized one.
 
+A grid computes its geometry (dr, cell and face radii, metric weights)
+once, at construction, and hands out the same read-only arrays on every
+access; at p = 2 the operator and the step bound skip the unit mobility.
+
 Everything broadcasts over leading axes: u with shape (..., M) yields an
 rhs of shape (..., M), so parameter sweeps can run as one array program.
 """
@@ -47,54 +51,52 @@ class RadialGrid:
             raise GridMismatch(f"r_max must be positive, got {self.r_max}")
         if self.M < 4:
             raise GridMismatch(f"need at least 4 cells, got {self.M}")
+        # geometry is computed once and read-only; equality, hash and
+        # pickling stay over the three fields above
+        dr = self.r_max / self.M
+        r_cells = (np.arange(self.M) + 0.5) * dr
+        r_faces = np.arange(self.M + 1) * dr
+        geometry = {"_r_cells": r_cells, "_r_faces": r_faces,
+                    "_metric_cells": r_cells ** (self.N - 1) * dr,
+                    "_metric_faces": r_faces ** (self.N - 1)}
+        object.__setattr__(self, "_dr", dr)
+        for name, arr in geometry.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        return (type(self), (self.N, self.r_max, self.M))
 
     @property
     def dr(self) -> float:
-        return self.r_max / self.M
+        return self._dr
 
     @property
     def r_cells(self) -> np.ndarray:
-        return (np.arange(self.M) + 0.5) * self.dr
+        return self._r_cells
 
     @property
     def r_faces(self) -> np.ndarray:
-        return np.arange(self.M + 1) * self.dr
+        return self._r_faces
 
     @property
     def metric_cells(self) -> np.ndarray:
         """Cell measures r_i^(N-1) dr (the radial volume element)."""
-        return self.r_cells ** (self.N - 1) * self.dr
+        return self._metric_cells
 
     @property
     def metric_faces(self) -> np.ndarray:
-        return self.r_faces ** (self.N - 1)
+        return self._metric_faces
 
 
-@dataclass
-class Field:
-    """Values of a radial function on a grid's cells."""
-
-    grid: RadialGrid
-    u: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        if self.u.shape[-1] != self.grid.M:
-            raise GridMismatch(f"field has {self.u.shape[-1]} cells, grid has {self.grid.M}")
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.u.copy())
-
-    def mass(self):
-        return np.sum(self.u * self.grid.metric_cells, axis=-1)
-
-    def sup(self):
-        return np.max(self.u, axis=-1)
+def _gamma_lift_top(problem: ProblemParams) -> float:
+    """Top of the admissible gamma_lift window (0, min(p/4, q/2, p-1, 1-q))."""
+    return min(problem.p / 4.0, problem.q / 2.0, problem.p - 1.0, 1.0 - problem.q)
 
 
 def default_gamma_lift(problem: ProblemParams) -> float:
     """Default exponent for the eps^gamma positivity lift: 80% of the window top."""
-    return 0.8 * min(problem.p / 4.0, problem.q / 2.0, problem.p - 1.0, 1.0 - problem.q)
+    return 0.8 * _gamma_lift_top(problem)
 
 
 @dataclass
@@ -117,7 +119,7 @@ class Regularization:
             raise ExponentOutOfRange(f"eps must be positive, got {self.eps}")
 
     def resolve_gamma_lift(self, problem: ProblemParams) -> float:
-        top = min(problem.p / 4.0, problem.q / 2.0, problem.p - 1.0, 1.0 - problem.q)
+        top = _gamma_lift_top(problem)
         g = self.gamma_lift if self.gamma_lift is not None else default_gamma_lift(problem)
         if not 0.0 < g < top:
             raise ExponentOutOfRange(
@@ -163,7 +165,7 @@ def face_gradient(grid: RadialGrid, u: np.ndarray, outer: str = "dirichlet0") ->
     u = np.asarray(u, dtype=float)
     g = np.empty(u.shape[:-1] + (grid.M + 1,), dtype=float)
     g[..., 0] = 0.0
-    g[..., 1:-1] = np.diff(u, axis=-1) / grid.dr
+    g[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / grid.dr
     if outer == "dirichlet0":
         g[..., -1] = -u[..., -1] / grid.dr
     elif outer == "reflect":
@@ -182,8 +184,11 @@ def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     p, q = problem.p, problem.q
     eps = reg.eps
     g = face_gradient(grid, u, outer=outer)
-    flux = grid.metric_faces * mobility(g * g, p, eps) * g
-    div = np.diff(flux, axis=-1) / grid.metric_cells
+    wa = grid.metric_faces
+    if p != 2.0:                    # at p = 2 the mobility is exactly 1
+        wa = wa * mobility(g * g, p, eps)
+    flux = wa * g
+    div = (flux[..., 1:] - flux[..., :-1]) / grid.metric_cells
     if not absorption:
         return div
     gbar = 0.5 * (g[..., :-1] + g[..., 1:])
@@ -191,6 +196,12 @@ def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     if reg.counterterm:
         source = source - eps ** q
     return div - source
+
+
+def _source_rate(grid: RadialGrid, q: float, eps: float, g: np.ndarray) -> np.ndarray:
+    """source_rate from the face gradients g of the state."""
+    gbar = 0.5 * (g[..., :-1] + g[..., 1:])
+    return q * np.abs(gbar) * (gbar * gbar + eps * eps) ** (q / 2.0 - 1.0) / grid.dr
 
 
 def source_rate(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
@@ -202,11 +213,7 @@ def source_rate(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     This vanishes on flat faces, so small eps only penalizes cells whose
     gradient actually sits near eps.
     """
-    q = problem.q
-    eps = reg.eps
-    g = face_gradient(grid, u)
-    gbar = 0.5 * (g[..., :-1] + g[..., 1:])
-    return q * np.abs(gbar) * (gbar * gbar + eps * eps) ** (q / 2.0 - 1.0) / grid.dr
+    return _source_rate(grid, problem.q, reg.eps, face_gradient(grid, u))
 
 
 def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
@@ -220,8 +227,9 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     p = problem.p
     eps = reg.eps
     g = face_gradient(grid, u)
-    a = mobility(g * g, p, eps)
-    wa = grid.metric_faces * a
+    wa = grid.metric_faces
+    if p != 2.0:                    # at p = 2 the mobility is exactly 1
+        wa = wa * mobility(g * g, p, eps)
     diffusion = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
-    rate = float(np.max(diffusion + source_rate(grid, problem, reg, u)))
+    rate = float((diffusion + _source_rate(grid, problem.q, eps, g)).max())
     return safety / rate

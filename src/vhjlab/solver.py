@@ -38,15 +38,14 @@ from .exponents import (
 from .gridop import (
     RadialGrid,
     Regularization,
+    absorption_law,
     face_gradient,
     mobility,
     discrete_rhs,
     source_rate,
     stable_dt,
 )
-
-
-from .analysis import support_radius
+from .analysis import default_domination_tol, support_radius
 
 
 class DataShapeError(ValueError):
@@ -237,14 +236,7 @@ class SolverConfig:
             raise ValueError("series_stride must be >= 1")
 
     def resolve_tols(self, problem: ProblemParams, reg: Regularization) -> tuple:
-        if self.tol_ext is not None:
-            te = self.tol_ext
-        else:
-            g = reg.gamma_lift
-            if g is None:
-                from .gridop import default_gamma_lift
-                g = default_gamma_lift(problem)
-            te = 10.0 * reg.eps ** min(problem.q, g)
+        te = self.tol_ext if self.tol_ext is not None else default_domination_tol(problem, reg)
         tp = self.tol_pos if self.tol_pos is not None else te
         return float(te), float(tp)
 
@@ -294,12 +286,10 @@ def extinction_time(t: np.ndarray, sup: np.ndarray, tol: float) -> Optional[floa
 
 
 def _semi_implicit_matrix(grid: RadialGrid, problem: ProblemParams,
-                          reg: Regularization, u: np.ndarray, dt: float,
+                          reg: Regularization, g: np.ndarray, dt: float,
                           outer: str) -> np.ndarray:
-    """Banded (I - dt D) with mobilities frozen at the current gradients."""
-    g = face_gradient(grid, u, outer=outer)
+    """Banded (I - dt D) with mobilities frozen at the face gradients g."""
     c = grid.metric_faces * mobility(g * g, problem.p, reg.eps) / grid.dr
-    c = c.copy()
     c[0] = 0.0                      # symmetry face carries no flux
     if outer == "reflect":
         c[-1] = 0.0
@@ -322,7 +312,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     u = np.asarray(ic.sample(grid.r_cells), dtype=float) + cfg.lift
     if np.any(u < 0) or not np.all(np.isfinite(u)):
         raise DataShapeError("initial data must be finite and nonnegative")
-    sup0 = float(np.max(u))
+    sup0 = float(u.max())
     metric = grid.metric_cells
 
     ser_t, ser_sup, ser_rad, ser_mass, ser_grad = [], [], [], [], []
@@ -368,7 +358,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         elif cfg.scheme == "explicit":
             dt = stable_dt(grid, problem, reg, u, cfg.safety)
         else:
-            rate = float(np.max(source_rate(grid, problem, reg, u)))
+            rate = float(source_rate(grid, problem, reg, u).max())
             dt = cfg.safety / rate if rate > 0 else np.inf
             # even with implicit diffusion, do not outrun the state's own
             # relaxation scale by more than a factor of the grid
@@ -383,20 +373,20 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
                                       absorption=cfg.absorption, outer=cfg.outer)
         else:
             rhs = u.copy()
+            g = face_gradient(grid, u, outer=cfg.outer)
             if cfg.absorption:
-                g = face_gradient(grid, u, outer=cfg.outer)
                 gbar = 0.5 * (g[:-1] + g[1:])
-                src = (gbar * gbar + reg.eps ** 2) ** (problem.q / 2.0)
+                src = absorption_law(gbar * gbar, problem.q, reg.eps)
                 if reg.counterterm:
                     src = src - reg.eps ** problem.q
                 rhs -= dt * src
-            ab = _semi_implicit_matrix(grid, problem, reg, u, dt, cfg.outer)
+            ab = _semi_implicit_matrix(grid, problem, reg, g, dt, cfg.outer)
             u = solve_banded((1, 1), ab, rhs)
         np.maximum(u, 0.0, out=u)
         t += dt
         n += 1
 
-        sup = float(np.max(u))
+        sup = float(u.max())
         if not np.isfinite(sup) or sup > cfg.divergence_factor * sup0:
             record(t, u)
             outcome = Outcome.DIVERGED

@@ -1,19 +1,23 @@
 """Discretization: gradients, fluxes, stability bound, structural invariants."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from vhjlab.exponents import ExponentOutOfRange, ProblemParams
 from vhjlab.closedform import Barrier
 from vhjlab.gridop import (
-    Field,
     GridMismatch,
     RadialGrid,
     Regularization,
+    absorption_law,
     default_eps,
     default_gamma_lift,
     discrete_rhs,
     face_gradient,
+    mobility,
+    source_rate,
     stable_dt,
 )
 
@@ -128,14 +132,10 @@ def test_rhs_broadcasts_over_batches():
         assert np.array_equal(R[k], rk)
 
 
-def test_field_mass_and_validation():
+def test_grid_mass_and_validation():
     grid = RadialGrid(2, 4.0, 128)
-    f = Field(grid, np.ones(grid.M))
     # sum of r_i dr over the uniform cell centers telescopes to r_max^2 / 2
-    assert abs(f.mass() - 8.0) <= 1e-12
-    assert f.sup() == 1.0
-    with pytest.raises(GridMismatch):
-        Field(grid, np.ones(grid.M + 1))
+    assert abs(grid.metric_cells.sum() - 8.0) <= 1e-12
     with pytest.raises(GridMismatch):
         discrete_rhs(grid, P_A, Regularization(eps=1e-3), np.ones(grid.M))
     with pytest.raises(GridMismatch):
@@ -151,3 +151,43 @@ def test_regularization_validation():
     assert abs(default_gamma_lift(P_A) - 0.2) <= 1e-15
     auto = Regularization(eps=1e-4)
     assert abs(auto.lift(P_A) - (1e-4) ** 0.2) <= 1e-18
+
+
+def test_grid_geometry_is_read_only_with_value_semantics():
+    grid = RadialGrid(2, 4.0, 64)
+    for name in ("r_cells", "r_faces", "metric_cells", "metric_faces"):
+        arr = getattr(grid, name)
+        assert arr is getattr(grid, name)          # computed once
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert np.array_equal(grid.r_cells, (np.arange(64) + 0.5) * (4.0 / 64))
+    same = RadialGrid(2, 4.0, 64)
+    assert same == grid and hash(same) == hash(grid)
+    assert RadialGrid(2, 4.0, 128) != grid
+    back = pickle.loads(pickle.dumps(grid))
+    assert back == grid and hash(back) == hash(grid)
+    assert np.array_equal(back.metric_faces, grid.metric_faces)
+    assert not back.metric_faces.flags.writeable
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_p2_shortcut_matches_mobility_reference(N):
+    # the operator and the step bound skip the unit mobility at p = 2; the
+    # result must equal, bit for bit, the formula written with mobility()
+    rng = np.random.default_rng(24 + N)
+    grid = RadialGrid(N, 4.0, 96)
+    prm = ProblemParams(N, 2.0, 0.5)
+    reg = Regularization(eps=default_eps(grid))
+    for u in (rng.random(grid.M), rng.random((3, grid.M))):
+        g = face_gradient(grid, u)
+        a = mobility(g * g, prm.p, reg.eps)
+        flux = grid.metric_faces * a * g
+        div = np.diff(flux, axis=-1) / grid.metric_cells
+        gbar = 0.5 * (g[..., :-1] + g[..., 1:])
+        source = absorption_law(gbar * gbar, prm.q, reg.eps) - reg.eps ** prm.q
+        assert np.array_equal(discrete_rhs(grid, prm, reg, u), div - source)
+        wa = grid.metric_faces * a
+        diffusion = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
+        rate = float(np.max(diffusion + source_rate(grid, prm, reg, u)))
+        assert stable_dt(grid, prm, reg, u, safety=0.4) == 0.4 / rate

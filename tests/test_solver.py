@@ -181,3 +181,29 @@ def test_flat_certificate_depends_on_amplitude():
     assert lo.amplitude_bound == hi.amplitude_bound
     # kappa / (2 R0)^omega with kappa = 1/12, omega = 3
     assert abs(lo.amplitude_bound - 1 / 96) <= 1e-15
+
+
+def test_reference_bump_trajectories_are_pinned():
+    # the battery's reference recipes at M = 128, exact to the last bit:
+    # an optimization of the step must not move a single rounding
+    from vhjlab.acceptance import Battery
+    b = Battery()
+    res_a = b.run_bump_a(128)
+    assert (res_a.n_steps, res_a.T_e_est) == (949, 0.09685515724561108)
+    res_b = b.run_bump_b(128)
+    assert (res_b.n_steps, res_b.T_e_est) == (737, 0.6048912776846821)
+
+
+def test_default_tolerance_is_the_domination_slack():
+    from vhjlab.analysis import default_domination_tol
+    from vhjlab.exponents import ExponentOutOfRange
+    cfg = SolverConfig(t_end=1.0)
+    for gamma in (None, 0.1):
+        reg = Regularization(eps=1e-4, gamma_lift=gamma)
+        te, tp = cfg.resolve_tols(P_A, reg)
+        assert te == tp == default_domination_tol(P_A, reg)
+    # the window tops out at q/2 = 0.25 for P_A
+    with pytest.raises(ExponentOutOfRange):
+        cfg.resolve_tols(P_A, Regularization(eps=1e-4, gamma_lift=0.3))
+    assert SolverConfig(t_end=1.0, tol_ext=1e-6).resolve_tols(
+        P_A, Regularization(eps=1e-4, gamma_lift=0.3)) == (1e-6, 1e-6)
