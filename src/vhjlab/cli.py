@@ -6,6 +6,33 @@ so any artifact can be reproduced from that single file.  Unknown keys
 are rejected with their full path, and type errors name the offending
 key the same way (``grid.M: expected an integer ...``).
 
+Config keys, their types and their defaults are those of the library's
+signatures, read once at import: a parameter's name is the key, its type
+hint picks the check (int, float, bool, str, a float list for tuple,
+null allowed for Optional) and its default is the key's default; a
+parameter without one is a required key.  By section:
+
+problem         N, p, q of ProblemParams, checked by validate_params
+ic              kind (bump, fast_decay, fat_tail) and the parameters of
+                Bump, FastDecay or FatTail; a bump also accepts the
+                flat_certified and amplitude_bound its description adds
+grid            r_max, M of RadialGrid (N is the problem's)
+regularization  eps, counterterm, gamma_lift of Regularization; eps
+                absent or null is default_eps of the grid
+solver          every field of SolverConfig
+analysis        fit_frac, fit_skip_end (frac, skip_end of fit_exponent),
+                j_R0 (R0 of j_diagnostic; null skips the diagnostic),
+                j_delta_probe (its delta_probe), domination: a list of
+                {profile, sense, tol, r_window} for check_domination
+output          dir (null: the config's path without its suffix)
+seed            an integer, default 0
+
+A profile object (residual, domination) has a kind and the parameters
+of its builder: barrier (Barrier), shrink_envelope (make_shrink_super),
+tail_floor (make_tail_sub, without a_factor) or decaying_envelope
+(make_selfsim_super).  A residual config holds problem, profile, box,
+sense, tol, n_t and n_r of certify_sign, seed and output.
+
 Subcommands
 -----------
 derive     print the derived constants and regime for a triple
@@ -15,19 +42,22 @@ analyze    re-run the measurements on an existing run directory
 verify     run a named acceptance suite
 sweep      fan a base experiment out over parameter values
 
-Exit codes: 0 success, 1 a verification or certification failed,
-2 configuration or usage error, 3 numerical divergence at runtime.
+Exit codes: 0 success, 1 a verification or certification failed or a
+sweep job failed, 2 configuration or usage error, 3 numerical divergence
+at runtime.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -40,11 +70,11 @@ from .analysis import (
     gradient_quotient,
     j_diagnostic,
 )
-from .closedform import Barrier, SelfSimSuper, certify_sign, find_A0, \
+from .closedform import Barrier, certify_sign, make_selfsim_super, \
     make_shrink_super, make_tail_sub
 from .exponents import ProblemParams, classify_regime, derive_constants, \
     validate_params
-from .gridop import RadialGrid, Regularization
+from .gridop import RadialGrid, Regularization, default_eps
 from .solver import Bump, FastDecay, FatTail, Outcome, SolverConfig, run
 
 
@@ -52,7 +82,7 @@ class ConfigError(ValueError):
     """Configuration problem; the message starts with the key path."""
 
 
-_MISSING = object()
+_MISSING = inspect.Parameter.empty
 
 
 # ----- typed config extraction ------------------------------------------
@@ -61,68 +91,150 @@ def _label(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _pop(sec: dict, path: str, key: str, default=_MISSING):
-    if key in sec:
-        return sec.pop(key)
-    if default is _MISSING:
+def _pop(sec: dict, path: str, key: str):
+    if key not in sec:
         raise ConfigError(f"{_label(path, key)}: required key is missing")
-    return default
+    return sec.pop(key)
 
 
-def _reject_unknown(sec: dict, path: str):
-    if sec:
-        k = sorted(sec)[0]
-        raise ConfigError(f"{_label(path, k)}: unknown key")
-
-
-def _as_int(value, path: str, key: str) -> int:
+def _as_int(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{_label(path, key)}: expected an integer, "
-                          f"got {value!r}")
+        raise ConfigError(f"{label}: expected an integer, got {value!r}")
     return value
 
 
-def _as_float(value, path: str, key: str) -> float:
+def _as_float(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{_label(path, key)}: expected a number, "
-                          f"got {value!r}")
+        raise ConfigError(f"{label}: expected a number, got {value!r}")
     return float(value)
 
 
-def _as_opt_float(value, path: str, key: str) -> Optional[float]:
-    return None if value is None else _as_float(value, path, key)
-
-
-def _as_bool(value, path: str, key: str) -> bool:
+def _as_bool(value, label: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{_label(path, key)}: expected true or false, "
-                          f"got {value!r}")
+        raise ConfigError(f"{label}: expected true or false, got {value!r}")
     return value
 
 
-def _as_str(value, path: str, key: str) -> str:
+def _as_str(value, label: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{_label(path, key)}: expected a string, "
-                          f"got {value!r}")
+        raise ConfigError(f"{label}: expected a string, got {value!r}")
     return value
 
 
-def _as_float_list(value, path: str, key: str) -> list:
+def _as_floats(value, label: str) -> tuple:
     if not isinstance(value, list):
-        raise ConfigError(f"{_label(path, key)}: expected a list of numbers, "
-                          f"got {value!r}")
-    return [_as_float(v, path, f"{key}[{i}]") for i, v in enumerate(value)]
+        raise ConfigError(f"{label}: expected a list of numbers, got {value!r}")
+    return tuple(_as_float(v, f"{label}[{i}]") for i, v in enumerate(value))
+
+
+_CHECKS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str,
+           tuple: _as_floats}
+
+
+def _check(hint) -> Callable:
+    """The check for a type hint; Optional[X] admits null."""
+    args = get_args(hint)
+    if type(None) not in args:
+        return _CHECKS[hint]
+    check = _CHECKS[args[0]]
+    return lambda value, label: None if value is None else check(value, label)
+
+
+class _Key(NamedTuple):
+    name: str
+    check: Callable
+    default: object
+
+
+def _keys(fn, names=None, skip=(), prefix="") -> tuple:
+    """Config keys of fn's parameters: name, type check and default.
+
+    names picks and orders the parameters, skip leaves some out.  The
+    schemas below are read once, at import, so rebinding a module
+    attribute later (say, wrapping it for tracing) leaves them intact.
+    """
+    hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
+    params = inspect.signature(fn).parameters
+    return tuple(_Key(prefix + name, _check(hints[name]), params[name].default)
+                 for name in names or params if name not in skip)
+
+
+def _read(sec: dict, path: str, keys) -> dict:
+    """Checked values of keys in sec, defaults filled in; other keys are errors."""
+    out = {}
+    for name, check, default in keys:
+        if name in sec or default is _MISSING:
+            out[name] = check(_pop(sec, path, name), _label(path, name))
+        else:
+            out[name] = default
+    if sec:
+        raise ConfigError(f"{_label(path, sorted(sec)[0])}: unknown key")
+    return out
+
+
+@contextmanager
+def _config_errors(path: str):
+    """Report a library ValueError as a ConfigError under path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _build(make, keys, sec: dict, path: str, *args):
+    kw = _read(sec, path, keys)
+    with _config_errors(path):
+        return make(*args, **kw)
 
 
 def _section(doc: dict, key: str, required: bool = True) -> dict:
-    if key not in doc:
+    """Remove doc[key] and return a copy of it, which must be an object."""
+    sec = doc.pop(key, _MISSING)
+    if sec is _MISSING:
         if required:
             raise ConfigError(f"{key}: required section is missing")
         return {}
-    sec = doc[key]
     if not isinstance(sec, dict):
         raise ConfigError(f"{key}: expected an object, got {sec!r}")
     return dict(sec)
+
+
+def _load_json(path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("top level: expected a JSON object")
+    return doc
+
+
+# (builder, keys); problem and consts are supplied by the caller
+_CONTEXT = ("problem", "consts")
+_PROBLEM = (validate_params, _keys(ProblemParams))
+_GRID = (RadialGrid, _keys(RadialGrid, skip=("N",)))
+_REG = (Regularization, _keys(Regularization))
+_SOLVER = (SolverConfig, _keys(SolverConfig))
+_IC = {cls.kind: (cls, _keys(cls, skip=_CONTEXT))
+       for cls in (Bump, FastDecay, FatTail)}
+_PROFILES = {kind: (make, _keys(make, skip=_CONTEXT + ("a_factor",)))
+             for kind, make in (("barrier", Barrier),
+                                ("shrink_envelope", make_shrink_super),
+                                ("tail_floor", make_tail_sub),
+                                ("decaying_envelope", make_selfsim_super))}
+_SEED = _Key("seed", _as_int, 0)
+_ANALYSIS = (_keys(fit_exponent, ("frac", "skip_end"), prefix="fit_")
+             + (_Key("j_R0", _check(Optional[float]), None),)  # null: no J run
+             + _keys(j_diagnostic, ("delta_probe",), prefix="j_"))
+_DOMINATION = _keys(check_domination, ("sense", "tol", "r_window"))
+_OUTPUT = (_Key("dir", _check(Optional[str]), None),)
+_RESIDUAL = (_keys(certify_sign, ("box", "sense", "tol", "n_t", "n_r"))
+             + (_SEED, _Key("output", _check(Optional[str]), None)))
+_SWEEP_DIR = (_Key("dir", _as_str, "sweep-runs"),)
 
 
 # ----- experiment assembly ------------------------------------------------
@@ -140,135 +252,16 @@ class Experiment:
     resolved: dict
 
 
-def _build_problem(doc: dict) -> ProblemParams:
-    sec = _section(doc, "problem")
-    N = _as_int(_pop(sec, "problem", "N"), "problem", "N")
-    p = _as_float(_pop(sec, "problem", "p"), "problem", "p")
-    q = _as_float(_pop(sec, "problem", "q"), "problem", "q")
-    _reject_unknown(sec, "problem")
-    try:
-        return validate_params(N, p, q)
-    except ValueError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
-
-
-def _build_ic(doc: dict, problem: ProblemParams):
-    sec = _section(doc, "ic")
-    kind = _as_str(_pop(sec, "ic", "kind"), "ic", "kind")
-    try:
-        if kind == "bump":
-            m = _as_float(_pop(sec, "ic", "m"), "ic", "m")
-            R0 = _as_float(_pop(sec, "ic", "R0"), "ic", "R0")
-            power = _as_opt_float(_pop(sec, "ic", "power", None), "ic", "power")
-            # describe() annotations; recomputed on construction
-            sec.pop("flat_certified", None)
-            sec.pop("amplitude_bound", None)
-            _reject_unknown(sec, "ic")
-            ic = Bump(problem, m=m, R0=R0, power=power)
-        elif kind == "fast_decay":
-            C = _as_float(_pop(sec, "ic", "C"), "ic", "C")
-            theta = _as_float(_pop(sec, "ic", "theta"), "ic", "theta")
-            _reject_unknown(sec, "ic")
-            ic = FastDecay(problem, C=C, theta=theta)
-        elif kind == "fat_tail":
-            C = _as_float(_pop(sec, "ic", "C"), "ic", "C")
-            rho = _as_float(_pop(sec, "ic", "rho"), "ic", "rho")
-            _reject_unknown(sec, "ic")
-            ic = FatTail(problem, C=C, rho=rho)
-        else:
-            raise ConfigError(f"ic.kind: unknown kind {kind!r}; expected "
-                              "bump, fast_decay or fat_tail")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"ic: {exc}") from exc
-    return ic
-
-
-def _build_grid(doc: dict, problem: ProblemParams) -> RadialGrid:
-    sec = _section(doc, "grid")
-    r_max = _as_float(_pop(sec, "grid", "r_max"), "grid", "r_max")
-    M = _as_int(_pop(sec, "grid", "M"), "grid", "M")
-    _reject_unknown(sec, "grid")
-    try:
-        return RadialGrid(problem.N, r_max, M)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
-def _build_reg(doc: dict, grid: RadialGrid) -> Regularization:
-    sec = _section(doc, "regularization", required=False)
-    eps = _as_opt_float(_pop(sec, "regularization", "eps", None),
-                        "regularization", "eps")
-    counterterm = _as_bool(_pop(sec, "regularization", "counterterm", True),
-                           "regularization", "counterterm")
-    gamma_lift = _as_opt_float(_pop(sec, "regularization", "gamma_lift", None),
-                               "regularization", "gamma_lift")
-    _reject_unknown(sec, "regularization")
-    if eps is None:
-        from .gridop import default_eps
-        eps = default_eps(grid)
-    try:
-        return Regularization(eps=eps, counterterm=counterterm,
-                              gamma_lift=gamma_lift)
-    except ValueError as exc:
-        raise ConfigError(f"regularization: {exc}") from exc
-
-
-def _build_solver_cfg(doc: dict) -> SolverConfig:
-    sec = _section(doc, "solver")
-    kw = {}
-    kw["t_end"] = _as_float(_pop(sec, "solver", "t_end"), "solver", "t_end")
-    kw["scheme"] = _as_str(_pop(sec, "solver", "scheme", "explicit"),
-                           "solver", "scheme")
-    kw["safety"] = _as_float(_pop(sec, "solver", "safety", 0.5),
-                             "solver", "safety")
-    for key in ("tol_ext", "tol_pos", "fixed_dt", "max_dt",
-                "series_gradient_power"):
-        kw[key] = _as_opt_float(_pop(sec, "solver", key, None), "solver", key)
-    kw["series_stride"] = _as_int(_pop(sec, "solver", "series_stride", 8),
-                                  "solver", "series_stride")
-    kw["snapshot_times"] = tuple(_as_float_list(
-        _pop(sec, "solver", "snapshot_times", []), "solver", "snapshot_times"))
-    kw["lift"] = _as_float(_pop(sec, "solver", "lift", 0.0), "solver", "lift")
-    kw["max_steps"] = _as_int(_pop(sec, "solver", "max_steps", 200_000_000),
-                              "solver", "max_steps")
-    kw["divergence_factor"] = _as_float(
-        _pop(sec, "solver", "divergence_factor", 2.0),
-        "solver", "divergence_factor")
-    kw["absorption"] = _as_bool(_pop(sec, "solver", "absorption", True),
-                                "solver", "absorption")
-    kw["outer"] = _as_str(_pop(sec, "solver", "outer", "dirichlet0"),
-                          "solver", "outer")
-    kw["series_gradient_floor"] = _as_float(
-        _pop(sec, "solver", "series_gradient_floor", 0.0),
-        "solver", "series_gradient_floor")
-    _reject_unknown(sec, "solver")
-    try:
-        return SolverConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-
-def _build_analysis(doc: dict) -> dict:
-    sec = _section(doc, "analysis", required=False)
-    out = {
-        "fit_frac": _as_float(_pop(sec, "analysis", "fit_frac", 0.4),
-                              "analysis", "fit_frac"),
-        "fit_skip_end": _as_int(_pop(sec, "analysis", "fit_skip_end", 5),
-                                "analysis", "fit_skip_end"),
-        "j_R0": _as_opt_float(_pop(sec, "analysis", "j_R0", None),
-                              "analysis", "j_R0"),
-        "j_delta_probe": _as_opt_float(
-            _pop(sec, "analysis", "j_delta_probe", None),
-            "analysis", "j_delta_probe"),
-        "domination": _pop(sec, "analysis", "domination", []),
-    }
-    if not isinstance(out["domination"], list):
-        raise ConfigError("analysis.domination: expected a list of profile "
-                          "check objects")
-    _reject_unknown(sec, "analysis")
-    return out
+def _build_ic(sec: dict, problem: ProblemParams):
+    kind = _as_str(_pop(sec, "ic", "kind"), "ic.kind")
+    if kind not in _IC:
+        raise ConfigError(f"ic.kind: unknown kind {kind!r}; expected "
+                          "bump, fast_decay or fat_tail")
+    if kind == "bump":
+        # describe() annotations; recomputed on construction
+        sec.pop("flat_certified", None)
+        sec.pop("amplitude_bound", None)
+    return _build(*_IC[kind], sec, "ic", problem)
 
 
 def resolve_experiment(doc: dict) -> Experiment:
@@ -276,22 +269,25 @@ def resolve_experiment(doc: dict) -> Experiment:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a JSON object")
     doc = dict(doc)
-    problem = _build_problem(doc)
-    ic = _build_ic(doc, problem)
-    grid = _build_grid(doc, problem)
-    reg = _build_reg(doc, grid)
-    cfg = _build_solver_cfg(doc)
-    analysis = _build_analysis(doc)
-    out_sec = _section(doc, "output", required=False)
-    out_dir = _pop(out_sec, "output", "dir", None)
-    if out_dir is not None:
-        out_dir = _as_str(out_dir, "output", "dir")
-    _reject_unknown(out_sec, "output")
-    seed = _as_int(_pop(doc, "", "seed", 0), "", "seed")
-    for key in ("problem", "ic", "grid", "regularization", "solver",
-                "analysis", "output"):
-        doc.pop(key, None)
-    _reject_unknown(doc, "")
+    problem = _build(*_PROBLEM, _section(doc, "problem"), "problem")
+    ic = _build_ic(_section(doc, "ic"), problem)
+    grid = _build(*_GRID, _section(doc, "grid"), "grid", problem.N)
+    reg_sec = _section(doc, "regularization", required=False)
+    if reg_sec.get("eps") is None:
+        reg_sec["eps"] = default_eps(grid)
+    reg = _build(*_REG, reg_sec, "regularization")
+    with _config_errors("regularization"):
+        gamma_lift = reg.resolve_gamma_lift(problem)
+    cfg = _build(*_SOLVER, _section(doc, "solver"), "solver")
+    an_sec = _section(doc, "analysis", required=False)
+    domination = an_sec.pop("domination", [])
+    if not isinstance(domination, list):
+        raise ConfigError("analysis.domination: expected a list of profile "
+                          "check objects")
+    analysis = {**_read(an_sec, "analysis", _ANALYSIS), "domination": domination}
+    out_dir = _read(_section(doc, "output", required=False), "output",
+                    _OUTPUT)["dir"]
+    seed = _read(doc, "", (_SEED,))["seed"]
 
     tol_ext, tol_pos = cfg.resolve_tols(problem, reg)
     resolved = {
@@ -299,7 +295,7 @@ def resolve_experiment(doc: dict) -> Experiment:
         "ic": ic.describe(),
         "grid": {"r_max": grid.r_max, "M": grid.M},
         "regularization": {"eps": reg.eps, "counterterm": reg.counterterm,
-                           "gamma_lift": reg.resolve_gamma_lift(problem)},
+                           "gamma_lift": gamma_lift},
         "solver": {**asdict(cfg), "tol_ext": tol_ext, "tol_pos": tol_pos,
                    "snapshot_times": list(cfg.snapshot_times)},
         "analysis": analysis,
@@ -311,18 +307,6 @@ def resolve_experiment(doc: dict) -> Experiment:
                       resolved=resolved)
 
 
-def load_experiment(path: str) -> Experiment:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return resolve_experiment(doc)
-
-
 # ----- profiles for residual/domination -----------------------------------
 
 def build_profile(problem: ProblemParams, spec: dict, path: str = "profile"):
@@ -330,41 +314,10 @@ def build_profile(problem: ProblemParams, spec: dict, path: str = "profile"):
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object")
     spec = dict(spec)
-    kind = _as_str(_pop(spec, path, "kind"), path, "kind")
-    try:
-        if kind == "barrier":
-            amplitude = _as_opt_float(_pop(spec, path, "amplitude", None),
-                                      path, "amplitude")
-            r0 = _as_float(_pop(spec, path, "r0", 0.0), path, "r0")
-            _reject_unknown(spec, path)
-            return Barrier(problem, r0=r0, amplitude=amplitude)
-        if kind == "shrink_envelope":
-            C = _as_float(_pop(spec, path, "decay_C"), path, "decay_C")
-            theta = _as_float(_pop(spec, path, "decay_theta"), path,
-                              "decay_theta")
-            sup_u0 = _as_float(_pop(spec, path, "sup_u0"), path, "sup_u0")
-            _reject_unknown(spec, path)
-            return make_shrink_super(problem, decay_C=C, decay_theta=theta,
-                                     sup_u0=sup_u0)
-        if kind == "tail_floor":
-            T = _as_float(_pop(spec, path, "T"), path, "T")
-            b = _as_opt_float(_pop(spec, path, "b", None), path, "b")
-            a = _as_opt_float(_pop(spec, path, "a", None), path, "a")
-            _reject_unknown(spec, path)
-            return make_tail_sub(problem, T=T, b=b, a=a)
-        if kind == "decaying_envelope":
-            T = _as_float(_pop(spec, path, "T"), path, "T")
-            A = _as_opt_float(_pop(spec, path, "A", None), path, "A")
-            _reject_unknown(spec, path)
-            if A is None:
-                A0, _ = find_A0(problem)
-                A = 0.5 * A0
-            return SelfSimSuper(problem, A=A, T=T)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    kind = _as_str(_pop(spec, path, "kind"), f"{path}.kind")
+    if kind not in _PROFILES:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    return _build(*_PROFILES[kind], spec, path, problem)
 
 
 # ----- artifact emission ---------------------------------------------------
@@ -434,7 +387,7 @@ def analyze_run_dir(run_dir: Path) -> dict:
     if not cfg_path.exists():
         raise ConfigError(f"{run_dir}: not a run directory "
                           "(missing resolved-config.json)")
-    exp = resolve_experiment(json.loads(cfg_path.read_text()))
+    exp = resolve_experiment(_load_json(cfg_path))
     summary = json.loads((run_dir / "summary.json").read_text())
     series = _read_csv(run_dir / "series.csv")
     index = _read_csv(run_dir / "snapshots" / "index.csv")
@@ -483,21 +436,16 @@ def analyze_run_dir(run_dir: Path) -> dict:
             report["j_diagnostic"] = {"error": str(exc)}
 
     for i, spec in enumerate(exp.analysis["domination"]):
-        spec = dict(spec) if isinstance(spec, dict) else spec
         path = f"analysis.domination[{i}]"
         if not isinstance(spec, dict):
             raise ConfigError(f"{path}: expected an object")
-        sense = _as_str(_pop(spec, path, "sense"), path, "sense")
-        tol = _as_float(_pop(spec, path, "tol"), path, "tol")
-        r_window = spec.pop("r_window", None)
-        if r_window is not None:
-            r_window = tuple(_as_float_list(r_window, path, "r_window"))
-        profile = build_profile(exp.problem, _pop(spec, path, "profile"),
-                                path=f"{path}.profile")
-        _reject_unknown(spec, path)
-        rep = check_domination(exp.grid, np.asarray(snap_t),
-                               np.asarray(snap_u), profile, sense=sense,
-                               tol=tol, r_window=r_window)
+        spec = dict(spec)
+        profile_spec = _pop(spec, path, "profile")
+        kw = _read(spec, path, _DOMINATION)
+        profile = build_profile(exp.problem, profile_spec, path=f"{path}.profile")
+        with _config_errors(path):
+            rep = check_domination(exp.grid, np.asarray(snap_t),
+                                   np.asarray(snap_u), profile, **kw)
         report["domination"].append(rep.as_dict())
 
     (run_dir / "analysis-report.json").write_text(
@@ -520,44 +468,26 @@ def cmd_derive(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: not valid JSON ({exc})")
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
-    doc = dict(doc)
-    problem = _build_problem(doc)
+    doc = _load_json(args.config)
+    problem = _build(*_PROBLEM, _section(doc, "problem"), "problem")
     profile = build_profile(problem, _pop(doc, "", "profile"))
-    box = _as_float_list(_pop(doc, "", "box"), "", "box")
-    if len(box) != 4:
+    kw = _read(doc, "", _RESIDUAL)
+    if len(kw["box"]) != 4:
         raise ConfigError("box: expected [t_lo, t_hi, r_lo, r_hi]")
-    sense = _as_str(_pop(doc, "", "sense"), "", "sense")
-    tol = _as_float(_pop(doc, "", "tol", 1e-10), "", "tol")
-    n_t = _as_int(_pop(doc, "", "n_t", 24), "", "n_t")
-    n_r = _as_int(_pop(doc, "", "n_r", 96), "", "n_r")
-    seed = _as_int(_pop(doc, "", "seed", 0), "", "seed")
-    out_path = _pop(doc, "", "output", None)
-    for key in ("problem", "profile", "box"):
-        doc.pop(key, None)
-    _reject_unknown(doc, "")
+    seed, out_path = kw.pop("seed"), kw.pop("output")
     try:
-        cert = certify_sign(profile, box=tuple(box), sense=sense, n_t=n_t,
-                            n_r=n_r, tol=tol,
-                            rng=np.random.default_rng(seed))
+        cert = certify_sign(profile, **kw, rng=np.random.default_rng(seed))
     except ValueError as exc:
         raise ConfigError(str(exc))
     text = json.dumps(cert.as_dict(), sort_keys=True, indent=2)
     if out_path is not None:
-        Path(_as_str(out_path, "", "output")).write_text(text + "\n")
+        Path(out_path).write_text(text + "\n")
     print(text)
     return 0 if cert.passed else 1
 
 
 def cmd_simulate(args) -> int:
-    exp = load_experiment(args.config)
+    exp = resolve_experiment(_load_json(args.config))
     result = run(exp.problem, exp.grid, exp.reg, exp.ic, exp.cfg)
     out_dir = Path(exp.out_dir) if exp.out_dir else Path(args.config).with_suffix("")
     write_run_dir(out_dir, exp, result)
@@ -609,19 +539,9 @@ def _sweep_one(base_doc: dict, overrides: dict, out_dir: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: not valid JSON ({exc})")
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
-    doc = dict(doc)
-    base = _pop(doc, "", "base")
-    axes = _pop(doc, "", "sweep")
-    out_root = _as_str(_pop(doc, "", "dir", "sweep-runs"), "", "dir")
-    _reject_unknown(doc, "")
+    doc = _load_json(args.config)
+    base, axes = _pop(doc, "", "base"), _pop(doc, "", "sweep")
+    out_root = _read(doc, "", _SWEEP_DIR)["dir"]
     if not isinstance(base, dict):
         raise ConfigError("base: expected an experiment object")
     if not isinstance(axes, dict) or not axes:
@@ -645,14 +565,22 @@ def cmd_sweep(args) -> int:
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
         futures = [pool.submit(_sweep_one, base, combo, out_dir)
                    for combo, out_dir in jobs]
-        for fut in futures:
-            results.append(fut.result())
+        for (combo, out_dir), fut in zip(jobs, futures):
+            try:
+                results.append({**fut.result(), "status": "ok", "error": None})
+            except Exception as exc:  # a failed job must not cost the others
+                results.append({"dir": out_dir, "overrides": combo,
+                                "status": "failed", "outcome": None,
+                                "T_e_est": None,
+                                "error": f"{type(exc).__name__}: {exc}"})
     for res in results:
-        print(f"{res['outcome']:16s} {res['dir']}")
+        print(f"{res['outcome'] or res['status']:16s} {res['dir']}")
+        if res["error"]:
+            print(f"sweep job {res['dir']}: {res['error']}", file=sys.stderr)
     Path(out_root).mkdir(parents=True, exist_ok=True)
     (Path(out_root) / "sweep-summary.json").write_text(
         json.dumps(results, sort_keys=True, indent=2) + "\n")
-    return 0
+    return 1 if any(res["error"] for res in results) else 0
 
 
 def main(argv=None) -> int:

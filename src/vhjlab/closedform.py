@@ -357,7 +357,8 @@ class CertReport:
         }
 
 
-def certify_sign(profile, box, sense, n_t=24, n_r=96, tol=1e-10, rng=None, log_r=None):
+def certify_sign(profile, box: tuple, sense: str, n_t: int = 24, n_r: int = 96,
+                 tol: float = 1e-10, rng=None, log_r: Optional[bool] = None):
     """Sample L z over box = (t_lo, t_hi, r_lo, r_hi) and certify its sign.
 
     Margins are measured relative to the local operator scale (the sum of
@@ -528,6 +529,14 @@ def make_tail_sub(problem: ProblemParams, T: float, b: Optional[float] = None,
     prof = TailSub(problem, a=a, b=b, T=T, consts=c)
     prof.a_min = a_min
     return prof
+
+
+def make_selfsim_super(problem: ProblemParams, T: float, A: Optional[float] = None,
+                       consts: Optional[DerivedConstants] = None) -> SelfSimSuper:
+    """SelfSimSuper with the certified default amplitude A = A0/2 (see find_A0)."""
+    if A is None:
+        A = 0.5 * find_A0(problem, consts=consts)[0]
+    return SelfSimSuper(problem, A=A, T=T, consts=consts)
 
 
 def selfsim_certificates(problem: ProblemParams, A: float,

@@ -232,6 +232,10 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not self.safety > 0:
+            raise ValueError(f"safety must be positive, got {self.safety}")
+        if self.outer not in ("dirichlet0", "reflect"):
+            raise ValueError(f"unknown outer condition {self.outer!r}")
         if self.series_stride < 1:
             raise ValueError("series_stride must be >= 1")
 

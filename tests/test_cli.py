@@ -188,3 +188,61 @@ def test_resolve_experiment_materializes_defaults():
     assert exp.resolved["regularization"]["counterterm"] is True
     assert exp.resolved["regularization"]["gamma_lift"] is not None
     assert exp.resolved["seed"] == 0
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "outer", "neumann"),
+    ("solver", "safety", -0.5),
+    ("regularization", "gamma_lift", 5.0),
+])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, section, key, value):
+    doc = json.loads(json.dumps(BASE))
+    doc[section][key] = value
+    assert main(["simulate", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {section}: " in err and key in err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("grid", "N"), ("ic", "problem"), ("ic", "consts"),
+])
+def test_parameters_supplied_by_the_caller_are_not_keys(section, key):
+    doc = json.loads(json.dumps(BASE))
+    doc[section][key] = 1
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown key$"):
+        resolve_experiment(doc)
+
+
+@pytest.mark.parametrize("key", ["a_factor", "consts"])
+def test_tail_floor_takes_only_its_config_keys(key):
+    problem = ProblemParams(1, 2.0, 0.5)
+    with pytest.raises(ConfigError, match=rf"^profile\.{key}: unknown key$"):
+        build_profile(problem, {"kind": "tail_floor", "T": 2.0, key: 3.0})
+
+
+def test_sweep_finishes_the_other_jobs_when_one_fails(tmp_path, capsys):
+    doc = {"base": json.loads(json.dumps(BASE)),
+           "sweep": {"problem.q": [0.5, 1.2]},
+           "dir": str(tmp_path / "fan")}
+    assert main(["sweep", write_config(tmp_path, doc), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "q=1.2" in err and "ic: " in err
+    summary = json.loads((tmp_path / "fan" / "sweep-summary.json").read_text())
+    rows = {row["dir"].rsplit("/", 1)[-1]: row for row in summary}
+    assert set(rows) == {"q=0.5", "q=1.2"}
+    assert rows["q=0.5"]["status"] == "ok" and rows["q=0.5"]["error"] is None
+    assert rows["q=0.5"]["outcome"] == "extinct"
+    assert rows["q=1.2"]["status"] == "failed" and rows["q=1.2"]["outcome"] is None
+    assert rows["q=1.2"]["error"].startswith("ConfigError: ic: ")
+    assert (tmp_path / "fan" / "q=0.5" / "summary.json").exists()
+
+
+def test_analyze_reports_a_bad_domination_check_as_a_config_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE))
+    doc["output"] = {"dir": str(tmp_path / "run")}
+    doc["analysis"] = {"domination": [
+        {"sense": "sideways", "tol": 1e-3, "profile": {"kind": "barrier"}}]}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "run")]) == 2
+    assert "analysis.domination[0]: sense must be" in capsys.readouterr().err
