@@ -9,8 +9,9 @@ key the same way (``grid.M: expected an integer ...``).
 Config keys, their types and their defaults are those of the library's
 signatures, read once at import: a parameter's name is the key, its type
 hint picks the check (int, float, bool, str, a float list for tuple,
-null allowed for Optional) and its default is the key's default; a
-parameter without one is a required key.  By section:
+null allowed for Optional, one of its values for Literal; numbers must be
+finite) and its default is the key's default; a parameter without one is
+a required key.  By section:
 
 problem         N, p, q of ProblemParams, checked by validate_params
 ic              kind (bump, fast_decay, fat_tail) and the parameters of
@@ -52,12 +53,14 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, get_args, get_type_hints
+from typing import (Callable, Literal, NamedTuple, Optional, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -106,7 +109,13 @@ def _as_int(value, label: str) -> int:
 def _as_float(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:           # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):        # JSON also reads NaN and +-Infinity
+        raise ConfigError(f"{label}: expected a finite number, got {value!r}")
+    return x
 
 
 def _as_bool(value, label: str) -> bool:
@@ -121,6 +130,13 @@ def _as_str(value, label: str) -> str:
     return value
 
 
+def _as_choice(value, label: str, choices: tuple) -> str:
+    if value not in choices:
+        raise ConfigError(f"{label}: expected {' or '.join(map(repr, choices))}, "
+                          f"got {value!r}")
+    return value
+
+
 def _as_floats(value, label: str) -> tuple:
     if not isinstance(value, list):
         raise ConfigError(f"{label}: expected a list of numbers, got {value!r}")
@@ -132,8 +148,10 @@ _CHECKS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str,
 
 
 def _check(hint) -> Callable:
-    """The check for a type hint; Optional[X] admits null."""
+    """The check for a type hint; Optional[X] admits null, Literal[...] is a choice."""
     args = get_args(hint)
+    if get_origin(hint) is Literal:
+        return lambda value, label: _as_choice(value, label, args)
     if type(None) not in args:
         return _CHECKS[hint]
     check = _CHECKS[args[0]]

@@ -24,7 +24,7 @@ are located by monotone bisection on the defining inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -357,7 +357,8 @@ class CertReport:
         }
 
 
-def certify_sign(profile, box: tuple, sense: str, n_t: int = 24, n_r: int = 96,
+def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
+                 n_t: int = 24, n_r: int = 96,
                  tol: float = 1e-10, rng=None, log_r: Optional[bool] = None):
     """Sample L z over box = (t_lo, t_hi, r_lo, r_hi) and certify its sign.
 

@@ -14,9 +14,16 @@ The gradient source uses cell-averaged face gradients and b_eps(z) =
 subtracted so flat states have exactly zero absorption and the
 regularized flow stays above the unregularized one.
 
-A grid computes its geometry (dr, cell and face radii, metric weights)
-once, at construction, and hands out the same read-only arrays on every
-access; at p = 2 the operator and the step bound skip the unit mobility.
+A grid computes its geometry (dr, cell and face radii, metric weights,
+and the p = 2 diffusion row sums of the step bound) once, at construction,
+and hands out the same read-only arrays on every access; at p = 2 the
+operator and the step bound skip the unit mobility.
+
+discrete_rhs, stable_dt and source_rate take an optional g: the face
+gradients of u that the caller already holds (under the operator's outer
+condition for discrete_rhs, with the Dirichlet outer face for the two
+bounds).  Given or not, the result is the same to the last bit; a solver
+step computes its gradients once and passes them to each.
 
 Everything broadcasts over leading axes: u with shape (..., M) yields an
 rhs of shape (..., M), so parameter sweeps can run as one array program.
@@ -56,9 +63,12 @@ class RadialGrid:
         dr = self.r_max / self.M
         r_cells = (np.arange(self.M) + 0.5) * dr
         r_faces = np.arange(self.M + 1) * dr
+        metric_cells = r_cells ** (self.N - 1) * dr
+        metric_faces = r_faces ** (self.N - 1)
         geometry = {"_r_cells": r_cells, "_r_faces": r_faces,
-                    "_metric_cells": r_cells ** (self.N - 1) * dr,
-                    "_metric_faces": r_faces ** (self.N - 1)}
+                    "_metric_cells": metric_cells, "_metric_faces": metric_faces,
+                    "_unit_mobility_rows": (metric_faces[1:] + metric_faces[:-1])
+                    / (metric_cells * dr)}
         object.__setattr__(self, "_dr", dr)
         for name, arr in geometry.items():
             arr.flags.writeable = False
@@ -87,6 +97,12 @@ class RadialGrid:
     @property
     def metric_faces(self) -> np.ndarray:
         return self._metric_faces
+
+    @property
+    def unit_mobility_rows(self) -> np.ndarray:
+        """Diffusion row sums (rf_{i+1}^(N-1) + rf_i^(N-1)) / (r_i^(N-1) dr^2)
+        of the step bound at unit mobility (p = 2)."""
+        return self._unit_mobility_rows
 
 
 def _gamma_lift_top(problem: ProblemParams) -> float:
@@ -177,13 +193,18 @@ def face_gradient(grid: RadialGrid, u: np.ndarray, outer: str = "dirichlet0") ->
 
 def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
                  u: np.ndarray, absorption: bool = True,
-                 outer: str = "dirichlet0") -> np.ndarray:
-    """du/dt of the semi-discrete scheme: flux divergence minus gradient source."""
+                 outer: str = "dirichlet0",
+                 g: Optional[np.ndarray] = None) -> np.ndarray:
+    """du/dt of the semi-discrete scheme: flux divergence minus gradient source.
+
+    g, if given, is face_gradient(grid, u, outer=outer).
+    """
     if problem.N != grid.N:
         raise GridMismatch(f"problem dimension {problem.N} vs grid dimension {grid.N}")
     p, q = problem.p, problem.q
     eps = reg.eps
-    g = face_gradient(grid, u, outer=outer)
+    if g is None:
+        g = face_gradient(grid, u, outer=outer)
     wa = grid.metric_faces
     if p != 2.0:                    # at p = 2 the mobility is exactly 1
         wa = wa * mobility(g * g, p, eps)
@@ -205,31 +226,36 @@ def _source_rate(grid: RadialGrid, q: float, eps: float, g: np.ndarray) -> np.nd
 
 
 def source_rate(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-                u: np.ndarray) -> np.ndarray:
+                u: np.ndarray, g: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-cell Lipschitz bound of the explicit gradient source.
 
     d b_eps(gbar^2)/d u_(i+-1) = q gbar (gbar^2+eps^2)^(q/2-1) * (+-1/(2 dr));
     the two neighbor couplings sum to q |gbar| (gbar^2+eps^2)^(q/2-1) / dr.
     This vanishes on flat faces, so small eps only penalizes cells whose
-    gradient actually sits near eps.
+    gradient actually sits near eps.  g, if given, is face_gradient(grid, u).
     """
-    return _source_rate(grid, problem.q, reg.eps, face_gradient(grid, u))
+    if g is None:
+        g = face_gradient(grid, u)
+    return _source_rate(grid, problem.q, reg.eps, g)
 
 
 def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-              u: np.ndarray, safety: float = 0.5) -> float:
+              u: np.ndarray, safety: float = 0.5,
+              g: Optional[np.ndarray] = None) -> float:
     """Explicit-Euler step bound from the frozen-coefficient row sums.
 
     Diffusion contributes (rf_{i+1}^(N-1) a_{i+1} + rf_i^(N-1) a_i) /
     (r_i^(N-1) dr^2) on each cell's diagonal, the gradient source its
-    per-cell Lipschitz bound.
+    per-cell Lipschitz bound.  g, if given, is face_gradient(grid, u).
     """
     p = problem.p
     eps = reg.eps
-    g = face_gradient(grid, u)
-    wa = grid.metric_faces
-    if p != 2.0:                    # at p = 2 the mobility is exactly 1
-        wa = wa * mobility(g * g, p, eps)
-    diffusion = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
+    if g is None:
+        g = face_gradient(grid, u)
+    if p == 2.0:                    # at p = 2 the mobility is exactly 1
+        diffusion = grid.unit_mobility_rows
+    else:
+        wa = grid.metric_faces * mobility(g * g, p, eps)
+        diffusion = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
     rate = float((diffusion + _source_rate(grid, problem.q, eps, g)).max())
     return safety / rate

@@ -322,24 +322,28 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     ser_t, ser_sup, ser_rad, ser_mass, ser_grad = [], [], [], [], []
     snap_t, snap_u = [0.0], [u.copy()]
     want_grad = cfg.series_gradient_power is not None
+    lo = np.empty(grid.M + 1)
 
-    def record(t, u):
+    def record(t, u, sup):
         if ser_t and ser_t[-1] == t:
             return
         ser_t.append(t)
-        ser_sup.append(float(np.max(u)))
+        ser_sup.append(sup)
         ser_rad.append(support_radius(grid, u, tol_pos))
         ser_mass.append(float(np.sum(u * metric)))
         if want_grad:
             v = u ** cfg.series_gradient_power
             g = np.abs(face_gradient(grid, v))
             # only faces between solidly positive cells: the steepness of
-            # the state's interior, not of tolerance-level fringe
-            lo = np.minimum(np.concatenate(([u[0]], u)), np.concatenate((u, [0.0])))
-            g = np.where(lo > cfg.series_gradient_floor, g, 0.0)
-            ser_grad.append(float(np.max(g)))
+            # the state's interior, not of tolerance-level fringe; lo is
+            # the smaller of the two cells beside each face (zero ghost)
+            lo[0] = u[0]
+            np.minimum(u[:-1], u[1:], out=lo[1:-1])
+            np.minimum(u[-1], 0.0, out=lo[-1:])
+            g[~(lo > cfg.series_gradient_floor)] = 0.0
+            ser_grad.append(float(g.max()))
 
-    record(0.0, u)
+    record(0.0, u, sup0)
     if sup0 <= tol_ext:
         snap_t.append(0.0)
         snap_u.append(u.copy())
@@ -357,12 +361,16 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     while True:
         if n >= cfg.max_steps:
             raise RuntimeError(f"step budget {cfg.max_steps} exhausted at t = {t}")
+        g = face_gradient(grid, u, outer=cfg.outer)
+        # the step bounds take the Dirichlet outer face; under 'reflect'
+        # they compute their own
+        g_bound = g if cfg.outer == "dirichlet0" else None
         if cfg.fixed_dt is not None:
             dt = cfg.fixed_dt
         elif cfg.scheme == "explicit":
-            dt = stable_dt(grid, problem, reg, u, cfg.safety)
+            dt = stable_dt(grid, problem, reg, u, cfg.safety, g=g_bound)
         else:
-            rate = float(source_rate(grid, problem, reg, u).max())
+            rate = float(source_rate(grid, problem, reg, u, g=g_bound).max())
             dt = cfg.safety / rate if rate > 0 else np.inf
             # even with implicit diffusion, do not outrun the state's own
             # relaxation scale by more than a factor of the grid
@@ -373,11 +381,10 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         dt = min(dt, t_next_event - t, cfg.t_end - t)
 
         if cfg.scheme == "explicit":
-            u = u + dt * discrete_rhs(grid, problem, reg, u,
-                                      absorption=cfg.absorption, outer=cfg.outer)
+            u = u + dt * discrete_rhs(grid, problem, reg, u, absorption=cfg.absorption,
+                                      outer=cfg.outer, g=g)
         else:
             rhs = u.copy()
-            g = face_gradient(grid, u, outer=cfg.outer)
             if cfg.absorption:
                 gbar = 0.5 * (g[:-1] + g[1:])
                 src = absorption_law(gbar * gbar, problem.q, reg.eps)
@@ -385,29 +392,31 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
                     src = src - reg.eps ** problem.q
                 rhs -= dt * src
             ab = _semi_implicit_matrix(grid, problem, reg, g, dt, cfg.outer)
-            u = solve_banded((1, 1), ab, rhs)
+            # both arrays are new on every step; check_finite stays on, so a
+            # non-finite system is an error
+            u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
         np.maximum(u, 0.0, out=u)
         t += dt
         n += 1
 
         sup = float(u.max())
         if not np.isfinite(sup) or sup > cfg.divergence_factor * sup0:
-            record(t, u)
+            record(t, u, sup)
             outcome = Outcome.DIVERGED
             break
         if n % cfg.series_stride == 0:
-            record(t, u)
+            record(t, u, sup)
         while pending and t >= pending[0] - 1e-12 * cfg.t_end:
             pending.pop(0)
             snap_t.append(t)
             snap_u.append(u.copy())
         if sup <= tol_ext:
-            record(t, u)
+            record(t, u, sup)
             outcome = Outcome.EXTINCT
             T_e = detect_extinction(t_prev, sup_prev, t, sup, tol_ext)
             break
         if t >= cfg.t_end - 1e-12 * cfg.t_end:
-            record(t, u)
+            record(t, u, sup)
             outcome = Outcome.HORIZON_REACHED
             break
         sup_prev, t_prev = sup, t

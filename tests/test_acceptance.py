@@ -59,6 +59,14 @@ def test_08_slow_decay_tail_shrinks_to_bounded_set(battery):
     _check(battery.criterion_8())
 
 
+def test_08_details_date_the_half_domain_crossing(battery):
+    # the criterion stays red; its details still date the crossing, from
+    # a longer run of the same recipe
+    details = battery.criterion_8().details
+    assert not details["probe_ok"]
+    assert 0.05 < details["half_domain_cross_time"] < 0.051
+
+
 def test_09_fat_tail_survives_past_horizon(battery):
     _check(battery.criterion_9())
 

@@ -1,6 +1,7 @@
 """Command-line behavior: config validation, artifacts, reproducibility."""
 
 import json
+import math
 
 import pytest
 
@@ -148,6 +149,17 @@ def test_residual_pass_and_fail_exit_codes(tmp_path, capsys):
     assert cert["passed"] is False
 
 
+def test_residual_reports_a_bad_sense_with_its_key_path(tmp_path, capsys):
+    doc = {"problem": {"N": 1, "p": 2.0, "q": 0.5},
+           "profile": {"kind": "barrier"},
+           "box": [0.0, 1.0, 0.001, 1000.0], "sense": "sideways"}
+    assert main(["residual", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("config error: sense: expected 'super' or 'sub', got 'sideways'"
+            in captured.err)
+
+
 def test_verify_algebra_suite_passes(tmp_path, capsys):
     out_json = tmp_path / "results.json"
     assert main(["verify", "algebra", "--json", str(out_json)]) == 0
@@ -194,13 +206,20 @@ def test_resolve_experiment_materializes_defaults():
     ("solver", "outer", "neumann"),
     ("solver", "safety", -0.5),
     ("regularization", "gamma_lift", 5.0),
+    ("ic", "m", math.nan),
+    ("solver", "t_end", math.inf),
+    ("problem", "q", math.nan),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, section, key, value):
     doc = json.loads(json.dumps(BASE))
     doc[section][key] = value
     assert main(["simulate", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
-    assert f"config error: {section}: " in err and key in err
+    if isinstance(value, float) and not math.isfinite(value):
+        # json writes NaN and Infinity, and reads them back
+        assert f"config error: {section}.{key}: expected a finite number, got {value}" in err
+    else:
+        assert f"config error: {section}: " in err and key in err
 
 
 @pytest.mark.parametrize("section, key", [

@@ -155,7 +155,8 @@ def test_regularization_validation():
 
 def test_grid_geometry_is_read_only_with_value_semantics():
     grid = RadialGrid(2, 4.0, 64)
-    for name in ("r_cells", "r_faces", "metric_cells", "metric_faces"):
+    for name in ("r_cells", "r_faces", "metric_cells", "metric_faces",
+                 "unit_mobility_rows"):
         arr = getattr(grid, name)
         assert arr is getattr(grid, name)          # computed once
         assert not arr.flags.writeable
@@ -191,3 +192,25 @@ def test_p2_shortcut_matches_mobility_reference(N):
         diffusion = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
         rate = float(np.max(diffusion + source_rate(grid, prm, reg, u)))
         assert stable_dt(grid, prm, reg, u, safety=0.4) == 0.4 / rate
+
+
+@pytest.mark.parametrize("p", [2.0, 1.8])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_precomputed_gradient_gives_identical_results(N, p):
+    # a caller's own face gradients stand in for the ones each function
+    # would compute, to the last bit; the bounds take the Dirichlet ones
+    rng = np.random.default_rng(7 * N + int(10 * p))
+    grid = RadialGrid(N, 4.0, 96)
+    prm = ProblemParams(N, p, 0.5)
+    reg = Regularization(eps=default_eps(grid))
+    for u in (rng.random(grid.M), rng.random((3, grid.M))):
+        g = face_gradient(grid, u)
+        assert stable_dt(grid, prm, reg, u, 0.4, g=g) == stable_dt(grid, prm, reg, u, 0.4)
+        assert np.array_equal(source_rate(grid, prm, reg, u, g=g),
+                              source_rate(grid, prm, reg, u))
+        for outer in ("dirichlet0", "reflect"):
+            g = face_gradient(grid, u, outer=outer)
+            for absorption in (True, False):
+                assert np.array_equal(
+                    discrete_rhs(grid, prm, reg, u, absorption, outer, g=g),
+                    discrete_rhs(grid, prm, reg, u, absorption, outer))

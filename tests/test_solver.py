@@ -1,5 +1,7 @@
 """Time stepping: outcomes, comparison structure, scheme agreement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,64 @@ def test_reference_bump_trajectories_are_pinned():
     res_b = b.run_bump_b(128)
     assert (res_b.n_steps, res_b.T_e_est) == (737, 0.6048912776846821)
 
+
+
+
+@pytest.mark.parametrize("scheme, bound", [("explicit", "stable_dt"),
+                                           ("semi_implicit", "source_rate")])
+def test_each_step_calls_its_bound_once_and_one_face_gradient(monkeypatch, scheme, bound):
+    # the benchmark's step clock ticks on the solver's own stable_dt and
+    # source_rate bindings and counts face_gradient calls per step
+    import vhjlab.gridop as gridop
+    import vhjlab.solver as solver
+    calls = {"stable_dt": 0, "source_rate": 0, "face_gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("stable_dt", "source_rate"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    fg = counted("face_gradient", gridop.face_gradient)
+    monkeypatch.setattr(gridop, "face_gradient", fg)
+    monkeypatch.setattr(solver, "face_gradient", fg)
+    prm, t_end = (P_A, 0.05) if scheme == "explicit" else (P_B, 2.0)
+    res = run(prm, RadialGrid(prm.N, 4.0, 64), Regularization(eps=1e-3),
+              Bump(prm, m=1 / 96, R0=1.0),
+              SolverConfig(t_end=t_end, scheme=scheme, tol_ext=1e-7, tol_pos=1e-7,
+                           series_stride=4, series_gradient_power=0.5))
+    assert res.n_steps > 20
+    other = "source_rate" if bound == "stable_dt" else "stable_dt"
+    assert (calls[bound], calls[other]) == (res.n_steps, 0)
+    # one gradient per step, one per record with a gradient column
+    assert calls["face_gradient"] == res.n_steps + len(res.series["t"])
+
+def _series_digest(res) -> str:
+    cols = [np.asarray(res.series[k], dtype=float) for k in sorted(res.series)]
+    return hashlib.sha256(np.concatenate(cols).tobytes()).hexdigest()[:16]
+
+
+def test_reflect_and_singular_explicit_trajectories_are_pinned():
+    # two explicit paths the reference pins miss, exact to the last bit:
+    # a reflecting outer face (the step bound keeps the Dirichlet one) and
+    # the p < 2 mobility; the series with its gradient column is pinned too
+    from vhjlab.acceptance import BUMP_M
+    gp = (P_A.p - P_A.q - 1.0) / (P_A.p - P_A.q)
+    res = run(P_A, RadialGrid(1, 1.0, 128), Regularization(eps=1e-7),
+              Bump(P_A, m=BUMP_M, R0=1.0),
+              SolverConfig(t_end=5.0, tol_ext=1e-7, tol_pos=1e-7, outer="reflect",
+                           series_gradient_power=gp, series_gradient_floor=1e-5))
+    assert (res.n_steps, res.T_e_est) == (14242, 0.09669324198025815)
+    assert _series_digest(res) == "c64ab0394343fbe8"
+    gp = (P_B.p - P_B.q - 1.0) / (P_B.p - P_B.q)
+    res = run(P_B, RadialGrid(2, 4.0, 128), Regularization(eps=1e-3),
+              Bump(P_B, m=BUMP_M, R0=1.0),
+              SolverConfig(t_end=2.0, tol_ext=1e-5, tol_pos=1e-5,
+                           series_gradient_power=gp, series_gradient_floor=1e-4))
+    assert (res.n_steps, res.T_e_est) == (29745, 1.8225028701662713)
+    assert _series_digest(res) == "27c4e3ff3424ddd6"
 
 def test_default_tolerance_is_the_domination_slack():
     from vhjlab.analysis import default_domination_tol
