@@ -55,7 +55,6 @@ from .closedform import (
 )
 from .solver import (
     Bump,
-    Custom,
     DataShapeError,
     FastDecay,
     FatTail,
@@ -89,7 +88,6 @@ __all__ = [
     "Battery",
     "Bump",
     "CriterionResult",
-    "Custom",
     "DataShapeError",
     "DecayTooSlow",
     "DerivedConstants",

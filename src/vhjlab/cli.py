@@ -192,13 +192,13 @@ def _read(sec: dict, path: str, keys) -> dict:
 
 @contextmanager
 def _config_errors(path: str):
-    """Report a library ValueError as a ConfigError under path."""
+    """Report a library ValueError as a ConfigError under path ("" adds none)."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def _build(make, keys, sec: dict, path: str, *args):
@@ -493,10 +493,8 @@ def cmd_residual(args) -> int:
     if len(kw["box"]) != 4:
         raise ConfigError("box: expected [t_lo, t_hi, r_lo, r_hi]")
     seed, out_path = kw.pop("seed"), kw.pop("output")
-    try:
+    with _config_errors(""):
         cert = certify_sign(profile, **kw, rng=np.random.default_rng(seed))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     text = json.dumps(cert.as_dict(), sort_keys=True, indent=2)
     if out_path is not None:
         Path(out_path).write_text(text + "\n")

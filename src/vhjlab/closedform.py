@@ -371,6 +371,9 @@ def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
     t_lo, t_hi, r_lo, r_hi = box
     if sense not in ("super", "sub"):
         raise ValueError(f"sense must be 'super' or 'sub', got {sense!r}")
+    for name, n in (("n_t", n_t), ("n_r", n_r)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     sgn = 1.0 if sense == "super" else -1.0
     if log_r is None:
         log_r = r_hi / max(r_lo, 1e-300) > 50.0

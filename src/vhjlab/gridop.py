@@ -20,10 +20,9 @@ and hands out the same read-only arrays on every access; at p = 2 the
 operator and the step bound skip the unit mobility.
 
 discrete_rhs, stable_dt and source_rate take an optional g: the face
-gradients of u that the caller already holds (under the operator's outer
-condition for discrete_rhs, with the Dirichlet outer face for the two
-bounds).  Given or not, the result is the same to the last bit; a solver
-step computes its gradients once and passes them to each.
+gradients of u that the caller already holds.  Given or not, the result
+is the same to the last bit; a solver step computes its gradients once
+and passes them to each.
 
 Everything broadcasts over leading axes: u with shape (..., M) yields an
 rhs of shape (..., M), so parameter sweeps can run as one array program.
@@ -171,40 +170,33 @@ def absorption_law(z, q: float, eps: float):
     return (np.asarray(z, dtype=float) + eps * eps) ** (q / 2.0)
 
 
-def face_gradient(grid: RadialGrid, u: np.ndarray, outer: str = "dirichlet0") -> np.ndarray:
+def face_gradient(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     """Gradients on the M+1 faces; zero at the origin by symmetry.
 
-    outer='dirichlet0' differences against a zero ghost cell (the state is
-    held at zero beyond r_max); outer='reflect' copies the last cell so no
-    flux leaves (for conservation checks).
+    The outer face differences against a zero ghost cell: the state is
+    held at zero beyond r_max.
     """
     u = np.asarray(u, dtype=float)
     g = np.empty(u.shape[:-1] + (grid.M + 1,), dtype=float)
     g[..., 0] = 0.0
     g[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / grid.dr
-    if outer == "dirichlet0":
-        g[..., -1] = -u[..., -1] / grid.dr
-    elif outer == "reflect":
-        g[..., -1] = 0.0
-    else:
-        raise ValueError(f"unknown outer condition {outer!r}")
+    g[..., -1] = -u[..., -1] / grid.dr
     return g
 
 
 def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
                  u: np.ndarray, absorption: bool = True,
-                 outer: str = "dirichlet0",
                  g: Optional[np.ndarray] = None) -> np.ndarray:
     """du/dt of the semi-discrete scheme: flux divergence minus gradient source.
 
-    g, if given, is face_gradient(grid, u, outer=outer).
+    g, if given, is face_gradient(grid, u).
     """
     if problem.N != grid.N:
         raise GridMismatch(f"problem dimension {problem.N} vs grid dimension {grid.N}")
     p, q = problem.p, problem.q
     eps = reg.eps
     if g is None:
-        g = face_gradient(grid, u, outer=outer)
+        g = face_gradient(grid, u)
     wa = grid.metric_faces
     if p != 2.0:                    # at p = 2 the mobility is exactly 1
         wa = wa * mobility(g * g, p, eps)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -164,29 +164,6 @@ class FatTail:
         return {"kind": self.kind, "C": self.C, "rho": self.rho}
 
 
-class Custom:
-    """Arbitrary nonnegative radial data from a callable r -> u0(r)."""
-
-    kind = "custom"
-
-    def __init__(self, problem: ProblemParams, fn: Callable, label: str = "custom"):
-        self.problem = problem
-        self.fn = fn
-        self.label = label
-
-    def sample(self, r):
-        u = np.asarray(self.fn(np.asarray(r, dtype=float)), dtype=float)
-        if np.any(u < 0):
-            raise DataShapeError("custom data must be nonnegative")
-        return u
-
-    def sup(self) -> float:
-        return np.nan  # unknown without a grid
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "label": self.label}
-
-
 # --------------------------------------------------------------------------
 # run configuration and result
 # --------------------------------------------------------------------------
@@ -223,7 +200,6 @@ class SolverConfig:
     max_steps: int = 200_000_000
     divergence_factor: float = 2.0
     absorption: bool = True
-    outer: str = "dirichlet0"
     series_gradient_power: Optional[float] = None
     series_gradient_floor: float = 0.0
 
@@ -234,8 +210,6 @@ class SolverConfig:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if not self.safety > 0:
             raise ValueError(f"safety must be positive, got {self.safety}")
-        if self.outer not in ("dirichlet0", "reflect"):
-            raise ValueError(f"unknown outer condition {self.outer!r}")
         if self.series_stride < 1:
             raise ValueError("series_stride must be >= 1")
 
@@ -276,27 +250,11 @@ def detect_extinction(t1: float, s1: float, t2: float, s2: float, tol: float) ->
     return t1 + f * (t2 - t1)
 
 
-def extinction_time(t: np.ndarray, sup: np.ndarray, tol: float) -> Optional[float]:
-    """First tol crossing of a sampled sup-norm history, or None."""
-    t = np.asarray(t, dtype=float)
-    sup = np.asarray(sup, dtype=float)
-    below = np.nonzero(sup <= tol)[0]
-    if below.size == 0:
-        return None
-    k = int(below[0])
-    if k == 0:
-        return float(t[0])
-    return detect_extinction(t[k - 1], sup[k - 1], t[k], sup[k], tol)
-
-
 def _semi_implicit_matrix(grid: RadialGrid, problem: ProblemParams,
-                          reg: Regularization, g: np.ndarray, dt: float,
-                          outer: str) -> np.ndarray:
+                          reg: Regularization, g: np.ndarray, dt: float) -> np.ndarray:
     """Banded (I - dt D) with mobilities frozen at the face gradients g."""
     c = grid.metric_faces * mobility(g * g, problem.p, reg.eps) / grid.dr
     c[0] = 0.0                      # symmetry face carries no flux
-    if outer == "reflect":
-        c[-1] = 0.0
     m = grid.metric_cells
     lower = c[:-1] / m              # coupling to u_{i-1}
     upper = c[1:] / m               # coupling to u_{i+1} (ghost for the last cell)
@@ -361,16 +319,13 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     while True:
         if n >= cfg.max_steps:
             raise RuntimeError(f"step budget {cfg.max_steps} exhausted at t = {t}")
-        g = face_gradient(grid, u, outer=cfg.outer)
-        # the step bounds take the Dirichlet outer face; under 'reflect'
-        # they compute their own
-        g_bound = g if cfg.outer == "dirichlet0" else None
+        g = face_gradient(grid, u)
         if cfg.fixed_dt is not None:
             dt = cfg.fixed_dt
         elif cfg.scheme == "explicit":
-            dt = stable_dt(grid, problem, reg, u, cfg.safety, g=g_bound)
+            dt = stable_dt(grid, problem, reg, u, cfg.safety, g=g)
         else:
-            rate = float(source_rate(grid, problem, reg, u, g=g_bound).max())
+            rate = float(source_rate(grid, problem, reg, u, g=g).max())
             dt = cfg.safety / rate if rate > 0 else np.inf
             # even with implicit diffusion, do not outrun the state's own
             # relaxation scale by more than a factor of the grid
@@ -381,8 +336,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         dt = min(dt, t_next_event - t, cfg.t_end - t)
 
         if cfg.scheme == "explicit":
-            u = u + dt * discrete_rhs(grid, problem, reg, u, absorption=cfg.absorption,
-                                      outer=cfg.outer, g=g)
+            u = u + dt * discrete_rhs(grid, problem, reg, u, cfg.absorption, g=g)
         else:
             rhs = u.copy()
             if cfg.absorption:
@@ -391,7 +345,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
                 if reg.counterterm:
                     src = src - reg.eps ** problem.q
                 rhs -= dt * src
-            ab = _semi_implicit_matrix(grid, problem, reg, g, dt, cfg.outer)
+            ab = _semi_implicit_matrix(grid, problem, reg, g, dt)
             # both arrays are new on every step; check_finite stays on, so a
             # non-finite system is an error
             u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)

@@ -55,6 +55,13 @@ def test_07_support_confined_to_initial_ball(battery):
     _check(battery.criterion_7())
 
 
+def test_07_details_report_the_a_priori_localization_bound(battery):
+    # R0 + (sup u0 / kappa)^(1/omega) = 1 + ((1/96) / (1/12))^(1/3) = 1.5
+    details = battery.criterion_7().details
+    assert abs(details["localization_radius"] - 1.5) <= 1e-14
+    assert details["max_support"] <= details["localization_radius"]
+
+
 def test_08_slow_decay_tail_shrinks_to_bounded_set(battery):
     _check(battery.criterion_8())
 

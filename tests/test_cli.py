@@ -160,6 +160,17 @@ def test_residual_reports_a_bad_sense_with_its_key_path(tmp_path, capsys):
             in captured.err)
 
 
+@pytest.mark.parametrize("key, value", [("n_t", 0), ("n_t", -3), ("n_r", 0)])
+def test_residual_rejects_an_empty_sample_lattice(tmp_path, capsys, key, value):
+    doc = {"problem": {"N": 1, "p": 2.0, "q": 0.5},
+           "profile": {"kind": "barrier"},
+           "box": [0.0, 1.0, 0.001, 1000.0], "sense": "super", key: value}
+    assert main(["residual", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {key} must be at least 1, got {value}" in captured.err
+
+
 def test_verify_algebra_suite_passes(tmp_path, capsys):
     out_json = tmp_path / "results.json"
     assert main(["verify", "algebra", "--json", str(out_json)]) == 0
@@ -203,7 +214,7 @@ def test_resolve_experiment_materializes_defaults():
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("solver", "outer", "neumann"),
+    ("solver", "scheme", "crank_nicolson"),
     ("solver", "safety", -0.5),
     ("regularization", "gamma_lift", 5.0),
     ("ic", "m", math.nan),

@@ -32,10 +32,6 @@ def test_face_gradient_exact_on_quadratic():
     assert g[0] == 0.0
     assert np.max(np.abs(g[1:-1] - 2.0 * grid.r_faces[1:-1])) <= 1e-13
     assert abs(g[-1] - (0.0 - u[-1]) / grid.dr) == 0.0
-    g_ref = face_gradient(grid, u, outer="reflect")
-    assert g_ref[-1] == 0.0
-    with pytest.raises(ValueError):
-        face_gradient(grid, u, outer="neumann")
 
 
 def test_rhs_consistency_on_exact_solution():
@@ -66,16 +62,20 @@ def test_stable_dt_zero_field_arithmetic():
 
 
 def test_diffusion_conserves_mass():
+    # the interior fluxes telescope: the mass changes only by the flux
+    # through the outer (Dirichlet) face
     rng = np.random.default_rng(21)
     for N in (1, 2, 3):
         grid = RadialGrid(N, 4.0, 128)
         prm = ProblemParams(N, 1.8, 0.3)
         reg = Regularization(eps=1e-3)
         u = np.exp(-grid.r_cells ** 2) * (1.0 + 0.1 * rng.random(grid.M))
-        rhs = discrete_rhs(grid, prm, reg, u, absorption=False, outer="reflect")
+        rhs = discrete_rhs(grid, prm, reg, u, absorption=False)
         drift = float(np.sum(rhs * grid.metric_cells))
+        g = face_gradient(grid, u)
+        outflow = grid.metric_faces[-1] * mobility(g[-1] ** 2, prm.p, reg.eps) * g[-1]
         scale = float(np.sum(np.abs(u) * grid.metric_cells))
-        assert abs(drift) <= 1e-12 * scale
+        assert abs(drift - outflow) <= 1e-12 * scale
 
 
 def test_constant_state_is_steady_inside():
@@ -83,8 +83,6 @@ def test_constant_state_is_steady_inside():
     prm = ProblemParams(2, 1.8, 0.6)
     reg = Regularization(eps=1e-2, counterterm=True)
     u = np.full(grid.M, 0.7)
-    # reflecting outer face: nothing moves at all
-    assert np.max(np.abs(discrete_rhs(grid, prm, reg, u, outer="reflect"))) == 0.0
     # absorbing boundary: only the last cell sees the ghost
     rhs = discrete_rhs(grid, prm, reg, u)
     assert np.max(np.abs(rhs[:-1])) == 0.0
@@ -198,7 +196,7 @@ def test_p2_shortcut_matches_mobility_reference(N):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_precomputed_gradient_gives_identical_results(N, p):
     # a caller's own face gradients stand in for the ones each function
-    # would compute, to the last bit; the bounds take the Dirichlet ones
+    # would compute, to the last bit
     rng = np.random.default_rng(7 * N + int(10 * p))
     grid = RadialGrid(N, 4.0, 96)
     prm = ProblemParams(N, p, 0.5)
@@ -208,9 +206,6 @@ def test_precomputed_gradient_gives_identical_results(N, p):
         assert stable_dt(grid, prm, reg, u, 0.4, g=g) == stable_dt(grid, prm, reg, u, 0.4)
         assert np.array_equal(source_rate(grid, prm, reg, u, g=g),
                               source_rate(grid, prm, reg, u))
-        for outer in ("dirichlet0", "reflect"):
-            g = face_gradient(grid, u, outer=outer)
-            for absorption in (True, False):
-                assert np.array_equal(
-                    discrete_rhs(grid, prm, reg, u, absorption, outer, g=g),
-                    discrete_rhs(grid, prm, reg, u, absorption, outer))
+        for absorption in (True, False):
+            assert np.array_equal(discrete_rhs(grid, prm, reg, u, absorption, g=g),
+                                  discrete_rhs(grid, prm, reg, u, absorption))

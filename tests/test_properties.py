@@ -82,7 +82,6 @@ SOLVER_OPTIONAL = {
     "max_steps": st.integers(1, 10 ** 9),
     "divergence_factor": floats(1.01, 10.0),
     "absorption": st.booleans(),
-    "outer": st.sampled_from(["dirichlet0", "reflect"]),
     "series_gradient_power": maybe(floats(0.5, 3.0)),
     "series_gradient_floor": floats(0.0, 1.0),
 }
