@@ -590,9 +590,9 @@ class Battery:
             envs = {}
             for M in (2048, 4096):
                 res = runner(M)
-                quot = gradient_quotient(res.series["t"],
-                                         res.series["grad_pow_sup"],
-                                         res.sup0, problem)
+                _, quot = gradient_quotient(res.series["t"],
+                                            res.series["grad_pow_sup"],
+                                            res.sup0, problem)
                 envs[M] = float(np.max(quot))
             drift = abs(envs[4096] / envs[2048] - 1.0)
             ok = np.isfinite(envs[2048]) and np.isfinite(envs[4096]) and drift <= 0.2

@@ -438,8 +438,8 @@ def analyze_run_dir(run_dir: Path) -> dict:
                 "max_log_residual": fit.max_log_residual})
 
     if "grad_pow_sup" in series:
-        quot = gradient_quotient(series["t"], series["grad_pow_sup"],
-                                 summary["sup0"], exp.problem)
+        _, quot = gradient_quotient(series["t"], series["grad_pow_sup"],
+                                    summary["sup0"], exp.problem)
         report["gradient_envelope"] = {
             "sup_quotient": float(np.max(quot)) if quot.size else None,
             "n_points": int(quot.size)}

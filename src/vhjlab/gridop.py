@@ -19,10 +19,14 @@ and the p = 2 diffusion row sums of the step bound) once, at construction,
 and hands out the same read-only arrays on every access; at p = 2 the
 operator and the step bound skip the unit mobility.
 
-discrete_rhs, stable_dt and source_rate take an optional g: the face
-gradients of u that the caller already holds.  Given or not, the result
-is the same to the last bit; a solver step computes its gradients once
-and passes them to each.
+The gradient terms of a state -- face gradients g, cell averages gbar,
+z = gbar^2 + eps^2 and, at p != 2, the face weights rf^(N-1) a_eps(g^2)
+-- live in a StepTerms workspace: its buffers are allocated once and
+refilled from each new state by one face_gradient call.  discrete_rhs,
+stable_dt and source_rate read them from an optional terms argument;
+without one, each builds a one-shot workspace from u, so every formula
+has one home and the result is the same to the last bit either way.  A
+solver run fills one workspace per step and hands it to each.
 
 Everything broadcasts over leading axes: u with shape (..., M) yields an
 rhs of shape (..., M), so parameter sweeps can run as one array program.
@@ -158,96 +162,148 @@ def default_eps(grid: RadialGrid) -> float:
     return grid.dr ** (2.0 / 3.0)
 
 
-def mobility(z, p: float, eps: float):
-    """a_eps(z) = (z + eps^2)^((p-2)/2) on squared gradients z; exactly 1 at p = 2."""
-    if p == 2.0:
-        return np.ones_like(np.asarray(z, dtype=float))
-    return (np.asarray(z, dtype=float) + eps * eps) ** ((p - 2.0) / 2.0)
-
-
-def absorption_law(z, q: float, eps: float):
-    """b_eps(z) = (z + eps^2)^(q/2) on squared gradients z."""
-    return (np.asarray(z, dtype=float) + eps * eps) ** (q / 2.0)
-
-
-def face_gradient(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
+def face_gradient(grid: RadialGrid, u: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Gradients on the M+1 faces; zero at the origin by symmetry.
 
     The outer face differences against a zero ghost cell: the state is
-    held at zero beyond r_max.
+    held at zero beyond r_max.  out, if given, receives the result.
     """
     u = np.asarray(u, dtype=float)
-    g = np.empty(u.shape[:-1] + (grid.M + 1,), dtype=float)
+    g = np.empty(u.shape[:-1] + (grid.M + 1,)) if out is None else out
     g[..., 0] = 0.0
-    g[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / grid.dr
-    g[..., -1] = -u[..., -1] / grid.dr
+    inner = np.subtract(u[..., 1:], u[..., :-1], out=g[..., 1:-1])
+    inner /= grid.dr
+    np.divide(u[..., -1:], -grid.dr, out=g[..., -1:])
     return g
+
+
+class StepTerms:
+    """Workspace holding the gradient terms of one state.
+
+    fill(u) computes, through one face_gradient call, the face gradients
+    g, the cell averages gbar = (g_i + g_(i+1))/2, z = gbar^2 + eps^2 and,
+    at p != 2, the face weights rf^(N-1) a_eps(g^2); at p = 2 the weights
+    are the grid's read-only metric_faces.  The buffers are allocated
+    once, for states of shape shape + (M,).
+
+    absorption and source_rate each return their own buffer; discrete_rhs
+    writes its fluxes into face_scratch and returns cell_scratch.  Those
+    two are free for a caller's own use otherwise.  A result stays valid
+    until the buffer is written again.
+    """
+
+    def __init__(self, grid: RadialGrid, problem: ProblemParams,
+                 reg: Regularization, shape: tuple = ()):
+        self.grid, self.problem, self.reg = grid, problem, reg
+        faces = tuple(shape) + (grid.M + 1,)
+        cells = tuple(shape) + (grid.M,)
+        self.g = np.empty(faces)
+        self.gbar = np.empty(cells)
+        self.z = np.empty(cells)
+        if problem.p == 2.0:        # the mobility is exactly 1
+            self.weights = grid.metric_faces
+        else:
+            self.weights = np.empty(faces)
+            self._cell_dr = grid.metric_cells * grid.dr
+        self.face_scratch = np.empty(faces)
+        self.cell_scratch = np.empty(cells)
+        self._source = np.empty(cells)
+        self._rate = np.empty(cells)
+        self._power = np.empty(cells)
+
+    @classmethod
+    def of(cls, grid: RadialGrid, problem: ProblemParams, reg: Regularization,
+           u: np.ndarray) -> "StepTerms":
+        """A one-shot workspace filled from u."""
+        u = np.asarray(u, dtype=float)
+        return cls(grid, problem, reg, u.shape[:-1]).fill(u)
+
+    def fill(self, u: np.ndarray) -> "StepTerms":
+        eps2 = self.reg.eps * self.reg.eps
+        g = face_gradient(self.grid, u, out=self.g)
+        gbar = np.add(g[..., :-1], g[..., 1:], out=self.gbar)
+        gbar *= 0.5
+        z = np.multiply(gbar, gbar, out=self.z)
+        z += eps2
+        p = self.problem.p
+        if p != 2.0:
+            w = np.multiply(g, g, out=self.weights)
+            w += eps2
+            np.power(w, (p - 2.0) / 2.0, out=w)
+            w *= self.grid.metric_faces
+        return self
+
+    def absorption(self) -> np.ndarray:
+        """b_eps(gbar^2) per cell, less eps^q with the counterterm."""
+        source = np.power(self.z, self.problem.q / 2.0, out=self._source)
+        if self.reg.counterterm:
+            source -= self.reg.eps ** self.problem.q
+        return source
+
+    def source_rate(self) -> np.ndarray:
+        """q |gbar| (gbar^2+eps^2)^(q/2-1) / dr per cell; see source_rate."""
+        q = self.problem.q
+        rate = np.abs(self.gbar, out=self._rate)
+        rate *= q
+        rate *= np.power(self.z, q / 2.0 - 1.0, out=self._power)
+        rate /= self.grid.dr
+        return rate
 
 
 def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
                  u: np.ndarray, absorption: bool = True,
-                 g: Optional[np.ndarray] = None) -> np.ndarray:
+                 terms: Optional[StepTerms] = None) -> np.ndarray:
     """du/dt of the semi-discrete scheme: flux divergence minus gradient source.
 
-    g, if given, is face_gradient(grid, u).
+    terms, if given, is a StepTerms of (grid, problem, reg) filled from u;
+    the result then lives in its cell_scratch.
     """
     if problem.N != grid.N:
         raise GridMismatch(f"problem dimension {problem.N} vs grid dimension {grid.N}")
-    p, q = problem.p, problem.q
-    eps = reg.eps
-    if g is None:
-        g = face_gradient(grid, u)
-    wa = grid.metric_faces
-    if p != 2.0:                    # at p = 2 the mobility is exactly 1
-        wa = wa * mobility(g * g, p, eps)
-    flux = wa * g
-    div = (flux[..., 1:] - flux[..., :-1]) / grid.metric_cells
-    if not absorption:
-        return div
-    gbar = 0.5 * (g[..., :-1] + g[..., 1:])
-    source = absorption_law(gbar * gbar, q, eps)
-    if reg.counterterm:
-        source = source - eps ** q
-    return div - source
-
-
-def _source_rate(grid: RadialGrid, q: float, eps: float, g: np.ndarray) -> np.ndarray:
-    """source_rate from the face gradients g of the state."""
-    gbar = 0.5 * (g[..., :-1] + g[..., 1:])
-    return q * np.abs(gbar) * (gbar * gbar + eps * eps) ** (q / 2.0 - 1.0) / grid.dr
+    if terms is None:
+        terms = StepTerms.of(grid, problem, reg, u)
+    flux = np.multiply(terms.weights, terms.g, out=terms.face_scratch)
+    div = np.subtract(flux[..., 1:], flux[..., :-1], out=terms.cell_scratch)
+    div /= grid.metric_cells
+    if absorption:
+        div -= terms.absorption()
+    return div
 
 
 def source_rate(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-                u: np.ndarray, g: Optional[np.ndarray] = None) -> np.ndarray:
+                u: np.ndarray, terms: Optional[StepTerms] = None) -> np.ndarray:
     """Per-cell Lipschitz bound of the explicit gradient source.
 
     d b_eps(gbar^2)/d u_(i+-1) = q gbar (gbar^2+eps^2)^(q/2-1) * (+-1/(2 dr));
     the two neighbor couplings sum to q |gbar| (gbar^2+eps^2)^(q/2-1) / dr.
     This vanishes on flat faces, so small eps only penalizes cells whose
-    gradient actually sits near eps.  g, if given, is face_gradient(grid, u).
+    gradient actually sits near eps.  terms, if given, is a StepTerms of
+    (grid, problem, reg) filled from u.
     """
-    if g is None:
-        g = face_gradient(grid, u)
-    return _source_rate(grid, problem.q, reg.eps, g)
+    if terms is None:
+        terms = StepTerms.of(grid, problem, reg, u)
+    return terms.source_rate()
 
 
 def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
               u: np.ndarray, safety: float = 0.5,
-              g: Optional[np.ndarray] = None) -> float:
+              terms: Optional[StepTerms] = None) -> float:
     """Explicit-Euler step bound from the frozen-coefficient row sums.
 
     Diffusion contributes (rf_{i+1}^(N-1) a_{i+1} + rf_i^(N-1) a_i) /
     (r_i^(N-1) dr^2) on each cell's diagonal, the gradient source its
-    per-cell Lipschitz bound.  g, if given, is face_gradient(grid, u).
+    per-cell Lipschitz bound.  terms, if given, is a StepTerms of
+    (grid, problem, reg) filled from u.
     """
-    p = problem.p
-    eps = reg.eps
-    if g is None:
-        g = face_gradient(grid, u)
-    if p == 2.0:                    # at p = 2 the mobility is exactly 1
+    if terms is None:
+        terms = StepTerms.of(grid, problem, reg, u)
+    rate = terms.source_rate()
+    if problem.p == 2.0:            # at p = 2 the mobility is exactly 1
         diffusion = grid.unit_mobility_rows
     else:
-        wa = grid.metric_faces * mobility(g * g, p, eps)
-        diffusion = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
-    rate = float((diffusion + _source_rate(grid, problem.q, eps, g)).max())
-    return safety / rate
+        w = terms.weights
+        diffusion = np.add(w[..., 1:], w[..., :-1], out=terms._power)
+        diffusion /= terms._cell_dr
+    total = np.add(diffusion, rate, out=terms._power)
+    return safety / float(total.max())

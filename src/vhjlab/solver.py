@@ -38,9 +38,8 @@ from .exponents import (
 from .gridop import (
     RadialGrid,
     Regularization,
-    absorption_law,
+    StepTerms,
     face_gradient,
-    mobility,
     discrete_rhs,
     source_rate,
     stable_dt,
@@ -250,18 +249,19 @@ def detect_extinction(t1: float, s1: float, t2: float, s2: float, tol: float) ->
     return t1 + f * (t2 - t1)
 
 
-def _semi_implicit_matrix(grid: RadialGrid, problem: ProblemParams,
-                          reg: Regularization, g: np.ndarray, dt: float) -> np.ndarray:
-    """Banded (I - dt D) with mobilities frozen at the face gradients g."""
-    c = grid.metric_faces * mobility(g * g, problem.p, reg.eps) / grid.dr
+def _semi_implicit_matrix(grid: RadialGrid, terms: StepTerms, dt: float) -> np.ndarray:
+    """Banded (I - dt D) with mobilities frozen at the state terms holds."""
+    c = terms.weights / grid.dr
     c[0] = 0.0                      # symmetry face carries no flux
     m = grid.metric_cells
     lower = c[:-1] / m              # coupling to u_{i-1}
     upper = c[1:] / m               # coupling to u_{i+1} (ghost for the last cell)
     ab = np.zeros((3, grid.M))
-    ab[0, 1:] = -dt * upper[:-1]
-    ab[1, :] = 1.0 + dt * (lower + upper)
-    ab[2, :-1] = -dt * lower[1:]
+    np.multiply(upper[:-1], -dt, out=ab[0, 1:])
+    diagonal = np.add(lower, upper, out=ab[1])
+    diagonal *= dt
+    diagonal += 1.0
+    np.multiply(lower[1:], -dt, out=ab[2, :-1])
     return ab
 
 
@@ -276,6 +276,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         raise DataShapeError("initial data must be finite and nonnegative")
     sup0 = float(u.max())
     metric = grid.metric_cells
+    terms = StepTerms(grid, problem, reg)
 
     ser_t, ser_sup, ser_rad, ser_mass, ser_grad = [], [], [], [], []
     snap_t, snap_u = [0.0], [u.copy()]
@@ -288,10 +289,11 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         ser_t.append(t)
         ser_sup.append(sup)
         ser_rad.append(support_radius(grid, u, tol_pos))
-        ser_mass.append(float(np.sum(u * metric)))
+        ser_mass.append(float(np.sum(np.multiply(u, metric, out=terms.cell_scratch))))
         if want_grad:
-            v = u ** cfg.series_gradient_power
-            g = np.abs(face_gradient(grid, v))
+            v = np.power(u, cfg.series_gradient_power, out=terms.cell_scratch)
+            g = face_gradient(grid, v, out=terms.face_scratch)
+            np.abs(g, out=g)
             # only faces between solidly positive cells: the steepness of
             # the state's interior, not of tolerance-level fringe; lo is
             # the smaller of the two cells beside each face (zero ghost)
@@ -319,13 +321,13 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     while True:
         if n >= cfg.max_steps:
             raise RuntimeError(f"step budget {cfg.max_steps} exhausted at t = {t}")
-        g = face_gradient(grid, u)
+        terms.fill(u)
         if cfg.fixed_dt is not None:
             dt = cfg.fixed_dt
         elif cfg.scheme == "explicit":
-            dt = stable_dt(grid, problem, reg, u, cfg.safety, g=g)
+            dt = stable_dt(grid, problem, reg, u, cfg.safety, terms=terms)
         else:
-            rate = float(source_rate(grid, problem, reg, u, g=g).max())
+            rate = float(source_rate(grid, problem, reg, u, terms=terms).max())
             dt = cfg.safety / rate if rate > 0 else np.inf
             # even with implicit diffusion, do not outrun the state's own
             # relaxation scale by more than a factor of the grid
@@ -336,16 +338,17 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         dt = min(dt, t_next_event - t, cfg.t_end - t)
 
         if cfg.scheme == "explicit":
-            u = u + dt * discrete_rhs(grid, problem, reg, u, cfg.absorption, g=g)
+            # u is this run's own array: it is updated in place
+            rhs = discrete_rhs(grid, problem, reg, u, cfg.absorption, terms=terms)
+            rhs *= dt
+            u += rhs
         else:
             rhs = u.copy()
             if cfg.absorption:
-                gbar = 0.5 * (g[:-1] + g[1:])
-                src = absorption_law(gbar * gbar, problem.q, reg.eps)
-                if reg.counterterm:
-                    src = src - reg.eps ** problem.q
-                rhs -= dt * src
-            ab = _semi_implicit_matrix(grid, problem, reg, g, dt)
+                src = terms.absorption()
+                src *= dt
+                rhs -= src
+            ab = _semi_implicit_matrix(grid, terms, dt)
             # both arrays are new on every step; check_finite stays on, so a
             # non-finite system is an error
             u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)

@@ -86,6 +86,18 @@ def test_11_gradient_envelope_refinement_stable(battery):
     _check(battery.criterion_11())
 
 
+def test_11_details_are_the_quotient_envelopes(battery):
+    # the envelope is the largest quotient, not the largest sample time
+    from vhjlab.acceptance import PROBLEM_B
+    from vhjlab.analysis import gradient_quotient
+    details = battery.criterion_11().details["singular"]
+    for M in (2048, 4096):
+        res = battery.run_bump_b(M)
+        quot = gradient_quotient(res.series["t"], res.series["grad_pow_sup"],
+                                 res.sup0, PROBLEM_B)[1]
+        assert details[f"envelope_M{M}"] == quot.max()
+
+
 def test_12_flatness_floor_and_flux_balance_persist(battery):
     _check(battery.criterion_12())
 

@@ -128,6 +128,20 @@ def test_analyze_reports_fits_on_a_run(tmp_path, capsys):
     assert (tmp_path / "run" / "analysis-report.json").exists()
 
 
+def test_analyze_reports_the_gradient_envelope(tmp_path, capsys):
+    # a run with a gradient column: analyze reads the (t, quotient) pair
+    doc = json.loads(json.dumps(BASE))
+    doc["grid"]["M"] = 64
+    doc["solver"]["series_gradient_power"] = 0.5
+    doc["output"] = {"dir": str(tmp_path / "run")}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "run")]) == 0
+    envelope = json.loads(capsys.readouterr().out)["gradient_envelope"]
+    assert envelope["n_points"] > 0
+    assert 0.0 < envelope["sup_quotient"] < math.inf
+
+
 def test_analyze_rejects_a_non_run_directory(tmp_path, capsys):
     assert main(["analyze", str(tmp_path)]) == 2
     assert "resolved-config.json" in capsys.readouterr().err

@@ -11,17 +11,29 @@ from vhjlab.gridop import (
     GridMismatch,
     RadialGrid,
     Regularization,
-    absorption_law,
+    StepTerms,
     default_eps,
     default_gamma_lift,
     discrete_rhs,
     face_gradient,
-    mobility,
     source_rate,
     stable_dt,
 )
 
 P_A = ProblemParams(1, 2.0, 0.5)
+
+
+# reference coefficient laws, written out once, independent of StepTerms
+def mobility(z, p, eps):
+    """a_eps(z) = (z + eps^2)^((p-2)/2); exactly 1 at p = 2."""
+    if p == 2.0:
+        return np.ones_like(np.asarray(z, dtype=float))
+    return (np.asarray(z, dtype=float) + eps * eps) ** ((p - 2.0) / 2.0)
+
+
+def absorption_law(z, q, eps):
+    """b_eps(z) = (z + eps^2)^(q/2)."""
+    return (np.asarray(z, dtype=float) + eps * eps) ** (q / 2.0)
 
 
 def test_face_gradient_exact_on_quadratic():
@@ -195,17 +207,22 @@ def test_p2_shortcut_matches_mobility_reference(N):
 @pytest.mark.parametrize("p", [2.0, 1.8])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_precomputed_gradient_gives_identical_results(N, p):
-    # a caller's own face gradients stand in for the ones each function
-    # would compute, to the last bit
+    # a caller's workspace, allocated once and refilled from each state,
+    # stands in for the one-shot workspace each function would build, to
+    # the last bit
     rng = np.random.default_rng(7 * N + int(10 * p))
     grid = RadialGrid(N, 4.0, 96)
     prm = ProblemParams(N, p, 0.5)
     reg = Regularization(eps=default_eps(grid))
-    for u in (rng.random(grid.M), rng.random((3, grid.M))):
-        g = face_gradient(grid, u)
-        assert stable_dt(grid, prm, reg, u, 0.4, g=g) == stable_dt(grid, prm, reg, u, 0.4)
-        assert np.array_equal(source_rate(grid, prm, reg, u, g=g),
-                              source_rate(grid, prm, reg, u))
-        for absorption in (True, False):
-            assert np.array_equal(discrete_rhs(grid, prm, reg, u, absorption, g=g),
-                                  discrete_rhs(grid, prm, reg, u, absorption))
+    for shape in ((), (3,)):
+        terms = StepTerms(grid, prm, reg, shape)
+        for _ in range(2):
+            u = rng.random(shape + (grid.M,))
+            terms.fill(u)
+            assert np.array_equal(terms.g, face_gradient(grid, u))
+            assert stable_dt(grid, prm, reg, u, 0.4, terms=terms) == stable_dt(grid, prm, reg, u, 0.4)
+            assert np.array_equal(source_rate(grid, prm, reg, u, terms=terms),
+                                  source_rate(grid, prm, reg, u))
+            for absorption in (True, False):
+                assert np.array_equal(discrete_rhs(grid, prm, reg, u, absorption, terms=terms),
+                                      discrete_rhs(grid, prm, reg, u, absorption))

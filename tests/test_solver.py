@@ -204,7 +204,9 @@ def test_each_step_calls_its_bound_once_and_one_face_gradient(monkeypatch, schem
     # source_rate bindings and counts face_gradient calls per step
     import vhjlab.gridop as gridop
     import vhjlab.solver as solver
-    calls = {"stable_dt": 0, "source_rate": 0, "face_gradient": 0}
+    per_step = ("stable_dt", "source_rate", "discrete_rhs",
+                "_semi_implicit_matrix", "solve_banded")
+    calls = dict.fromkeys(per_step + ("face_gradient",), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -212,7 +214,7 @@ def test_each_step_calls_its_bound_once_and_one_face_gradient(monkeypatch, schem
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("stable_dt", "source_rate"):
+    for name in per_step:
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
     fg = counted("face_gradient", gridop.face_gradient)
     monkeypatch.setattr(gridop, "face_gradient", fg)
@@ -225,12 +227,66 @@ def test_each_step_calls_its_bound_once_and_one_face_gradient(monkeypatch, schem
     assert res.n_steps > 20
     other = "source_rate" if bound == "stable_dt" else "stable_dt"
     assert (calls[bound], calls[other]) == (res.n_steps, 0)
+    # the benchmark's layer spans: the operator once per explicit step, the
+    # matrix and the banded solve once per semi-implicit step
+    explicit = res.n_steps if scheme == "explicit" else 0
+    assert calls["discrete_rhs"] == explicit
+    assert calls["_semi_implicit_matrix"] == calls["solve_banded"] == res.n_steps - explicit
     # one gradient per step, one per record with a gradient column
     assert calls["face_gradient"] == res.n_steps + len(res.series["t"])
 
 def _series_digest(res) -> str:
     cols = [np.asarray(res.series[k], dtype=float) for k in sorted(res.series)]
     return hashlib.sha256(np.concatenate(cols).tobytes()).hexdigest()[:16]
+
+
+def _pinned_path(name):
+    from vhjlab.acceptance import BUMP_M, EPS_REFERENCE, Battery
+    if name == "lifted":            # counterterm off, positivity lift
+        return Battery().run_lifted(128)
+    if name == "no_absorption_explicit":
+        return run(P_A, RadialGrid(1, 4.0, 128), Regularization(eps=1e-3),
+                   Bump(P_A, m=BUMP_M, R0=1.0),
+                   SolverConfig(t_end=0.05, absorption=False, tol_ext=1e-7,
+                                tol_pos=1e-7, series_gradient_power=0.5))
+    if name == "no_absorption_semi_implicit":
+        return run(P_B, RadialGrid(2, 4.0, 128), Regularization(eps=1e-3),
+                   Bump(P_B, m=BUMP_M, R0=1.0),
+                   SolverConfig(t_end=0.5, scheme="semi_implicit", absorption=False,
+                                tol_ext=1e-7, tol_pos=1e-7, series_gradient_power=0.5))
+    if name == "semi_implicit_p2":  # run_bump_a's recipe on the other scheme
+        gp = (P_A.p - P_A.q - 1.0) / (P_A.p - P_A.q)
+        return run(P_A, RadialGrid(1, 4.0, 128), Regularization(eps=EPS_REFERENCE),
+                   Bump(P_A, m=BUMP_M, R0=1.0),
+                   SolverConfig(t_end=0.3, scheme="semi_implicit", tol_ext=1e-7,
+                                tol_pos=1e-7, series_stride=4, series_gradient_power=gp,
+                                series_gradient_floor=1e-5))
+    N, scheme = int(name[1]), name[3:]
+    prm = ProblemParams(N, 2.0, 0.5) if scheme == "explicit" else ProblemParams(N, 1.8, 0.6)
+    gp = (prm.p - prm.q - 1.0) / (prm.p - prm.q)
+    return run(prm, RadialGrid(N, 4.0, 128), Regularization(eps=1e-3),
+               Bump(prm, m=BUMP_M, R0=1.0),
+               SolverConfig(t_end=2.0, scheme=scheme, tol_ext=1e-5, tol_pos=1e-5,
+                            series_stride=4, series_gradient_power=gp,
+                            series_gradient_floor=1e-4))
+
+
+@pytest.mark.parametrize("name, outcome, n_steps, T_e, digest", [
+    ("lifted", "horizon_reached", 1600, None, "14b55377c8fd4b59"),
+    ("no_absorption_explicit", "horizon_reached", 237, None, "096ffc18f9b90fd4"),
+    ("no_absorption_semi_implicit", "horizon_reached", 84, None, "4e3f7875f87c3371"),
+    ("semi_implicit_p2", "extinct", 567, 0.09680687400538615, "a4fd84d78043c83e"),
+    ("N2_explicit", "horizon_reached", 8341, None, "03f5cd06d0392736"),
+    ("N3_explicit", "extinct", 9222, 1.1217840220411834, "5736447c70fb2d9f"),
+    ("N3_semi_implicit", "extinct", 41, 0.5491518221848275, "7b92a3f7e08ef7c5"),
+])
+def test_remaining_paths_are_pinned(name, outcome, n_steps, T_e, digest):
+    # the paths the reference pins miss, each exact to the last bit: no
+    # counterterm with a lift, no absorption on either scheme, the
+    # semi-implicit scheme at p = 2, and N = 2, 3
+    res = _pinned_path(name)
+    assert (res.outcome.value, res.n_steps, res.T_e_est) == (outcome, n_steps, T_e)
+    assert _series_digest(res) == digest
 
 
 def test_singular_explicit_trajectory_is_pinned():
