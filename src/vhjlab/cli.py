@@ -401,17 +401,19 @@ def _read_csv(path: Path) -> dict:
 
 def analyze_run_dir(run_dir: Path) -> dict:
     """Recompute the measurements for an existing run directory."""
-    cfg_path = run_dir / "resolved-config.json"
-    if not cfg_path.exists():
-        raise ConfigError(f"{run_dir}: not a run directory "
-                          "(missing resolved-config.json)")
-    exp = resolve_experiment(_load_json(cfg_path))
-    summary = json.loads((run_dir / "summary.json").read_text())
-    series = _read_csv(run_dir / "series.csv")
-    index = _read_csv(run_dir / "snapshots" / "index.csv")
+    def part(name: str) -> Path:
+        path = run_dir / name
+        if not path.exists():
+            raise ConfigError(f"{run_dir}: not a run directory (missing {name})")
+        return path
+
+    exp = resolve_experiment(_load_json(part("resolved-config.json")))
+    summary = json.loads(part("summary.json").read_text())
+    series = _read_csv(part("series.csv"))
+    index = _read_csv(part("snapshots/index.csv"))
     snap_t, snap_u = [], []
     for k in index["k"].astype(int):
-        snap = _read_csv(run_dir / "snapshots" / f"snap-{k:04d}.csv")
+        snap = _read_csv(part(f"snapshots/snap-{k:04d}.csv"))
         snap_t.append(float(index["t"][k]))
         snap_u.append(snap["u"])
 
@@ -599,6 +601,12 @@ def cmd_sweep(args) -> int:
     return 1 if any(res["error"] for res in results) else 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vhjlab",
@@ -632,7 +640,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="fan an experiment over parameter lists")
     p.add_argument("config")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=_positive_int, default=4)
     p.set_defaults(fn=cmd_sweep)
 
     args = parser.parse_args(argv)

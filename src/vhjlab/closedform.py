@@ -369,6 +369,9 @@ def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
     lattice; without it the lattice is deterministic.
     """
     t_lo, t_hi, r_lo, r_hi = box
+    if not (t_lo < t_hi and 0.0 < r_lo < r_hi):
+        raise ValueError(f"box must satisfy t_lo < t_hi and 0 < r_lo < r_hi, "
+                         f"got {list(box)}")
     if sense not in ("super", "sub"):
         raise ValueError(f"sense must be 'super' or 'sub', got {sense!r}")
     for name, n in (("n_t", n_t), ("n_r", n_r)):
@@ -376,7 +379,7 @@ def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
             raise ValueError(f"{name} must be at least 1, got {n}")
     sgn = 1.0 if sense == "super" else -1.0
     if log_r is None:
-        log_r = r_hi / max(r_lo, 1e-300) > 50.0
+        log_r = r_hi / r_lo > 50.0
     tg = t_lo + (t_hi - t_lo) * (np.arange(n_t) + 0.5) / n_t
     if log_r:
         rg = np.exp(np.linspace(np.log(r_lo), np.log(r_hi), n_r))

@@ -1,22 +1,28 @@
 """Time integration of the regularized radial flow.
 
-Two steppers share the spatial operator from gridop:
+Each scheme is one row of the table SCHEMES: a step bound, giving the
+largest safe dt for the current state, and a step function, advancing
+the state by dt and clamping it at zero.  Both take the run's StepTerms
+workspace, filled once per step from the current state.
 
-explicit       forward Euler with a per-step stability bound; monotone
-               under the default eps = dr^(2/3) tie, cheapest at p = 2
-               where the mobility is constant.
-semi_implicit  backward Euler on the diffusion with mobilities frozen at
-               the current gradients (a tridiagonal solve per step), the
-               gradient source kept explicit.  Removes the eps^(p-2)
-               diffusion restriction that strangles explicit stepping at
-               p < 2 with small eps.
+explicit       stable_dt, then forward Euler in place (explicit_step);
+               monotone under the default eps = dr^(2/3) tie, cheapest
+               at p = 2 where the mobility is constant.
+semi_implicit  safety / max source_rate, capped at dr, then backward
+               Euler on the diffusion with mobilities frozen at the
+               current gradients and the gradient source kept explicit,
+               a tridiagonal solve per step (semi_implicit_step).
+               Removes the eps^(p-2) diffusion restriction that
+               strangles explicit stepping at p < 2 with small eps.
 
-Runs end in one of three ways: the sup norm falls below tol_ext (extinct,
-with the crossing time estimated by log-linear interpolation), the horizon
-t_end arrives first, or the state escapes upward (diverged: the scheme was
-driven outside its stability region).  Negative undershoots at the support
-edge are clamped to zero; the continuum solution is nonnegative and the
-clamp keeps the discrete one comparable.
+run looks its scheme up once and has one loop with one exit.  A run ends
+in one of three ways: the sup norm falls below tol_ext (extinct, with the
+crossing time estimated by log-linear interpolation; data already below
+it is extinct at time zero and takes no step), the horizon t_end arrives
+first, or the state escapes upward (diverged: the scheme was driven
+outside its stability region).  The clamp at zero removes the negative
+undershoots at the support edge; the continuum solution is nonnegative
+and the clamp keeps the discrete one comparable.
 """
 
 from __future__ import annotations
@@ -203,7 +209,7 @@ class SolverConfig:
     series_gradient_floor: float = 0.0
 
     def __post_init__(self):
-        if self.scheme not in ("explicit", "semi_implicit"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
@@ -211,6 +217,15 @@ class SolverConfig:
             raise ValueError(f"safety must be positive, got {self.safety}")
         if self.series_stride < 1:
             raise ValueError("series_stride must be >= 1")
+        for name in ("fixed_dt", "max_dt"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not self.divergence_factor > 1:
+            raise ValueError(
+                f"divergence_factor must exceed 1, got {self.divergence_factor}")
 
     def resolve_tols(self, problem: ProblemParams, reg: Regularization) -> tuple:
         te = self.tol_ext if self.tol_ext is not None else default_domination_tol(problem, reg)
@@ -265,6 +280,49 @@ def _semi_implicit_matrix(grid: RadialGrid, terms: StepTerms, dt: float) -> np.n
     return ab
 
 
+def _explicit_bound(grid, problem, reg, u, safety, terms) -> float:
+    return stable_dt(grid, problem, reg, u, safety, terms=terms)
+
+
+def _semi_implicit_bound(grid, problem, reg, u, safety, terms) -> float:
+    rate = float(source_rate(grid, problem, reg, u, terms=terms).max())
+    # even with implicit diffusion, do not outrun the state's own
+    # relaxation scale by more than a factor of the grid
+    return min(safety / rate if rate > 0 else np.inf, grid.dr)
+
+
+def explicit_step(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
+                  u: np.ndarray, dt: float, absorption: bool = True,
+                  terms: Optional[StepTerms] = None) -> np.ndarray:
+    """Forward Euler in place on u (one state or a stack), clamped at zero."""
+    rhs = discrete_rhs(grid, problem, reg, u, absorption, terms=terms)
+    rhs *= dt
+    u += rhs
+    return np.maximum(u, 0.0, out=u)
+
+
+def semi_implicit_step(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
+                       u: np.ndarray, dt: float, absorption: bool,
+                       terms: StepTerms) -> np.ndarray:
+    """Backward Euler on the diffusion, clamped at zero, into a new array."""
+    rhs = u.copy()
+    if absorption:
+        src = terms.absorption()
+        src *= dt
+        rhs -= src
+    ab = _semi_implicit_matrix(grid, terms, dt)
+    # both arrays are new on every step; check_finite stays on, so a
+    # non-finite system is an error
+    u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+    return np.maximum(u, 0.0, out=u)
+
+
+# scheme -> (bound, step); both reach the gridop layers and the banded
+# solve through this module's names, looked up at call time
+SCHEMES = {"explicit": (_explicit_bound, explicit_step),
+           "semi_implicit": (_semi_implicit_bound, semi_implicit_step)}
+
+
 def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         ic, cfg: SolverConfig) -> RunResult:
     """Integrate from ic until extinction, divergence, or the horizon."""
@@ -277,6 +335,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     sup0 = float(u.max())
     metric = grid.metric_cells
     terms = StepTerms(grid, problem, reg)
+    bound, step = SCHEMES[cfg.scheme]
 
     ser_t, ser_sup, ser_rad, ser_mass, ser_grad = [], [], [], [], []
     snap_t, snap_u = [0.0], [u.copy()]
@@ -304,90 +363,47 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
             ser_grad.append(float(g.max()))
 
     record(0.0, u, sup0)
-    if sup0 <= tol_ext:
-        snap_t.append(0.0)
-        snap_u.append(u.copy())
-        return _finish(Outcome.EXTINCT, 0.0, 0.0, 0, sup0, tol_ext, tol_pos,
-                       ser_t, ser_sup, ser_rad, ser_mass, ser_grad,
-                       snap_t, snap_u, problem, grid, cfg, ic)
-
     pending = sorted(t for t in cfg.snapshot_times if 0.0 < t <= cfg.t_end)
-    t = 0.0
-    n = 0
+    t, n = 0.0, 0
     sup_prev, t_prev = sup0, 0.0
-    outcome = None
-    T_e = None
+    # data already below tol_ext is extinct at time zero and takes no step
+    outcome, T_e = (Outcome.EXTINCT, 0.0) if sup0 <= tol_ext else (None, None)
 
-    while True:
+    while outcome is None:
         if n >= cfg.max_steps:
             raise RuntimeError(f"step budget {cfg.max_steps} exhausted at t = {t}")
         terms.fill(u)
-        if cfg.fixed_dt is not None:
-            dt = cfg.fixed_dt
-        elif cfg.scheme == "explicit":
-            dt = stable_dt(grid, problem, reg, u, cfg.safety, terms=terms)
-        else:
-            rate = float(source_rate(grid, problem, reg, u, terms=terms).max())
-            dt = cfg.safety / rate if rate > 0 else np.inf
-            # even with implicit diffusion, do not outrun the state's own
-            # relaxation scale by more than a factor of the grid
-            dt = min(dt, grid.dr)
+        dt = cfg.fixed_dt
+        if dt is None:
+            dt = bound(grid, problem, reg, u, cfg.safety, terms)
         if cfg.max_dt is not None:
             dt = min(dt, cfg.max_dt)
         t_next_event = pending[0] if pending else cfg.t_end
         dt = min(dt, t_next_event - t, cfg.t_end - t)
-
-        if cfg.scheme == "explicit":
-            # u is this run's own array: it is updated in place
-            rhs = discrete_rhs(grid, problem, reg, u, cfg.absorption, terms=terms)
-            rhs *= dt
-            u += rhs
-        else:
-            rhs = u.copy()
-            if cfg.absorption:
-                src = terms.absorption()
-                src *= dt
-                rhs -= src
-            ab = _semi_implicit_matrix(grid, terms, dt)
-            # both arrays are new on every step; check_finite stays on, so a
-            # non-finite system is an error
-            u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
-        np.maximum(u, 0.0, out=u)
+        # the explicit step updates u, this run's own array, in place
+        u = step(grid, problem, reg, u, dt, cfg.absorption, terms)
         t += dt
         n += 1
 
         sup = float(u.max())
         if not np.isfinite(sup) or sup > cfg.divergence_factor * sup0:
-            record(t, u, sup)
             outcome = Outcome.DIVERGED
-            break
-        if n % cfg.series_stride == 0:
+        else:
+            while pending and t >= pending[0] - 1e-12 * cfg.t_end:
+                pending.pop(0)
+                snap_t.append(t)
+                snap_u.append(u.copy())
+            if sup <= tol_ext:
+                outcome = Outcome.EXTINCT
+                T_e = detect_extinction(t_prev, sup_prev, t, sup, tol_ext)
+            elif t >= cfg.t_end - 1e-12 * cfg.t_end:
+                outcome = Outcome.HORIZON_REACHED
+        if outcome is not None or n % cfg.series_stride == 0:
             record(t, u, sup)
-        while pending and t >= pending[0] - 1e-12 * cfg.t_end:
-            pending.pop(0)
-            snap_t.append(t)
-            snap_u.append(u.copy())
-        if sup <= tol_ext:
-            record(t, u, sup)
-            outcome = Outcome.EXTINCT
-            T_e = detect_extinction(t_prev, sup_prev, t, sup, tol_ext)
-            break
-        if t >= cfg.t_end - 1e-12 * cfg.t_end:
-            record(t, u, sup)
-            outcome = Outcome.HORIZON_REACHED
-            break
         sup_prev, t_prev = sup, t
 
     snap_t.append(t)
     snap_u.append(u.copy())
-    return _finish(outcome, T_e, t, n, sup0, tol_ext, tol_pos,
-                   ser_t, ser_sup, ser_rad, ser_mass, ser_grad,
-                   snap_t, snap_u, problem, grid, cfg, ic)
-
-
-def _finish(outcome, T_e, t, n, sup0, tol_ext, tol_pos,
-            ser_t, ser_sup, ser_rad, ser_mass, ser_grad,
-            snap_t, snap_u, problem, grid, cfg, ic) -> RunResult:
     series = {
         "t": np.asarray(ser_t), "sup": np.asarray(ser_sup),
         "support_radius": np.asarray(ser_rad), "mass": np.asarray(ser_mass),

@@ -147,6 +147,20 @@ def test_analyze_rejects_a_non_run_directory(tmp_path, capsys):
     assert "resolved-config.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["summary.json", "series.csv", "snapshots/index.csv",
+                                  "snapshots/snap-0001.csv"])
+def test_analyze_rejects_an_incomplete_run_directory(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, BASE)
+    assert main(["simulate", cfg]) == 0
+    run_dir = tmp_path / "exp"
+    (run_dir / name).unlink()
+    capsys.readouterr()
+    assert main(["analyze", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"not a run directory (missing {name})" in captured.err
+
+
 def test_residual_pass_and_fail_exit_codes(tmp_path, capsys):
     ok = {"problem": {"N": 1, "p": 2.0, "q": 0.5},
           "profile": {"kind": "barrier"},
@@ -185,6 +199,22 @@ def test_residual_rejects_an_empty_sample_lattice(tmp_path, capsys, key, value):
     assert f"config error: {key} must be at least 1, got {value}" in captured.err
 
 
+@pytest.mark.parametrize("box", [
+    [0.0, 1.0, 0.0, 1000.0],            # r_lo on the origin
+    [0.0, 1.0, -1e-3, 1000.0],          # r_lo below it
+    [1.0, 0.0, 0.001, 1000.0],          # t range reversed
+    [0.5, 0.5, 0.001, 1000.0],          # t range empty
+    [0.0, 1.0, 1000.0, 0.001],          # r range reversed
+])
+def test_residual_rejects_a_malformed_box(tmp_path, capsys, box):
+    doc = {"problem": {"N": 1, "p": 2.0, "q": 0.5},
+           "profile": {"kind": "barrier"}, "box": box, "sense": "super"}
+    assert main(["residual", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: box" in captured.err
+
+
 def test_verify_algebra_suite_passes(tmp_path, capsys):
     out_json = tmp_path / "results.json"
     assert main(["verify", "algebra", "--json", str(out_json)]) == 0
@@ -196,6 +226,13 @@ def test_verify_algebra_suite_passes(tmp_path, capsys):
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as err:
         main(["verify", "everything"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_rejects_a_worker_count_below_one(tmp_path, workers):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", str(tmp_path / "fan.json"), "--workers", workers])
     assert err.value.code == 2
 
 
@@ -234,6 +271,13 @@ def test_resolve_experiment_materializes_defaults():
     ("ic", "m", math.nan),
     ("solver", "t_end", math.inf),
     ("problem", "q", math.nan),
+    ("solver", "fixed_dt", 0.0),
+    ("solver", "fixed_dt", -1e-3),
+    ("solver", "max_dt", 0.0),
+    ("solver", "max_dt", -1.0),
+    ("solver", "max_steps", 0),
+    ("solver", "divergence_factor", 0.5),
+    ("solver", "divergence_factor", 1.0),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, section, key, value):
     doc = json.loads(json.dumps(BASE))

@@ -32,6 +32,9 @@ def test_zero_data_is_extinct_at_time_zero():
     assert res.outcome is Outcome.EXTINCT
     assert res.T_e_est == 0.0
     assert res.n_steps == 0
+    assert res.t_final == 0.0
+    assert list(res.snapshots["t"]) == [0.0, 0.0]
+    assert len(res.series["t"]) == 1
 
 
 def test_sup_decreases_and_state_stays_nonnegative():
@@ -234,6 +237,31 @@ def test_each_step_calls_its_bound_once_and_one_face_gradient(monkeypatch, schem
     assert calls["_semi_implicit_matrix"] == calls["solve_banded"] == res.n_steps - explicit
     # one gradient per step, one per record with a gradient column
     assert calls["face_gradient"] == res.n_steps + len(res.series["t"])
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+@pytest.mark.parametrize("prm", [P_A, P_B], ids=["p2", "singular"])
+def test_first_step_of_run_is_the_schemes_step_function(scheme, prm):
+    # run takes its dt from the scheme's bound and its state from the
+    # scheme's step function, bit for bit; criterion 4's one-shot call of
+    # the explicit step (no workspace) lands on the same bits
+    import vhjlab.solver as solver
+    from vhjlab.gridop import StepTerms
+    grid, reg = RadialGrid(prm.N, 4.0, 64), Regularization(eps=1e-3)
+    ic = Bump(prm, m=1 / 96, R0=1.0)
+    u0 = ic.sample(grid.r_cells)
+    bound, step = solver.SCHEMES[scheme]
+    terms = StepTerms(grid, prm, reg).fill(u0)
+    dt = bound(grid, prm, reg, u0, 0.5, terms)
+    u1 = step(grid, prm, reg, u0.copy(), dt, True, terms)
+    res = run(prm, grid, reg, ic,
+              SolverConfig(t_end=dt, scheme=scheme, safety=0.5, tol_ext=1e-12))
+    assert (res.outcome, res.n_steps, res.t_final) == (Outcome.HORIZON_REACHED, 1, dt)
+    assert res.u_final.tobytes() == u1.tobytes()
+    if scheme == "explicit":
+        one_shot = solver.explicit_step(grid, prm, reg, u0.copy(), dt)
+        assert one_shot.tobytes() == u1.tobytes()
+
 
 def _series_digest(res) -> str:
     cols = [np.asarray(res.series[k], dtype=float) for k in sorted(res.series)]
