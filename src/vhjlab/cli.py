@@ -227,7 +227,7 @@ def _load_json(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
+        raise ConfigError(f"{path}: expected a JSON object at the top level")
     return doc
 
 
@@ -344,6 +344,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# what analyze reads of a run directory: summary.json keys and csv
+# columns (series.csv may add grad_pow_sup)
+_SUMMARY = (("outcome", _as_str), ("T_e_est", _check(Optional[float])),
+            ("sup0", _as_float), ("tol_pos", _as_float))
+_SERIES = ("t", "sup", "support_radius", "mass")
+_INDEX = ("k", "t")
+_SNAPSHOT = ("r", "u")
+
+
 def _write_csv(path: Path, header: list, columns: list):
     lines = [",".join(header)]
     n = len(columns[0])
@@ -358,8 +367,8 @@ def write_run_dir(out_dir: Path, exp: Experiment, result) -> None:
         json.dumps(exp.resolved, sort_keys=True, indent=2) + "\n")
 
     ser = result.series
-    header = ["t", "sup", "support_radius", "mass"]
-    cols = [ser["t"], ser["sup"], ser["support_radius"], ser["mass"]]
+    header = list(_SERIES)
+    cols = [ser[name] for name in _SERIES]
     if "grad_pow_sup" in ser:
         header.append("grad_pow_sup")
         cols.append(ser["grad_pow_sup"])
@@ -368,10 +377,10 @@ def write_run_dir(out_dir: Path, exp: Experiment, result) -> None:
     snap_dir = out_dir / "snapshots"
     snap_dir.mkdir(exist_ok=True)
     times = result.snapshots["t"]
-    _write_csv(snap_dir / "index.csv", ["k", "t"],
+    _write_csv(snap_dir / "index.csv", list(_INDEX),
                [np.arange(len(times)), times])
     for k, u in enumerate(result.snapshots["u"]):
-        _write_csv(snap_dir / f"snap-{k:04d}.csv", ["r", "u"],
+        _write_csv(snap_dir / f"snap-{k:04d}.csv", list(_SNAPSHOT),
                    [result.grid.r_cells, u])
 
     summary = {
@@ -391,11 +400,25 @@ def write_run_dir(out_dir: Path, exp: Experiment, result) -> None:
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
-def _read_csv(path: Path) -> dict:
-    lines = path.read_text().strip().split("\n")
+def _read_csv(path: Path, columns: tuple) -> dict:
+    """The numeric columns of a csv file that must hold at least columns."""
+    text = path.read_text().strip()
+    if not text:
+        raise ConfigError(f"{path}: empty file")
+    lines = text.split("\n")
     names = lines[0].split(",")
+    missing = [name for name in columns if name not in names]
+    if missing:
+        raise ConfigError(f"{path}: missing column {missing[0]!r}")
     rows = [ln.split(",") for ln in lines[1:]]
-    data = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(names)))
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(names):
+            raise ConfigError(f"{path}: line {i} has {len(row)} cells, "
+                              f"the header {len(names)}")
+    try:
+        data = np.asarray(rows, dtype=float).reshape(len(rows), len(names))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
@@ -408,13 +431,22 @@ def analyze_run_dir(run_dir: Path) -> dict:
         return path
 
     exp = resolve_experiment(_load_json(part("resolved-config.json")))
-    summary = json.loads(part("summary.json").read_text())
-    series = _read_csv(part("series.csv"))
-    index = _read_csv(part("snapshots/index.csv"))
+    summary_path = part("summary.json")
+    summary = _load_json(summary_path)
+    for key, check in _SUMMARY:
+        if key not in summary:
+            raise ConfigError(f"{summary_path}: missing key {key!r}")
+        check(summary[key], f"{summary_path}: {key}")
+    series = _read_csv(part("series.csv"), _SERIES)
+    index = _read_csv(part("snapshots/index.csv"), _INDEX)
     snap_t, snap_u = [], []
-    for k in index["k"].astype(int):
-        snap = _read_csv(part(f"snapshots/snap-{k:04d}.csv"))
-        snap_t.append(float(index["t"][k]))
+    for k, t in zip(index["k"].astype(int), index["t"]):
+        path = part(f"snapshots/snap-{k:04d}.csv")
+        snap = _read_csv(path, _SNAPSHOT)
+        if len(snap["u"]) != exp.grid.M:
+            raise ConfigError(f"{path}: {len(snap['u'])} rows, the grid has "
+                              f"{exp.grid.M} cells")
+        snap_t.append(float(t))
         snap_u.append(snap["u"])
 
     report = {"run": run_dir.name, "outcome": summary["outcome"],
@@ -578,6 +610,12 @@ def cmd_sweep(args) -> int:
     for combo in combos:
         tag = "_".join(f"{k.split('.')[-1]}={combo[k]}" for k in names)
         jobs.append((combo, str(Path(out_root) / tag)))
+    owner = {}
+    for combo, out_dir in jobs:
+        if out_dir in owner:
+            raise ConfigError(f"sweep: {owner[out_dir]} and {combo} share "
+                              f"the run directory {out_dir}")
+        owner[out_dir] = combo
 
     results = []
     with ProcessPoolExecutor(max_workers=args.workers) as pool:

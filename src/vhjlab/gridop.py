@@ -189,8 +189,10 @@ class StepTerms:
 
     absorption and source_rate each return their own buffer; discrete_rhs
     writes its fluxes into face_scratch and returns cell_scratch.  Those
-    two are free for a caller's own use otherwise.  A result stays valid
-    until the buffer is written again.
+    two are free for a caller's own use otherwise: the semi-implicit
+    matrix borrows both while it builds its three bands, shape (3, M), in
+    bands, whose corners stay zero.  A result stays valid until the buffer
+    is written again.
     """
 
     def __init__(self, grid: RadialGrid, problem: ProblemParams,
@@ -208,6 +210,7 @@ class StepTerms:
             self._cell_dr = grid.metric_cells * grid.dr
         self.face_scratch = np.empty(faces)
         self.cell_scratch = np.empty(cells)
+        self.bands = np.zeros((3, grid.M))
         self._source = np.empty(cells)
         self._rate = np.empty(cells)
         self._power = np.empty(cells)

@@ -11,7 +11,8 @@ explicit       stable_dt, then forward Euler in place (explicit_step);
 semi_implicit  safety / max source_rate, capped at dr, then backward
                Euler on the diffusion with mobilities frozen at the
                current gradients and the gradient source kept explicit,
-               a tridiagonal solve per step (semi_implicit_step).
+               one tridiagonal solve per step by LAPACK's dgtsv, its
+               inputs checked finite first (semi_implicit_step).
                Removes the eps^(p-2) diffusion restriction that
                strangles explicit stepping at p < 2 with small eps.
 
@@ -32,7 +33,8 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .exponents import (
     ProblemParams,
@@ -265,19 +267,41 @@ def detect_extinction(t1: float, s1: float, t2: float, s2: float, tol: float) ->
 
 
 def _semi_implicit_matrix(grid: RadialGrid, terms: StepTerms, dt: float) -> np.ndarray:
-    """Banded (I - dt D) with mobilities frozen at the state terms holds."""
-    c = terms.weights / grid.dr
+    """Banded (I - dt D) with mobilities frozen at the state terms holds.
+
+    The bands are terms.bands, rebuilt in full; c and the lower couplings
+    borrow terms.face_scratch and terms.cell_scratch on the way.
+    """
+    c = np.divide(terms.weights, grid.dr, out=terms.face_scratch)
     c[0] = 0.0                      # symmetry face carries no flux
     m = grid.metric_cells
-    lower = c[:-1] / m              # coupling to u_{i-1}
-    upper = c[1:] / m               # coupling to u_{i+1} (ghost for the last cell)
-    ab = np.zeros((3, grid.M))
+    ab = terms.bands
+    lower = np.divide(c[:-1], m, out=terms.cell_scratch)  # coupling to u_{i-1}
+    upper = np.divide(c[1:], m, out=ab[1])  # to u_{i+1} (ghost for the last cell)
     np.multiply(upper[:-1], -dt, out=ab[0, 1:])
-    diagonal = np.add(lower, upper, out=ab[1])
+    np.multiply(lower[1:], -dt, out=ab[2, :-1])
+    diagonal = np.add(upper, lower, out=ab[1])
     diagonal *= dt
     diagonal += 1.0
-    np.multiply(lower[1:], -dt, out=ab[2, :-1])
     return ab
+
+
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system held in ab's three bands for b.
+
+    ab is laid out as for scipy.linalg.solve_banded((1, 1), ...), whose x
+    this is to the last bit: LAPACK's dgtsv, called directly, overwrites
+    the bands of a float64 ab and solves in place into a float64 b.  It
+    never reads the corners ab[0, 0] and ab[2, -1].  A non-finite entry
+    anywhere in ab or b is a ValueError, as with scipy's check_finite; a
+    singular system is a LinAlgError.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def _explicit_bound(grid, problem, reg, u, safety, terms) -> float:
@@ -311,9 +335,9 @@ def semi_implicit_step(grid: RadialGrid, problem: ProblemParams, reg: Regulariza
         src *= dt
         rhs -= src
     ab = _semi_implicit_matrix(grid, terms, dt)
-    # both arrays are new on every step; check_finite stays on, so a
-    # non-finite system is an error
-    u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+    # dgtsv overwrites the bands, rebuilt each step, and solves into rhs,
+    # new each step; a non-finite system is an error
+    u = solve_banded(ab, rhs)
     return np.maximum(u, 0.0, out=u)
 
 

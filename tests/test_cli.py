@@ -161,6 +161,49 @@ def test_analyze_rejects_an_incomplete_run_directory(tmp_path, capsys, name):
     assert f"not a run directory (missing {name})" in captured.err
 
 
+def _damage(path, old, new):
+    path.write_text(path.read_text().replace(old, new, 1))
+
+
+@pytest.mark.parametrize("name, damage, message", [
+    ("summary.json", lambda p: p.write_text("{"), "not valid JSON"),
+    ("summary.json", lambda p: p.write_text("[]"), "expected a JSON object"),
+    ("summary.json", lambda p: _damage(p, '"outcome"', '"result"'),
+     "missing key 'outcome'"),
+    ("summary.json",
+     lambda p: p.write_text(json.dumps({**json.loads(p.read_text()), "T_e_est": "soon"})),
+     "T_e_est: expected a number, got 'soon'"),
+    ("series.csv", lambda p: p.write_text(""), "empty file"),
+    ("series.csv", lambda p: _damage(p, "support_radius", "radius"),
+     "missing column 'support_radius'"),
+    ("series.csv", lambda p: _damage(p, "\n0,", "\nzero,"),
+     "could not convert string to float"),
+    ("series.csv", lambda p: _damage(p, "\n0,", "\n"), "line 2 has 3 cells"),
+    ("snapshots/index.csv", lambda p: _damage(p, "k,t", "t"),
+     "missing column 'k'"),
+    ("snapshots/snap-0001.csv", lambda p: _damage(p, "\n", ",1\n"),
+     "has 2 cells, the header 3"),
+    ("snapshots/snap-0001.csv",
+     lambda p: p.write_text("\n".join(p.read_text().split("\n")[:30])),
+     "29 rows, the grid has 128 cells"),
+], ids=["summary-not-json", "summary-not-object", "summary-missing-key",
+        "summary-bad-value", "series-empty", "series-missing-column",
+        "series-non-numeric", "series-ragged", "index-missing-k",
+        "snapshot-ragged", "snapshot-short"])
+def test_analyze_rejects_a_damaged_run_directory(tmp_path, capsys, name, damage, message):
+    cfg = write_config(tmp_path, BASE)
+    assert main(["simulate", cfg]) == 0
+    run_dir = tmp_path / "exp"
+    damage(run_dir / name)
+    capsys.readouterr()
+    assert main(["analyze", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {run_dir / name}: ")
+    assert message in captured.err
+    assert not (run_dir / "analysis-report.json").exists()
+
+
 def test_residual_pass_and_fail_exit_codes(tmp_path, capsys):
     ok = {"problem": {"N": 1, "p": 2.0, "q": 0.5},
           "profile": {"kind": "barrier"},
@@ -246,6 +289,20 @@ def test_sweep_runs_the_cartesian_product(tmp_path, capsys):
     assert all(row["outcome"] == "extinct" for row in summary)
     dirs = {row["dir"].rsplit("/", 1)[-1] for row in summary}
     assert dirs == {"M=96_q=0.5", "M=96_q=0.6", "M=128_q=0.5", "M=128_q=0.6"}
+
+
+@pytest.mark.parametrize("axes", [
+    {"problem.q": [0.5, 0.5]},
+    {"problem.q": [0.5, "0.5"]},
+], ids=["repeated-value", "same-text"])
+def test_sweep_rejects_jobs_that_share_a_run_directory(tmp_path, capsys, axes):
+    doc = {"base": json.loads(json.dumps(BASE)), "sweep": axes,
+           "dir": str(tmp_path / "fan")}
+    assert main(["sweep", write_config(tmp_path, doc), "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep: ")
+    assert "problem.q" in err and f"share the run directory {tmp_path / 'fan' / 'q=0.5'}" in err
+    assert not (tmp_path / "fan").exists()
 
 
 def test_build_profile_rejects_unknown_kind():

@@ -343,3 +343,54 @@ def test_default_tolerance_is_the_domination_slack():
         cfg.resolve_tols(P_A, Regularization(eps=1e-4, gamma_lift=0.3))
     assert SolverConfig(t_end=1.0, tol_ext=1e-6).resolve_tols(
         P_A, Regularization(eps=1e-4, gamma_lift=0.3)) == (1e-6, 1e-6)
+
+
+def _tridiagonal(seed, M, pivot):
+    # random bands in solve_banded's (1, 1) layout, corners included: a
+    # dominant diagonal, or a tiny one that makes gtsv swap rows
+    rng = np.random.default_rng(seed)
+    ab = rng.uniform(-1.0, 1.0, (3, M))
+    ab[1] = 1e-3 * ab[1] if pivot else 2.5 + rng.random(M)
+    return ab, rng.uniform(-1.0, 1.0, M)
+
+
+@pytest.mark.parametrize("pivot", [False, True], ids=["dominant", "pivoting"])
+@pytest.mark.parametrize("M", [4, 97, 4096])
+def test_solve_banded_matches_scipy_to_the_bit(M, pivot):
+    from scipy.linalg import lapack, solve_banded as scipy_solve_banded
+    from vhjlab.solver import solve_banded
+    for seed in range(5):
+        ab, b = _tridiagonal(seed, M, pivot)
+        # gtsv leaves the fill-in of its row swaps in du2[:-1], zero without
+        du2 = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[0]
+        assert du2[:-1].any() == pivot
+        expected = scipy_solve_banded((1, 1), ab, b)
+        x = solve_banded(ab.copy(), b.copy())
+        assert x.shape == (M,)
+        assert x.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["upper", "diagonal", "lower", "rhs"])
+def test_solve_banded_rejects_non_finite_input(where, value):
+    from vhjlab.solver import solve_banded
+    ab, b = _tridiagonal(0, 16, False)
+    if where == "rhs":
+        b[7] = value
+    else:
+        ab[("upper", "diagonal", "lower").index(where), 7] = value
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        solve_banded(ab, b)
+
+
+@pytest.mark.parametrize("M", [5, 64])
+def test_solve_banded_reports_a_singular_system(M):
+    from scipy.linalg import LinAlgError
+    from vhjlab.solver import solve_banded
+    # M = 5: tridiag(1, 1, 1), whose determinant vanishes at sizes 2, 5,
+    # 8, ...; M = 64: a zero first column
+    ab = np.ones((3, M))
+    if M == 64:
+        ab[1, 0] = ab[2, 0] = 0.0
+    with pytest.raises(LinAlgError, match="singular matrix"):
+        solve_banded(ab, np.ones(M))
