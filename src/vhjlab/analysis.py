@@ -27,10 +27,17 @@ class EmptySupport(ValueError):
     """No snapshot has any cell above the positivity filter."""
 
 
-def support_radius(grid: RadialGrid, u: np.ndarray, tol: float) -> float:
-    """Outermost cell center where the state exceeds tol; 0.0 if none does."""
-    idx = np.nonzero(np.asarray(u) > tol)[0]
-    return float(grid.r_cells[idx[-1]]) if idx.size else 0.0
+def support_radius(grid: RadialGrid, u: np.ndarray, tol: float):
+    """Outermost cell center where the state exceeds tol; 0.0 if none does.
+
+    One state, shape (M,), gives a float; a stack of states, shape
+    (..., M), gives an array of the leading shape, one radius per state.
+    """
+    above = np.asarray(u) > tol
+    # the last cell above tol is the first one in reversed order
+    last = above.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
+    radius = np.where(above.any(axis=-1), grid.r_cells[last], 0.0)
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def localization_radius(problem: ProblemParams, sup_u0: float, R0: float,

@@ -340,24 +340,31 @@ def build_profile(problem: ProblemParams, spec: dict, path: str = "profile"):
 
 # ----- artifact emission ---------------------------------------------------
 
+_CELL = "{:.17g}"                # a number in a run directory's csv files
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return _CELL.format(float(x))
 
 
 # what analyze reads of a run directory: summary.json keys and csv
 # columns (series.csv may add grad_pow_sup)
 _SUMMARY = (("outcome", _as_str), ("T_e_est", _check(Optional[float])),
-            ("sup0", _as_float), ("tol_pos", _as_float))
+            ("sup0", _as_float), ("tol_pos", _as_float),
+            ("n_series", _as_int), ("n_snapshots", _as_int))
 _SERIES = ("t", "sup", "support_radius", "mass")
 _INDEX = ("k", "t")
 _SNAPSHOT = ("r", "u")
 
 
 def _write_csv(path: Path, header: list, columns: list):
+    """One line per row, each cell as _fmt writes it; columns are arrays,
+    turned into Python numbers 1024 rows at a time."""
+    row = ",".join([_CELL] * len(columns)).format
     lines = [",".join(header)]
-    n = len(columns[0])
-    for i in range(n):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
+    for i in range(0, len(columns[0]), 1024):
+        lines += [row(*cells) for cells in zip(*(col[i:i + 1024].tolist()
+                                                  for col in columns))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -400,8 +407,9 @@ def write_run_dir(out_dir: Path, exp: Experiment, result) -> None:
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
-def _read_csv(path: Path, columns: tuple) -> dict:
-    """The numeric columns of a csv file that must hold at least columns."""
+def _read_csv(path: Path, columns: tuple, n_rows: int, expected: str) -> dict:
+    """The numeric columns of a csv file that must hold at least columns,
+    in n_rows rows below its header; expected says where n_rows comes from."""
     text = path.read_text().strip()
     if not text:
         raise ConfigError(f"{path}: empty file")
@@ -411,6 +419,8 @@ def _read_csv(path: Path, columns: tuple) -> dict:
     if missing:
         raise ConfigError(f"{path}: missing column {missing[0]!r}")
     rows = [ln.split(",") for ln in lines[1:]]
+    if len(rows) != n_rows:
+        raise ConfigError(f"{path}: {len(rows)} rows, {expected}")
     for i, row in enumerate(rows, start=2):
         if len(row) != len(names):
             raise ConfigError(f"{path}: line {i} has {len(row)} cells, "
@@ -437,15 +447,20 @@ def analyze_run_dir(run_dir: Path) -> dict:
         if key not in summary:
             raise ConfigError(f"{summary_path}: missing key {key!r}")
         check(summary[key], f"{summary_path}: {key}")
-    series = _read_csv(part("series.csv"), _SERIES)
-    index = _read_csv(part("snapshots/index.csv"), _INDEX)
+    series = _read_csv(part("series.csv"), _SERIES, summary["n_series"],
+                       f"{summary_path.name} has n_series {summary['n_series']}")
+    index_path = part("snapshots/index.csv")
+    index = _read_csv(index_path, _INDEX, summary["n_snapshots"],
+                      f"{summary_path.name} has n_snapshots {summary['n_snapshots']}")
+    wrong = np.nonzero(index["k"] != np.arange(len(index["k"])))[0]
+    if wrong.size:
+        i = wrong[0]
+        raise ConfigError(f"{index_path}: row {i} has k = {_fmt(index['k'][i])}, "
+                          f"not its own index {i}")
     snap_t, snap_u = [], []
-    for k, t in zip(index["k"].astype(int), index["t"]):
-        path = part(f"snapshots/snap-{k:04d}.csv")
-        snap = _read_csv(path, _SNAPSHOT)
-        if len(snap["u"]) != exp.grid.M:
-            raise ConfigError(f"{path}: {len(snap['u'])} rows, the grid has "
-                              f"{exp.grid.M} cells")
+    for k, t in enumerate(index["t"]):
+        snap = _read_csv(part(f"snapshots/snap-{k:04d}.csv"), _SNAPSHOT, exp.grid.M,
+                         f"the grid has {exp.grid.M} cells")
         snap_t.append(float(t))
         snap_u.append(snap["u"])
 

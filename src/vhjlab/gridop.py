@@ -188,7 +188,8 @@ class StepTerms:
     once, for states of shape shape + (M,).
 
     absorption and source_rate each return their own buffer; discrete_rhs
-    writes its fluxes into face_scratch and returns cell_scratch.  Those
+    writes its fluxes into face_scratch (at N = 1 and p = 2, where every
+    weight is 1.0, it differences g itself) and returns cell_scratch.  Those
     two are free for a caller's own use otherwise: the semi-implicit
     matrix borrows both while it builds its three bands, shape (3, M), in
     bands, whose corners stay zero.  A result stays valid until the buffer
@@ -200,9 +201,18 @@ class StepTerms:
         self.grid, self.problem, self.reg = grid, problem, reg
         faces = tuple(shape) + (grid.M + 1,)
         cells = tuple(shape) + (grid.M,)
+        # per-run constants, each with the expression of its use
+        q = problem.q
+        self._eps2 = reg.eps * reg.eps
+        self._eps_q = reg.eps ** q if reg.counterterm else None
+        self._half_q = q / 2.0
+        self._half_q_less_1 = q / 2.0 - 1.0
         self.g = np.empty(faces)
         self.gbar = np.empty(cells)
         self.z = np.empty(cells)
+        # at N = 1 and p = 2 every face weight is exactly 1.0 (r^0, unit
+        # mobility), so the flux is g itself: x * 1.0 == x to the bit
+        self.unit_weights = problem.p == 2.0 and grid.N == 1
         if problem.p == 2.0:        # the mobility is exactly 1
             self.weights = grid.metric_faces
         else:
@@ -214,6 +224,10 @@ class StepTerms:
         self._source = np.empty(cells)
         self._rate = np.empty(cells)
         self._power = np.empty(cells)
+        # the left and right faces of every cell, as views
+        self._g_left, self._g_right = self.g[..., :-1], self.g[..., 1:]
+        self._flux_left = self.face_scratch[..., :-1]
+        self._flux_right = self.face_scratch[..., 1:]
 
     @classmethod
     def of(cls, grid: RadialGrid, problem: ProblemParams, reg: Regularization,
@@ -223,33 +237,31 @@ class StepTerms:
         return cls(grid, problem, reg, u.shape[:-1]).fill(u)
 
     def fill(self, u: np.ndarray) -> "StepTerms":
-        eps2 = self.reg.eps * self.reg.eps
         g = face_gradient(self.grid, u, out=self.g)
-        gbar = np.add(g[..., :-1], g[..., 1:], out=self.gbar)
+        gbar = np.add(self._g_left, self._g_right, out=self.gbar)
         gbar *= 0.5
         z = np.multiply(gbar, gbar, out=self.z)
-        z += eps2
+        z += self._eps2
         p = self.problem.p
         if p != 2.0:
             w = np.multiply(g, g, out=self.weights)
-            w += eps2
+            w += self._eps2
             np.power(w, (p - 2.0) / 2.0, out=w)
             w *= self.grid.metric_faces
         return self
 
     def absorption(self) -> np.ndarray:
         """b_eps(gbar^2) per cell, less eps^q with the counterterm."""
-        source = np.power(self.z, self.problem.q / 2.0, out=self._source)
-        if self.reg.counterterm:
-            source -= self.reg.eps ** self.problem.q
+        source = np.power(self.z, self._half_q, out=self._source)
+        if self._eps_q is not None:
+            source -= self._eps_q
         return source
 
     def source_rate(self) -> np.ndarray:
         """q |gbar| (gbar^2+eps^2)^(q/2-1) / dr per cell; see source_rate."""
-        q = self.problem.q
         rate = np.abs(self.gbar, out=self._rate)
-        rate *= q
-        rate *= np.power(self.z, q / 2.0 - 1.0, out=self._power)
+        rate *= self.problem.q
+        rate *= np.power(self.z, self._half_q_less_1, out=self._power)
         rate /= self.grid.dr
         return rate
 
@@ -266,8 +278,11 @@ def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
         raise GridMismatch(f"problem dimension {problem.N} vs grid dimension {grid.N}")
     if terms is None:
         terms = StepTerms.of(grid, problem, reg, u)
-    flux = np.multiply(terms.weights, terms.g, out=terms.face_scratch)
-    div = np.subtract(flux[..., 1:], flux[..., :-1], out=terms.cell_scratch)
+    if terms.unit_weights:
+        div = np.subtract(terms._g_right, terms._g_left, out=terms.cell_scratch)
+    else:
+        np.multiply(terms.weights, terms.g, out=terms.face_scratch)
+        div = np.subtract(terms._flux_right, terms._flux_left, out=terms.cell_scratch)
     div /= grid.metric_cells
     if absorption:
         div -= terms.absorption()

@@ -24,10 +24,20 @@ first, or the state escapes upward (diverged: the scheme was driven
 outside its stability region).  The clamp at zero removes the negative
 undershoots at the support edge; the continuum solution is nonnegative
 and the clamp keeps the discrete one comparable.
+
+The series records t and sup of every series_stride-th state and of the
+last one.  Each recorded state is copied into a block of K = max(1,
+RECORD_BLOCK_CELLS // M) rows; when the block is full, and once when the
+run ends, one pass over the block measures its support radius, mass and,
+if asked for, gradient column (one face_gradient call).  Each row equals
+the per-state formula to the last bit: the mass is a row-wise pairwise
+sum, as np.sum of one state is.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -53,6 +63,10 @@ from .gridop import (
     stable_dt,
 )
 from .analysis import default_domination_tol, support_radius
+
+
+# cells in one buffer of the series' record blocks: 64 KiB of float64
+RECORD_BLOCK_CELLS = 8192
 
 
 class DataShapeError(ValueError):
@@ -361,30 +375,54 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     terms = StepTerms(grid, problem, reg)
     bound, step = SCHEMES[cfg.scheme]
 
-    ser_t, ser_sup, ser_rad, ser_mass, ser_grad = [], [], [], [], []
+    # the columns grow as packed doubles, 8 bytes a value
+    ser_t, ser_sup, ser_rad, ser_mass, ser_grad = (array("d") for _ in range(5))
     snap_t, snap_u = [0.0], [u.copy()]
-    want_grad = cfg.series_gradient_power is not None
-    lo = np.empty(grid.M + 1)
+    gp = cfg.series_gradient_power
+    # recorded states wait in a block of K rows and are measured a block
+    # at a time; a buffer holds K M cells, at most RECORD_BLOCK_CELLS (the
+    # gradient's face buffers K (M + 1))
+    K = max(1, RECORD_BLOCK_CELLS // grid.M)
+    block, scratch = np.empty((K, grid.M)), np.empty((K, grid.M))
+    if gp is not None:
+        g_block, lo_block = np.empty((K, grid.M + 1)), np.empty((K, grid.M + 1))
+    filled = 0
 
-    def record(t, u, sup):
-        if ser_t and ser_t[-1] == t:
+    def flush():
+        nonlocal filled
+        if not filled:
             return
-        ser_t.append(t)
-        ser_sup.append(sup)
-        ser_rad.append(support_radius(grid, u, tol_pos))
-        ser_mass.append(float(np.sum(np.multiply(u, metric, out=terms.cell_scratch))))
-        if want_grad:
-            v = np.power(u, cfg.series_gradient_power, out=terms.cell_scratch)
-            g = face_gradient(grid, v, out=terms.face_scratch)
+        rows = block[:filled]
+        ser_rad.extend(support_radius(grid, rows, tol_pos))
+        # row-wise pairwise summation, np.sum of each row to the bit (@ and
+        # dot round differently)
+        ser_mass.extend(np.add.reduce(
+            np.multiply(rows, metric, out=scratch[:filled]), axis=-1))
+        if gp is not None:
+            v = np.power(rows, gp, out=scratch[:filled])
+            g = face_gradient(grid, v, out=g_block[:filled])
             np.abs(g, out=g)
             # only faces between solidly positive cells: the steepness of
             # the state's interior, not of tolerance-level fringe; lo is
             # the smaller of the two cells beside each face (zero ghost)
-            lo[0] = u[0]
-            np.minimum(u[:-1], u[1:], out=lo[1:-1])
-            np.minimum(u[-1], 0.0, out=lo[-1:])
+            lo = lo_block[:filled]
+            lo[:, 0] = rows[:, 0]
+            np.minimum(rows[:, :-1], rows[:, 1:], out=lo[:, 1:-1])
+            np.minimum(rows[:, -1:], 0.0, out=lo[:, -1:])
             g[~(lo > cfg.series_gradient_floor)] = 0.0
-            ser_grad.append(float(g.max()))
+            ser_grad.extend(g.max(axis=-1))
+        filled = 0
+
+    def record(t, u, sup):
+        nonlocal filled
+        if ser_t and ser_t[-1] == t:
+            return
+        ser_t.append(t)
+        ser_sup.append(sup)
+        block[filled] = u
+        filled += 1
+        if filled == K:
+            flush()
 
     record(0.0, u, sup0)
     pending = sorted(t for t in cfg.snapshot_times if 0.0 < t <= cfg.t_end)
@@ -410,7 +448,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         n += 1
 
         sup = float(u.max())
-        if not np.isfinite(sup) or sup > cfg.divergence_factor * sup0:
+        if not math.isfinite(sup) or sup > cfg.divergence_factor * sup0:
             outcome = Outcome.DIVERGED
         else:
             while pending and t >= pending[0] - 1e-12 * cfg.t_end:
@@ -428,12 +466,11 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
 
     snap_t.append(t)
     snap_u.append(u.copy())
-    series = {
-        "t": np.asarray(ser_t), "sup": np.asarray(ser_sup),
-        "support_radius": np.asarray(ser_rad), "mass": np.asarray(ser_mass),
-    }
+    flush()
+    series = {"t": np.array(ser_t), "sup": np.array(ser_sup),
+              "support_radius": np.array(ser_rad), "mass": np.array(ser_mass)}
     if ser_grad:
-        series["grad_pow_sup"] = np.asarray(ser_grad)
+        series["grad_pow_sup"] = np.array(ser_grad)
     return RunResult(
         outcome=outcome, T_e_est=T_e, t_final=t, n_steps=n, sup0=sup0,
         tol_ext=tol_ext, tol_pos=tol_pos, series=series,

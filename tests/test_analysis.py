@@ -68,6 +68,28 @@ def test_support_radius_basics():
     assert support_radius(grid, u, 1.0) == 0.0
 
 
+def test_support_radius_of_a_stack_is_its_per_state_radii():
+    grid = RadialGrid(1, 4.0, 64)
+    rng = np.random.default_rng(7)
+    stack = rng.random((3, 5, grid.M)) * (rng.random((3, 5, grid.M)) < 0.3)
+    stack[0, 0] = 0.0                    # no cell above tol
+    stack[0, 1] = 1e-3                   # every cell at tol, none above
+    stack[1, 2, -1] = 1.0                # the outermost cell
+    stack[2, 3, :] = 0.0
+    stack[2, 3, 0] = 1.0                 # only the innermost cell
+    radii = support_radius(grid, stack, 1e-3)
+    assert radii.shape == (3, 5)
+    per_state = [[support_radius(grid, u, 1e-3) for u in rows] for rows in stack]
+    assert radii.tolist() == per_state
+    # the rule itself: the last index above tol, 0.0 when there is none
+    last = [[np.nonzero(u > 1e-3)[0][-1:] for u in rows] for rows in stack]
+    assert per_state == [[float(grid.r_cells[i[0]]) if i.size else 0.0 for i in rows]
+                         for rows in last]
+    assert radii[0, 0] == radii[0, 1] == 0.0
+    assert radii[1, 2] == grid.r_cells[-1] and radii[2, 3] == grid.r_cells[0]
+    assert isinstance(support_radius(grid, stack[1, 1], 1e-3), float)
+
+
 def test_localization_radius_frozen_example():
     # (sup/kappa)^(1/omega) = ((1/96)/(1/12))^(1/3) = 1/2 on top of R0 = 1
     assert abs(localization_radius(P_A, 1 / 96, 1.0) - 1.5) <= 1e-14

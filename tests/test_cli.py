@@ -165,6 +165,10 @@ def _damage(path, old, new):
     path.write_text(path.read_text().replace(old, new, 1))
 
 
+def _drop_last_row(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("summary.json", lambda p: p.write_text("{"), "not valid JSON"),
     ("summary.json", lambda p: p.write_text("[]"), "expected a JSON object"),
@@ -179,8 +183,17 @@ def _damage(path, old, new):
     ("series.csv", lambda p: _damage(p, "\n0,", "\nzero,"),
      "could not convert string to float"),
     ("series.csv", lambda p: _damage(p, "\n0,", "\n"), "line 2 has 3 cells"),
+    ("series.csv", lambda p: _drop_last_row(p), "rows, summary.json has n_series"),
     ("snapshots/index.csv", lambda p: _damage(p, "k,t", "t"),
      "missing column 'k'"),
+    ("snapshots/index.csv", lambda p: _damage(p, "\n1,", "\n1.5,"),
+     "row 1 has k = 1.5, not its own index 1"),
+    ("snapshots/index.csv", lambda p: _damage(p, "\n1,", "\n1e400,"),
+     "row 1 has k = inf, not its own index 1"),
+    ("snapshots/index.csv", lambda p: _damage(p, "\n0,", "\n2,"),
+     "row 0 has k = 2, not its own index 0"),
+    ("snapshots/index.csv", lambda p: _drop_last_row(p),
+     "2 rows, summary.json has n_snapshots 3"),
     ("snapshots/snap-0001.csv", lambda p: _damage(p, "\n", ",1\n"),
      "has 2 cells, the header 3"),
     ("snapshots/snap-0001.csv",
@@ -188,8 +201,9 @@ def _damage(path, old, new):
      "29 rows, the grid has 128 cells"),
 ], ids=["summary-not-json", "summary-not-object", "summary-missing-key",
         "summary-bad-value", "series-empty", "series-missing-column",
-        "series-non-numeric", "series-ragged", "index-missing-k",
-        "snapshot-ragged", "snapshot-short"])
+        "series-non-numeric", "series-ragged", "series-truncated", "index-missing-k",
+        "index-fractional-k", "index-overflowing-k", "index-repeated-k",
+        "index-truncated", "snapshot-ragged", "snapshot-short"])
 def test_analyze_rejects_a_damaged_run_directory(tmp_path, capsys, name, damage, message):
     cfg = write_config(tmp_path, BASE)
     assert main(["simulate", cfg]) == 0
@@ -202,6 +216,18 @@ def test_analyze_rejects_a_damaged_run_directory(tmp_path, capsys, name, damage,
     assert captured.err.startswith(f"config error: {run_dir / name}: ")
     assert message in captured.err
     assert not (run_dir / "analysis-report.json").exists()
+
+
+def test_csv_cells_are_written_as_fmt_writes_them(tmp_path):
+    import numpy as np
+    from vhjlab.cli import _fmt, _write_csv
+    values = np.array([0.0, -0.0, 5e-324, 2.5e-310, 1e300, 1 / 3])
+    index = np.arange(len(values))
+    path = tmp_path / "cells.csv"
+    _write_csv(path, ["k", "x"], [index, values])
+    lines = ["k,x"] + [f"{_fmt(k)},{_fmt(x)}" for k, x in zip(index, values)]
+    assert path.read_text() == "\n".join(lines) + "\n"
+    assert path.read_text().splitlines()[1:4] == ["0,0", "1,-0", "2,4.9406564584124654e-324"]
 
 
 def test_residual_pass_and_fail_exit_codes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Time stepping: outcomes, comparison structure, scheme agreement."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -235,8 +236,10 @@ def test_each_step_calls_its_bound_once_and_one_face_gradient(monkeypatch, schem
     explicit = res.n_steps if scheme == "explicit" else 0
     assert calls["discrete_rhs"] == explicit
     assert calls["_semi_implicit_matrix"] == calls["solve_banded"] == res.n_steps - explicit
-    # one gradient per step, one per record with a gradient column
-    assert calls["face_gradient"] == res.n_steps + len(res.series["t"])
+    # one gradient per step, and one per block of recorded states with a
+    # gradient column (K states a block, the last one partly filled)
+    K = max(1, solver.RECORD_BLOCK_CELLS // 64)
+    assert calls["face_gradient"] == res.n_steps + math.ceil(len(res.series["t"]) / K)
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
@@ -394,3 +397,80 @@ def test_solve_banded_reports_a_singular_system(M):
         ab[1, 0] = ab[2, 0] = 0.0
     with pytest.raises(LinAlgError, match="singular matrix"):
         solve_banded(ab, np.ones(M))
+
+
+def _reference_series(prm, grid, reg, ic, cfg):
+    """run's series, one state at a time: the library's bound and step,
+    each row measured with the per-state formulas (no snapshots)."""
+    import vhjlab.solver as solver
+    from vhjlab.gridop import StepTerms, face_gradient
+    bound, step = solver.SCHEMES[cfg.scheme]
+    tol_ext, tol_pos = cfg.resolve_tols(prm, reg)
+    u = ic.sample(grid.r_cells) + cfg.lift
+    sup0 = float(u.max())
+    terms = StepTerms(grid, prm, reg)
+    rows = []
+
+    def record(t, u, sup):
+        idx = np.nonzero(u > tol_pos)[0]
+        row = [t, sup, float(grid.r_cells[idx[-1]]) if idx.size else 0.0,
+               float(np.sum(u * grid.metric_cells))]
+        if cfg.series_gradient_power is not None:
+            g = np.abs(face_gradient(grid, u ** cfg.series_gradient_power))
+            lo = np.concatenate(([u[0]], np.minimum(u[:-1], u[1:]), [min(u[-1], 0.0)]))
+            g[~(lo > cfg.series_gradient_floor)] = 0.0
+            row.append(float(g.max()))
+        rows.append(row)
+
+    record(0.0, u, sup0)
+    t, n, done = 0.0, 0, sup0 <= tol_ext
+    while not done:
+        terms.fill(u)
+        dt = cfg.fixed_dt or bound(grid, prm, reg, u, cfg.safety, terms)
+        dt = min(dt, cfg.max_dt or np.inf, cfg.t_end - t)
+        u = step(grid, prm, reg, u, dt, cfg.absorption, terms)
+        t += dt
+        n += 1
+        sup = float(u.max())
+        done = (not np.isfinite(sup) or sup > cfg.divergence_factor * sup0
+                or sup <= tol_ext or t >= cfg.t_end - 1e-12 * cfg.t_end)
+        if done or n % cfg.series_stride == 0:
+            record(t, u, sup)
+    return n, np.array(rows)
+
+
+@pytest.mark.parametrize("gp", [None, 0.5], ids=["plain", "gradient"])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("case", ["explicit", "semi_implicit", "zero", "diverged"])
+def test_block_recorded_series_equals_the_per_state_formulas(case, stride, gp):
+    # run measures its recorded states a block at a time; every column
+    # must equal the per-state formulas bit for bit, across block edges
+    # (M = 64: blocks of 128 states) and in a last, partly filled block
+    import vhjlab.solver as solver
+    grid, reg = RadialGrid(P_A.N, 4.0, 64), Regularization(eps=1e-3)
+    prm, ic = P_A, Bump(P_A, m=1 / 96, R0=1.0)
+    kw = dict(t_end=0.3, tol_ext=1e-7, tol_pos=1e-7, series_stride=stride,
+              series_gradient_power=gp, series_gradient_floor=1e-5)
+    if case == "semi_implicit":
+        prm, ic = P_B, Bump(P_B, m=1 / 96, R0=1.0)
+        grid = RadialGrid(P_B.N, 4.0, 64)
+        kw.update(t_end=0.6, max_dt=1e-3, scheme="semi_implicit")
+    elif case == "zero":
+        kw.update(tol_ext=2.0 * ic.sup())
+    elif case == "diverged":
+        kw.update(fixed_dt=50.0 * stable_dt(grid, prm, reg, ic.sample(grid.r_cells)))
+    cfg = SolverConfig(**kw)
+    res = run(prm, grid, reg, ic, cfg)
+    n, rows = _reference_series(prm, grid, reg, ic, cfg)
+    assert res.n_steps == n
+    if case == "zero":
+        assert (res.outcome, n) == (Outcome.EXTINCT, 0)
+    elif case == "diverged":
+        assert res.outcome is Outcome.DIVERGED
+    else:
+        K = max(1, solver.RECORD_BLOCK_CELLS // grid.M)
+        assert len(rows) > K and len(rows) % K
+    names = ["t", "sup", "support_radius", "mass"] + ["grad_pow_sup"] * (gp is not None)
+    assert sorted(res.series) == sorted(names)
+    for j, name in enumerate(names):
+        assert res.series[name].tobytes() == rows[:, j].tobytes(), name
