@@ -14,8 +14,9 @@ gridop      radial grids, discrete operator, regularization, step control
 closedform  comparison profiles with sampled sign certificates
 solver      time integration to extinction, divergence, or the horizon
 analysis    rate fits, domination checks, envelopes, flux diagnostics
+config      experiment configs: schema, checks, resolve_experiment
 acceptance  the numbered verification battery behind ``vhjlab verify``
-cli         experiment configs, run directories, the command line
+cli         run directories, the command line
 """
 
 from .exponents import (

@@ -3,8 +3,10 @@
 Thirteen criteria, each measuring one advertised behavior of the package
 end to end: exponent algebra, closed-form certificates, one-step scheme
 structure, and the extinction phenomenology of three reference
-configurations.  A Battery instance caches the reference runs so
-criteria that share a simulation do not pay for it twice; the full
+configurations.  Each reference run is an experiment document in
+RECIPES, resolved by the same config reader as ``vhjlab simulate``, so
+``simulate`` can rerun any of them.  A Battery instance caches the runs
+so criteria that share a simulation do not pay for it twice; the full
 battery finishes in minutes on one desktop core.
 
 Every quantitative bar lives here, spelled out at the check site, so a
@@ -13,11 +15,14 @@ failure message always names the measured value and the band it missed.
 
 from __future__ import annotations
 
+import copy
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import solver
 from .analysis import (
     check_domination,
     fit_exponent,
@@ -34,17 +39,10 @@ from .closedform import (
     make_tail_sub,
     operator_terms,
 )
+from .config import _apply_override, resolve_experiment
 from .exponents import ProblemParams, derive_constants
 from .gridop import RadialGrid, Regularization, default_eps, stable_dt
-from .solver import (
-    Bump,
-    FastDecay,
-    FatTail,
-    Outcome,
-    SolverConfig,
-    explicit_step,
-    run,
-)
+from .solver import Bump, Outcome, explicit_step
 
 PROBLEM_A = ProblemParams(1, 2.0, 0.5)
 PROBLEM_B = ProblemParams(2, 1.8, 0.6)
@@ -66,6 +64,55 @@ EPS_SINGULAR = 1e-6
 
 BUMP_M = 1.0 / 96.0
 BUMP_R0 = 1.0
+
+
+def _recipe(problem: ProblemParams, ic: dict, r_max: float, eps: float,
+            **solver) -> dict:
+    """An experiment document at the battery's resolution, M = 2048."""
+    return {"problem": asdict(problem), "ic": ic, "grid": {"r_max": r_max, "M": 2048},
+            "regularization": {"eps": eps}, "solver": solver}
+
+
+def _gradient_column(problem: ProblemParams, floor: float) -> dict:
+    """Solver keys that record the steepness of u^((p-q-1)/(p-q))."""
+    return {"series_gradient_power": (problem.p - problem.q - 1.0) / (problem.p - problem.q),
+            "series_gradient_floor": floor}
+
+
+# The battery's reference runs, one experiment document each, in the
+# schema ``vhjlab simulate`` reads; Battery.run resolves and runs them.
+RECIPES = {
+    # the flat bump on the p = 2 configuration, gradient column on
+    "bump_a": _recipe(PROBLEM_A, {"kind": "bump", "m": BUMP_M, "R0": BUMP_R0}, 4.0,
+                      EPS_REFERENCE, t_end=0.3, scheme="explicit", tol_ext=1e-7,
+                      tol_pos=1e-7, series_stride=4,
+                      **_gradient_column(PROBLEM_A, 1e-5)),
+    # the same bump on the singular-diffusion configuration
+    "bump_b": _recipe(PROBLEM_B, {"kind": "bump", "m": BUMP_M, "R0": BUMP_R0}, 4.0,
+                      EPS_SINGULAR, t_end=2.0, scheme="semi_implicit", tol_ext=1e-8,
+                      tol_pos=1e-8, series_stride=4,
+                      **_gradient_column(PROBLEM_B, 1e-4)),
+    # slow-decay data, positive across the whole truncated grid
+    "shrink": _recipe(PROBLEM_A, {"kind": "fast_decay", "C": 1.0, "theta": 3.0}, 32.0,
+                      EPS_REFERENCE, t_end=0.05, scheme="explicit", tol_ext=1e-9,
+                      tol_pos=1e-5, series_stride=16,
+                      snapshot_times=[0.005, 0.01, 0.02]),
+    # fat-tail data, run past its certified floor's horizon
+    "fat": _recipe(PROBLEM_A, {"kind": "fat_tail", "C": 1.0, "rho": 0.5}, 16.0,
+                   EPS_REFERENCE, t_end=1.0, scheme="explicit", tol_ext=1e-9,
+                   tol_pos=1e-9, series_stride=32,
+                   snapshot_times=np.linspace(0.1, 1.0, 10).tolist()),
+    # tail decay exactly on the fast/fat threshold, singular configuration
+    "border": _recipe(PROBLEM_B, {"kind": "fast_decay", "C": 1.0,
+                                  "theta": derive_constants(PROBLEM_B).decay_threshold},
+                      16.0, EPS_SINGULAR, t_end=50.0, scheme="semi_implicit",
+                      tol_ext=1e-8, tol_pos=1e-8, series_stride=64,
+                      snapshot_times=[0.5, 1.0, 2.0, 4.0, 8.0]),
+    # complete extinction; the probe that dates T_e for Battery.complete
+    "complete": _recipe(PROBLEM_C, {"kind": "bump", "m": 1.0, "R0": 1.0, "power": 2}, 4.0,
+                        EPS_SINGULAR, t_end=10.0, scheme="semi_implicit", tol_ext=1e-6,
+                        tol_pos=1e-6, series_stride=64),
+}
 
 
 @dataclass
@@ -121,123 +168,54 @@ class Battery:
 
     # ----- shared reference runs ---------------------------------------
 
+    def run(self, name: str, **overrides):
+        """RECIPES[name] with dotted overrides (``**{"grid.M": 4096}``),
+        simulated once per resolved config."""
+        doc = copy.deepcopy(RECIPES[name])
+        for dotted, value in overrides.items():
+            _apply_override(doc, dotted, value)
+        exp = resolve_experiment(doc)
+        key = json.dumps(exp.resolved, sort_keys=True)
+        return self._memo(key, lambda: solver.run(exp.problem, exp.grid, exp.reg,
+                                                  exp.ic, exp.cfg))
+
+    # bench/test_bench.py reaches the two bump runs by these names
     def run_bump_a(self, M: int):
-        """Reference bump on the p = 2 configuration, gradient column on."""
-        def build():
-            grid = RadialGrid(1, 4.0, M)
-            reg = Regularization(eps=EPS_REFERENCE)
-            ic = Bump(PROBLEM_A, m=BUMP_M, R0=BUMP_R0)
-            gp = (PROBLEM_A.p - PROBLEM_A.q - 1.0) / (PROBLEM_A.p - PROBLEM_A.q)
-            cfg = SolverConfig(t_end=0.3, scheme="explicit",
-                               tol_ext=1e-7, tol_pos=1e-7, series_stride=4,
-                               series_gradient_power=gp,
-                               series_gradient_floor=1e-5)
-            return run(PROBLEM_A, grid, reg, ic, cfg)
-        return self._memo(("bump_a", M), build)
+        return self.run("bump_a", **{"grid.M": M})
 
     def run_bump_b(self, M: int):
-        """Same bump recipe on the singular-diffusion configuration."""
-        def build():
-            grid = RadialGrid(2, 4.0, M)
-            reg = Regularization(eps=EPS_SINGULAR)
-            ic = Bump(PROBLEM_B, m=BUMP_M, R0=BUMP_R0)
-            gp = (PROBLEM_B.p - PROBLEM_B.q - 1.0) / (PROBLEM_B.p - PROBLEM_B.q)
-            cfg = SolverConfig(t_end=2.0, scheme="semi_implicit",
-                               tol_ext=1e-8, tol_pos=1e-8, series_stride=4,
-                               series_gradient_power=gp,
-                               series_gradient_floor=1e-4)
-            return run(PROBLEM_B, grid, reg, ic, cfg)
-        return self._memo(("bump_b", M), build)
+        return self.run("bump_b", **{"grid.M": M})
 
-    def shrink_super(self):
-        return self._memo("sigma", lambda: make_shrink_super(
-            PROBLEM_A, decay_C=1.0, decay_theta=3.0, sup_u0=1.0))
-
-    @staticmethod
-    def _shrink(t_end: float, snapshot_times: tuple = ()):
-        grid = RadialGrid(1, 32.0, 2048)
-        reg = Regularization(eps=EPS_REFERENCE)
-        ic = FastDecay(PROBLEM_A, C=1.0, theta=3.0)
-        cfg = SolverConfig(t_end=t_end, scheme="explicit",
-                           tol_ext=1e-9, tol_pos=1e-5, series_stride=16,
-                           snapshot_times=snapshot_times)
-        return run(PROBLEM_A, grid, reg, ic, cfg)
-
-    def run_shrink(self):
-        """Slow-decay data, positive across the whole truncated grid."""
-        return self._memo("shrink", lambda: self._shrink(
-            0.05, snapshot_times=(0.005, 0.01, 0.02)))
-
-    def run_shrink_long(self):
-        """run_shrink's recipe on twice its horizon, a diagnostic only:
-        it dates the half-domain crossing, which lands just past t = 0.05."""
-        return self._memo("shrink_long", lambda: self._shrink(0.1))
-
-    def run_fat(self):
-        def build():
-            grid = RadialGrid(1, 16.0, 2048)
-            reg = Regularization(eps=EPS_REFERENCE)
-            ic = FatTail(PROBLEM_A, C=1.0, rho=0.5)
-            cfg = SolverConfig(t_end=1.0, scheme="explicit",
-                               tol_ext=1e-9, tol_pos=1e-9, series_stride=32,
-                               snapshot_times=tuple(np.linspace(0.1, 1.0, 10)))
-            return run(PROBLEM_A, grid, reg, ic, cfg)
-        return self._memo("fat", build)
-
-    def run_complete(self):
-        """Complete-extinction configuration, snapshots pinned to T_e."""
-        def build():
-            grid = RadialGrid(2, 4.0, 2048)
-            reg = Regularization(eps=EPS_SINGULAR)
-            ic = Bump(PROBLEM_C, m=1.0, R0=1.0, power=2)
-            probe = SolverConfig(t_end=10.0, scheme="semi_implicit",
-                                 tol_ext=1e-6, tol_pos=1e-6, series_stride=64)
-            first = run(PROBLEM_C, grid, reg, ic, probe)
-            if first.outcome is not Outcome.EXTINCT:
-                return first
-            snaps = tuple(float(f) * first.T_e_est
-                          for f in np.linspace(0.05, 0.95, 19))
-            cfg = SolverConfig(t_end=10.0, scheme="semi_implicit",
-                               tol_ext=1e-6, tol_pos=1e-6, series_stride=64,
-                               snapshot_times=snaps)
-            return run(PROBLEM_C, grid, reg, ic, cfg)
-        return self._memo("complete", build)
-
-    def run_border(self):
-        """Tail decay exactly on the fast/fat threshold, singular config."""
-        def build():
-            grid = RadialGrid(2, 16.0, 2048)
-            reg = Regularization(eps=EPS_SINGULAR)
-            c = derive_constants(PROBLEM_B)
-            ic = FastDecay(PROBLEM_B, C=1.0, theta=c.decay_threshold)
-            cfg = SolverConfig(t_end=50.0, scheme="semi_implicit",
-                               tol_ext=1e-8, tol_pos=1e-8, series_stride=64,
-                               snapshot_times=(0.5, 1.0, 2.0, 4.0, 8.0))
-            return run(PROBLEM_B, grid, reg, ic, cfg)
-        return self._memo("border", build)
-
-    def run_lifted(self, M: int):
-        """Bump plus a constant positivity lift, counterterm off.
+    def lifted(self, M: int):
+        """bump_a at M plus a constant positivity lift, counterterm off,
+        to 0.9 of bump_a's T_e.
 
         The lift eps^0.249 stays inside the admissible lift window while
         leaving the bump two decades above the positivity filter, and
         switching the counterterm off makes the flat background decay at
         the exact rate eps^q, so the filter drift over the run is known.
         """
-        def build():
-            base = self.run_bump_a(M)
-            t_end = 0.9 * base.T_e_est
-            grid = RadialGrid(1, 4.0, M)
-            reg = Regularization(eps=EPS_REFERENCE, counterterm=False)
-            ic = Bump(PROBLEM_A, m=BUMP_M, R0=BUMP_R0)
-            lift = EPS_REFERENCE ** 0.249
-            tol_pos = (lift + 1e-5) / 10.0
-            snaps = tuple(float(f) * t_end for f in np.linspace(0.05, 1.0, 20))
-            cfg = SolverConfig(t_end=t_end, scheme="explicit",
-                               tol_ext=1e-9, tol_pos=tol_pos, series_stride=64,
-                               snapshot_times=snaps, lift=lift)
-            return run(PROBLEM_A, grid, reg, ic, cfg)
-        return self._memo(("lifted", M), build)
+        t_end = 0.9 * self.run("bump_a", **{"grid.M": M}).T_e_est
+        lift = EPS_REFERENCE ** 0.249
+        snaps = [float(f) * t_end for f in np.linspace(0.05, 1.0, 20)]
+        return self.run("bump_a", **{
+            "grid.M": M, "regularization.counterterm": False,
+            "solver": {"t_end": t_end, "scheme": "explicit", "tol_ext": 1e-9,
+                       "tol_pos": (lift + 1e-5) / 10.0, "series_stride": 64,
+                       "snapshot_times": snaps, "lift": lift}})
+
+    def complete(self):
+        """The complete-extinction run, snapshots at fractions of its
+        probe's T_e (the probe itself if it did not go extinct)."""
+        probe = self.run("complete")
+        if probe.outcome is not Outcome.EXTINCT:
+            return probe
+        snaps = [float(f) * probe.T_e_est for f in np.linspace(0.05, 0.95, 19)]
+        return self.run("complete", **{"solver.snapshot_times": snaps})
+
+    def shrink_super(self):
+        return self._memo("sigma", lambda: make_shrink_super(
+            PROBLEM_A, decay_C=1.0, decay_theta=3.0, sup_u0=1.0))
 
     def horizon_profile(self):
         """Certified decaying envelope for the border-decay run."""
@@ -413,8 +391,8 @@ class Battery:
     def criterion_5(self) -> CriterionResult:
         """Reference bump dies in finite time at the fitted rate."""
         t0 = time.time()
-        res2 = self.run_bump_a(2048)
-        res4 = self.run_bump_a(4096)
+        res2 = self.run("bump_a")
+        res4 = self.run("bump_a", **{"grid.M": 4096})
         extinct = (res2.outcome is Outcome.EXTINCT
                    and res4.outcome is Outcome.EXTINCT)
         fit = fit_exponent(res2.series["t"], res2.series["sup"], res2.T_e_est)
@@ -432,7 +410,7 @@ class Battery:
     def criterion_6(self) -> CriterionResult:
         """Support collapses to a point at the fitted rate."""
         t0 = time.time()
-        res = self.run_bump_a(2048)
+        res = self.run("bump_a")
         fit = fit_exponent(res.series["t"], res.series["support_radius"],
                            res.T_e_est, floor=0.0)
         lo, hi = 1.0 / 6.0 - 0.1, 2.0 / 3.0 + 0.1
@@ -454,7 +432,7 @@ class Battery:
         for any data in the ball, flat or not.
         """
         t0 = time.time()
-        res = self.run_bump_a(2048)
+        res = self.run("bump_a")
         bar = BUMP_R0 + 2.0 * res.grid.dr
         worst = float(np.max(res.series["support_radius"]))
         ic = Bump(PROBLEM_A, m=BUMP_M, R0=BUMP_R0)
@@ -477,11 +455,11 @@ class Battery:
         time this data has burned its tail to about 2e-4 at half-domain,
         an order of magnitude above the largest admissible positivity
         tolerance, so the support genuinely is still wider.  The details
-        date the half-domain crossing on run_shrink_long, because
-        run_shrink stops at t = 0.05, just before it.
+        date the half-domain crossing on the shrink recipe run to t = 0.1,
+        because the criterion's own run stops at t = 0.05, just before it.
         """
         t0 = time.time()
-        res = self.run_shrink()
+        res = self.run("shrink")
         grid = res.grid
         u0 = np.asarray(res.snapshots["u"][0])
         data_positive = bool(np.min(u0) > res.tol_pos)
@@ -495,7 +473,8 @@ class Battery:
         early_enough = support_at_probe < target
 
         # first series time at which the support is inside the target
-        long = self.run_shrink_long()
+        long = self.run("shrink", **{"solver.t_end": 0.1,
+                                        "solver.snapshot_times": []})
         inside = np.nonzero(long.series["support_radius"] < target)[0]
         cross_time = float(long.series["t"][inside[0]]) if inside.size else None
 
@@ -517,7 +496,7 @@ class Battery:
     def criterion_9(self) -> CriterionResult:
         """Fat-tail data stays positive past the horizon."""
         t0 = time.time()
-        res = self.run_fat()
+        res = self.run("fat")
         grid = res.grid
         T = 2.0
         # the tail floor must start below the data everywhere on the
@@ -551,7 +530,7 @@ class Battery:
     def criterion_10(self) -> CriterionResult:
         """Complete extinction keeps the whole ball positive to the end."""
         t0 = time.time()
-        res = self.run_complete()
+        res = self.complete()
         extinct = res.outcome is Outcome.EXTINCT
         grid = res.grid
         half = grid.r_cells <= grid.r_max / 2.0
@@ -583,11 +562,11 @@ class Battery:
         t0 = time.time()
         details = {}
         passed = True
-        for label, runner, problem in (("p2", self.run_bump_a, PROBLEM_A),
-                                       ("singular", self.run_bump_b, PROBLEM_B)):
+        for label, name, problem in (("p2", "bump_a", PROBLEM_A),
+                                     ("singular", "bump_b", PROBLEM_B)):
             envs = {}
             for M in (2048, 4096):
-                res = runner(M)
+                res = self.run(name, **{"grid.M": M})
                 _, quot = gradient_quotient(res.series["t"],
                                             res.series["grad_pow_sup"],
                                             res.sup0, problem)
@@ -608,7 +587,7 @@ class Battery:
         ratios = {}
         probes_ok = True
         for M in (2048, 4096):
-            res = self.run_lifted(M)
+            res = self.lifted(M)
             diag = j_diagnostic(res.grid, PROBLEM_A, res.snapshots["t"],
                                 res.snapshots["u"], res.tol_pos, R0=BUMP_R0)
             later = diag.delta[diag.t > 0.0]
@@ -635,7 +614,7 @@ class Battery:
         rng = np.random.default_rng(self.seed + 4)
         cert = certify_sign(W, box=(1e-3, 0.999 * W.T, 1e-4, 50.0),
                             sense="super", tol=1e-10, rng=rng)
-        res = self.run_border()
+        res = self.run("border")
         grid = res.grid
         u0 = np.asarray(res.snapshots["u"][0])
         ordering = float(np.min(W.value(0.0, grid.r_cells) - u0))

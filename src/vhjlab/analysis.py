@@ -11,7 +11,7 @@ from bulk vanishing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -115,8 +115,9 @@ class DominationReport:
                 "worst_r": self.worst_r, "passed": bool(self.passed)}
 
 
-def check_domination(grid: RadialGrid, snap_t, snap_u, profile, sense: str,
-                     tol: float, r_window: Optional[tuple] = None,
+def check_domination(grid: RadialGrid, snap_t, snap_u, profile,
+                     sense: Literal["upper", "lower"], tol: float,
+                     r_window: Optional[tuple] = None,
                      t_window: Optional[tuple] = None) -> DominationReport:
     """Verify profile >= state ('upper') or profile <= state ('lower') on
     the sampled snapshots, within tol, over the given windows."""

@@ -1,38 +1,9 @@
 """Command-line entry points: experiment plumbing around the library.
 
-One JSON document describes an experiment; every default the loader
-fills in is materialized into the run directory's resolved-config.json,
-so any artifact can be reproduced from that single file.  Unknown keys
-are rejected with their full path, and type errors name the offending
-key the same way (``grid.M: expected an integer ...``).
-
-Config keys, their types and their defaults are those of the library's
-signatures, read once at import: a parameter's name is the key, its type
-hint picks the check (int, float, bool, str, a float list for tuple,
-null allowed for Optional, one of its values for Literal; numbers must be
-finite) and its default is the key's default; a parameter without one is
-a required key.  By section:
-
-problem         N, p, q of ProblemParams, checked by validate_params
-ic              kind (bump, fast_decay, fat_tail) and the parameters of
-                Bump, FastDecay or FatTail; a bump also accepts the
-                flat_certified and amplitude_bound its description adds
-grid            r_max, M of RadialGrid (N is the problem's)
-regularization  eps, counterterm, gamma_lift of Regularization; eps
-                absent or null is default_eps of the grid
-solver          every field of SolverConfig
-analysis        fit_frac, fit_skip_end (frac, skip_end of fit_exponent),
-                j_R0 (R0 of j_diagnostic; null skips the diagnostic),
-                j_delta_probe (its delta_probe), domination: a list of
-                {profile, sense, tol, r_window} for check_domination
-output          dir (null: the config's path without its suffix)
-seed            an integer, default 0
-
-A profile object (residual, domination) has a kind and the parameters
-of its builder: barrier (Barrier), shrink_envelope (make_shrink_super),
-tail_floor (make_tail_sub, without a_factor) or decaying_envelope
-(make_selfsim_super).  A residual config holds problem, profile, box,
-sense, tol, n_t and n_r of certify_sign, seed and output.
+The subcommands that take a JSON config read it through vhjlab.config,
+whose docstring lists the keys.  simulate materializes every default the
+reader fills in into the run directory's resolved-config.json, so any
+artifact can be reproduced from that single file.
 
 Subcommands
 -----------
@@ -51,16 +22,12 @@ at runtime.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import (Callable, Literal, NamedTuple, Optional, get_args, get_origin,
-                    get_type_hints)
+from typing import Optional
 
 import numpy as np
 
@@ -73,150 +40,14 @@ from .analysis import (
     gradient_quotient,
     j_diagnostic,
 )
-from .closedform import Barrier, certify_sign, make_selfsim_super, \
-    make_shrink_super, make_tail_sub
-from .exponents import ProblemParams, classify_regime, derive_constants, \
-    validate_params
-from .gridop import RadialGrid, Regularization, default_eps
-from .solver import Bump, FastDecay, FatTail, Outcome, SolverConfig, run
-
-
-class ConfigError(ValueError):
-    """Configuration problem; the message starts with the key path."""
-
-
-_MISSING = inspect.Parameter.empty
-
-
-# ----- typed config extraction ------------------------------------------
-
-def _label(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _pop(sec: dict, path: str, key: str):
-    if key not in sec:
-        raise ConfigError(f"{_label(path, key)}: required key is missing")
-    return sec.pop(key)
-
-
-def _as_int(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{label}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, label: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label}: expected a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:           # an integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):        # JSON also reads NaN and +-Infinity
-        raise ConfigError(f"{label}: expected a finite number, got {value!r}")
-    return x
-
-
-def _as_bool(value, label: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{label}: expected true or false, got {value!r}")
-    return value
-
-
-def _as_str(value, label: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{label}: expected a string, got {value!r}")
-    return value
-
-
-def _as_choice(value, label: str, choices: tuple) -> str:
-    if value not in choices:
-        raise ConfigError(f"{label}: expected {' or '.join(map(repr, choices))}, "
-                          f"got {value!r}")
-    return value
-
-
-def _as_floats(value, label: str) -> tuple:
-    if not isinstance(value, list):
-        raise ConfigError(f"{label}: expected a list of numbers, got {value!r}")
-    return tuple(_as_float(v, f"{label}[{i}]") for i, v in enumerate(value))
-
-
-_CHECKS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str,
-           tuple: _as_floats}
-
-
-def _check(hint) -> Callable:
-    """The check for a type hint; Optional[X] admits null, Literal[...] is a choice."""
-    args = get_args(hint)
-    if get_origin(hint) is Literal:
-        return lambda value, label: _as_choice(value, label, args)
-    if type(None) not in args:
-        return _CHECKS[hint]
-    check = _CHECKS[args[0]]
-    return lambda value, label: None if value is None else check(value, label)
-
-
-class _Key(NamedTuple):
-    name: str
-    check: Callable
-    default: object
-
-
-def _keys(fn, names=None, skip=(), prefix="") -> tuple:
-    """Config keys of fn's parameters: name, type check and default.
-
-    names picks and orders the parameters, skip leaves some out.  The
-    schemas below are read once, at import, so rebinding a module
-    attribute later (say, wrapping it for tracing) leaves them intact.
-    """
-    hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
-    params = inspect.signature(fn).parameters
-    return tuple(_Key(prefix + name, _check(hints[name]), params[name].default)
-                 for name in names or params if name not in skip)
-
-
-def _read(sec: dict, path: str, keys) -> dict:
-    """Checked values of keys in sec, defaults filled in; other keys are errors."""
-    out = {}
-    for name, check, default in keys:
-        if name in sec or default is _MISSING:
-            out[name] = check(_pop(sec, path, name), _label(path, name))
-        else:
-            out[name] = default
-    if sec:
-        raise ConfigError(f"{_label(path, sorted(sec)[0])}: unknown key")
-    return out
-
-
-@contextmanager
-def _config_errors(path: str):
-    """Report a library ValueError as a ConfigError under path ("" adds none)."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
-
-
-def _build(make, keys, sec: dict, path: str, *args):
-    kw = _read(sec, path, keys)
-    with _config_errors(path):
-        return make(*args, **kw)
-
-
-def _section(doc: dict, key: str, required: bool = True) -> dict:
-    """Remove doc[key] and return a copy of it, which must be an object."""
-    sec = doc.pop(key, _MISSING)
-    if sec is _MISSING:
-        if required:
-            raise ConfigError(f"{key}: required section is missing")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{key}: expected an object, got {sec!r}")
-    return dict(sec)
+from .closedform import certify_sign
+from .config import (
+    _PROBLEM, _RESIDUAL, _SWEEP_DIR, ConfigError, Experiment, _apply_override,
+    _as_float, _as_int, _as_str, _build, _check, _config_errors, _pop, _read,
+    _section, build_profile, domination_checks, resolve_experiment,
+)
+from .exponents import classify_regime, derive_constants, validate_params
+from .solver import Outcome, run
 
 
 def _load_json(path) -> dict:
@@ -229,113 +60,6 @@ def _load_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object at the top level")
     return doc
-
-
-# (builder, keys); problem and consts are supplied by the caller
-_CONTEXT = ("problem", "consts")
-_PROBLEM = (validate_params, _keys(ProblemParams))
-_GRID = (RadialGrid, _keys(RadialGrid, skip=("N",)))
-_REG = (Regularization, _keys(Regularization))
-_SOLVER = (SolverConfig, _keys(SolverConfig))
-_IC = {cls.kind: (cls, _keys(cls, skip=_CONTEXT))
-       for cls in (Bump, FastDecay, FatTail)}
-_PROFILES = {kind: (make, _keys(make, skip=_CONTEXT + ("a_factor",)))
-             for kind, make in (("barrier", Barrier),
-                                ("shrink_envelope", make_shrink_super),
-                                ("tail_floor", make_tail_sub),
-                                ("decaying_envelope", make_selfsim_super))}
-_SEED = _Key("seed", _as_int, 0)
-_ANALYSIS = (_keys(fit_exponent, ("frac", "skip_end"), prefix="fit_")
-             + (_Key("j_R0", _check(Optional[float]), None),)  # null: no J run
-             + _keys(j_diagnostic, ("delta_probe",), prefix="j_"))
-_DOMINATION = _keys(check_domination, ("sense", "tol", "r_window"))
-_OUTPUT = (_Key("dir", _check(Optional[str]), None),)
-_RESIDUAL = (_keys(certify_sign, ("box", "sense", "tol", "n_t", "n_r"))
-             + (_SEED, _Key("output", _check(Optional[str]), None)))
-_SWEEP_DIR = (_Key("dir", _as_str, "sweep-runs"),)
-
-
-# ----- experiment assembly ------------------------------------------------
-
-@dataclass
-class Experiment:
-    problem: ProblemParams
-    grid: RadialGrid
-    reg: Regularization
-    ic: object
-    cfg: SolverConfig
-    analysis: dict
-    out_dir: Optional[str]
-    seed: int
-    resolved: dict
-
-
-def _build_ic(sec: dict, problem: ProblemParams):
-    kind = _as_str(_pop(sec, "ic", "kind"), "ic.kind")
-    if kind not in _IC:
-        raise ConfigError(f"ic.kind: unknown kind {kind!r}; expected "
-                          "bump, fast_decay or fat_tail")
-    if kind == "bump":
-        # describe() annotations; recomputed on construction
-        sec.pop("flat_certified", None)
-        sec.pop("amplitude_bound", None)
-    return _build(*_IC[kind], sec, "ic", problem)
-
-
-def resolve_experiment(doc: dict) -> Experiment:
-    """Validate a config document and materialize every default."""
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
-    doc = dict(doc)
-    problem = _build(*_PROBLEM, _section(doc, "problem"), "problem")
-    ic = _build_ic(_section(doc, "ic"), problem)
-    grid = _build(*_GRID, _section(doc, "grid"), "grid", problem.N)
-    reg_sec = _section(doc, "regularization", required=False)
-    if reg_sec.get("eps") is None:
-        reg_sec["eps"] = default_eps(grid)
-    reg = _build(*_REG, reg_sec, "regularization")
-    with _config_errors("regularization"):
-        gamma_lift = reg.resolve_gamma_lift(problem)
-    cfg = _build(*_SOLVER, _section(doc, "solver"), "solver")
-    an_sec = _section(doc, "analysis", required=False)
-    domination = an_sec.pop("domination", [])
-    if not isinstance(domination, list):
-        raise ConfigError("analysis.domination: expected a list of profile "
-                          "check objects")
-    analysis = {**_read(an_sec, "analysis", _ANALYSIS), "domination": domination}
-    out_dir = _read(_section(doc, "output", required=False), "output",
-                    _OUTPUT)["dir"]
-    seed = _read(doc, "", (_SEED,))["seed"]
-
-    tol_ext, tol_pos = cfg.resolve_tols(problem, reg)
-    resolved = {
-        "problem": {"N": problem.N, "p": problem.p, "q": problem.q},
-        "ic": ic.describe(),
-        "grid": {"r_max": grid.r_max, "M": grid.M},
-        "regularization": {"eps": reg.eps, "counterterm": reg.counterterm,
-                           "gamma_lift": gamma_lift},
-        "solver": {**asdict(cfg), "tol_ext": tol_ext, "tol_pos": tol_pos,
-                   "snapshot_times": list(cfg.snapshot_times)},
-        "analysis": analysis,
-        "output": {"dir": out_dir},
-        "seed": seed,
-    }
-    return Experiment(problem=problem, grid=grid, reg=reg, ic=ic, cfg=cfg,
-                      analysis=analysis, out_dir=out_dir, seed=seed,
-                      resolved=resolved)
-
-
-# ----- profiles for residual/domination -----------------------------------
-
-def build_profile(problem: ProblemParams, spec: dict, path: str = "profile"):
-    """Construct a closed-form comparison profile from a config object."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object")
-    spec = dict(spec)
-    kind = _as_str(_pop(spec, path, "kind"), f"{path}.kind")
-    if kind not in _PROFILES:
-        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-    return _build(*_PROFILES[kind], spec, path, problem)
 
 
 # ----- artifact emission ---------------------------------------------------
@@ -502,15 +226,9 @@ def analyze_run_dir(run_dir: Path) -> dict:
         except EmptySupport as exc:
             report["j_diagnostic"] = {"error": str(exc)}
 
-    for i, spec in enumerate(exp.analysis["domination"]):
-        path = f"analysis.domination[{i}]"
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{path}: expected an object")
-        spec = dict(spec)
-        profile_spec = _pop(spec, path, "profile")
-        kw = _read(spec, path, _DOMINATION)
-        profile = build_profile(exp.problem, profile_spec, path=f"{path}.profile")
-        with _config_errors(path):
+    checks = domination_checks(exp.problem, exp.analysis["domination"])
+    for i, (profile, kw) in enumerate(checks):
+        with _config_errors(f"analysis.domination[{i}]"):
             rep = check_domination(exp.grid, np.asarray(snap_t),
                                    np.asarray(snap_u), profile, **kw)
         report["domination"].append(rep.as_dict())
@@ -579,16 +297,6 @@ def cmd_verify(args) -> int:
         Path(args.json).write_text(json.dumps(
             [r.as_dict() for r in results], sort_keys=True, indent=2) + "\n")
     return 1 if n_fail else 0
-
-
-def _apply_override(doc: dict, dotted: str, value):
-    keys = dotted.split(".")
-    node = doc
-    for k in keys[:-1]:
-        if not isinstance(node.get(k), dict):
-            node[k] = {}
-        node = node[k]
-    node[keys[-1]] = value
 
 
 def _sweep_one(base_doc: dict, overrides: dict, out_dir: str) -> dict:

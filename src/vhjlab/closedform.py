@@ -36,14 +36,6 @@ from .exponents import (
 )
 
 
-class SingularPoint(ArithmeticError):
-    """Operator evaluated where z_r = 0 with p < 2 (diffusivity blows up)."""
-
-
-class FreeBoundary(ArithmeticError):
-    """Operator evaluated on the kink of a positive-part profile."""
-
-
 class DecayTooSlow(ValueError):
     """Initial tail is too fat for the shrinking-envelope construction."""
 
@@ -297,7 +289,7 @@ def operator_terms(profile, t, r):
     """The four terms of L, vectorized: (dt, -diffusion, -drift, +absorption).
 
     Returns (terms, dr) where terms sum to L z.  No singularity checks;
-    callers mask or raise.
+    certify_sign skips positive-part kinks and, at p < 2, flat points.
     """
     prm = profile.problem
     p, q, N = prm.p, prm.q, prm.N
@@ -312,23 +304,6 @@ def operator_terms(profile, t, r):
             drift = -(N - 1.0) / np.asarray(r, dtype=float) * mob * dr
         absorb = g ** q
     return (dt, diff, drift, absorb), dr
-
-
-def apply_radial_operator(profile, t, r):
-    """Evaluate L z at a point (or array) using the profile's exact derivatives.
-
-    Raises FreeBoundary on positive-part kinks and SingularPoint where
-    z_r = 0 with p < 2 (there the diffusivity |z_r|^(p-2) is infinite and
-    the pointwise operator is meaningless).
-    """
-    if np.any(profile.exclude_mask(t, r)):
-        raise FreeBoundary(f"{profile.family} evaluated on its free boundary")
-    if profile.problem.p < 2.0:
-        _, _, dr, _ = profile.derivs(t, r)
-        if np.any(np.asarray(dr) == 0.0):
-            raise SingularPoint(f"{profile.family} has z_r = 0 at the requested point and p < 2")
-    terms, _ = operator_terms(profile, t, r)
-    return terms[0] + terms[1] + terms[2] + terms[3]
 
 
 @dataclass

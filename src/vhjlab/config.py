@@ -1,0 +1,321 @@
+"""Experiment configs: the schema, its checks, and their assembly.
+
+One JSON document describes an experiment; every default the reader
+fills in is materialized into ``Experiment.resolved``, so any run can be
+reproduced from that single document.  Unknown keys are rejected with
+their full path, and type errors name the offending key the same way
+(``grid.M: expected an integer ...``).
+
+Config keys, their types and their defaults are those of the library's
+signatures, read once at import: a parameter's name is the key, its type
+hint picks the check (int, float, bool, str, a float list for tuple,
+null allowed for Optional, one of its values for Literal; numbers must be
+finite) and its default is the key's default; a parameter without one is
+a required key.  By section:
+
+problem         N, p, q of ProblemParams, checked by validate_params
+ic              kind (bump, fast_decay, fat_tail) and the parameters of
+                Bump, FastDecay or FatTail; a bump also accepts the
+                flat_certified and amplitude_bound its description adds
+grid            r_max, M of RadialGrid (N is the problem's)
+regularization  eps, counterterm, gamma_lift of Regularization; eps
+                absent or null is default_eps of the grid
+solver          every field of SolverConfig
+analysis        fit_frac, fit_skip_end (frac, skip_end of fit_exponent),
+                j_R0 (R0 of j_diagnostic; null skips the diagnostic),
+                j_delta_probe (its delta_probe), domination: a list of
+                {profile, sense, tol, r_window} for check_domination
+output          dir (null: the config's path without its suffix)
+seed            an integer, default 0
+
+A profile object (residual, domination) has a kind and the parameters
+of its builder: barrier (Barrier), shrink_envelope (make_shrink_super),
+tail_floor (make_tail_sub, without a_factor) or decaying_envelope
+(make_selfsim_super).  A residual config holds problem, profile, box,
+sense, tol, n_t and n_r of certify_sign, seed and output.
+"""
+
+from __future__ import annotations
+
+import inspect
+import math
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
+from typing import (Callable, Literal, NamedTuple, Optional, get_args, get_origin,
+                    get_type_hints)
+
+from .analysis import check_domination, fit_exponent, j_diagnostic
+from .closedform import Barrier, certify_sign, make_selfsim_super, \
+    make_shrink_super, make_tail_sub
+from .exponents import ProblemParams, validate_params
+from .gridop import RadialGrid, Regularization, default_eps
+from .solver import Bump, FastDecay, FatTail, SolverConfig
+
+
+class ConfigError(ValueError):
+    """Configuration problem; the message starts with the key path."""
+
+
+_MISSING = inspect.Parameter.empty
+
+
+# ----- typed config extraction ------------------------------------------
+
+def _label(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _pop(sec: dict, path: str, key: str):
+    if key not in sec:
+        raise ConfigError(f"{_label(path, key)}: required key is missing")
+    return sec.pop(key)
+
+
+def _as_int(value, label: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{label}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_float(value, label: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{label}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:           # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):        # JSON also reads NaN and +-Infinity
+        raise ConfigError(f"{label}: expected a finite number, got {value!r}")
+    return x
+
+
+def _as_bool(value, label: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{label}: expected true or false, got {value!r}")
+    return value
+
+
+def _as_str(value, label: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{label}: expected a string, got {value!r}")
+    return value
+
+
+def _as_choice(value, label: str, choices: tuple) -> str:
+    if value not in choices:
+        raise ConfigError(f"{label}: expected {' or '.join(map(repr, choices))}, "
+                          f"got {value!r}")
+    return value
+
+
+def _as_floats(value, label: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{label}: expected a list of numbers, got {value!r}")
+    return tuple(_as_float(v, f"{label}[{i}]") for i, v in enumerate(value))
+
+
+_CHECKS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str,
+           tuple: _as_floats}
+
+
+def _check(hint) -> Callable:
+    """The check for a type hint; Optional[X] admits null, Literal[...] is a choice."""
+    args = get_args(hint)
+    if get_origin(hint) is Literal:
+        return lambda value, label: _as_choice(value, label, args)
+    if type(None) not in args:
+        return _CHECKS[hint]
+    check = _CHECKS[args[0]]
+    return lambda value, label: None if value is None else check(value, label)
+
+
+class _Key(NamedTuple):
+    name: str
+    check: Callable
+    default: object
+
+
+def _keys(fn, names=None, skip=(), prefix="") -> tuple:
+    """Config keys of fn's parameters: name, type check and default.
+
+    names picks and orders the parameters, skip leaves some out.  The
+    schemas below are read once, at import, so rebinding a module
+    attribute later (say, wrapping it for tracing) leaves them intact.
+    """
+    hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
+    params = inspect.signature(fn).parameters
+    return tuple(_Key(prefix + name, _check(hints[name]), params[name].default)
+                 for name in names or params if name not in skip)
+
+
+def _read(sec: dict, path: str, keys) -> dict:
+    """Checked values of keys in sec, defaults filled in; other keys are errors."""
+    out = {}
+    for name, check, default in keys:
+        if name in sec or default is _MISSING:
+            out[name] = check(_pop(sec, path, name), _label(path, name))
+        else:
+            out[name] = default
+    if sec:
+        raise ConfigError(f"{_label(path, sorted(sec)[0])}: unknown key")
+    return out
+
+
+@contextmanager
+def _config_errors(path: str):
+    """Report a library ValueError as a ConfigError under path ("" adds none)."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+
+
+def _build(make, keys, sec: dict, path: str, *args):
+    kw = _read(sec, path, keys)
+    with _config_errors(path):
+        return make(*args, **kw)
+
+
+def _section(doc: dict, key: str, required: bool = True) -> dict:
+    """Remove doc[key] and return a copy of it, which must be an object."""
+    sec = doc.pop(key, _MISSING)
+    if sec is _MISSING:
+        if required:
+            raise ConfigError(f"{key}: required section is missing")
+        return {}
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{key}: expected an object, got {sec!r}")
+    return dict(sec)
+
+
+def _apply_override(doc: dict, dotted: str, value):
+    """Set doc's key at a dotted path (``grid.M``), making sections on the way."""
+    keys = dotted.split(".")
+    node = doc
+    for k in keys[:-1]:
+        if not isinstance(node.get(k), dict):
+            node[k] = {}
+        node = node[k]
+    node[keys[-1]] = value
+
+
+# (builder, keys); problem and consts are supplied by the caller
+_CONTEXT = ("problem", "consts")
+_PROBLEM = (validate_params, _keys(ProblemParams))
+_GRID = (RadialGrid, _keys(RadialGrid, skip=("N",)))
+_REG = (Regularization, _keys(Regularization))
+_SOLVER = (SolverConfig, _keys(SolverConfig))
+_IC = {cls.kind: (cls, _keys(cls, skip=_CONTEXT))
+       for cls in (Bump, FastDecay, FatTail)}
+_PROFILES = {kind: (make, _keys(make, skip=_CONTEXT + ("a_factor",)))
+             for kind, make in (("barrier", Barrier),
+                                ("shrink_envelope", make_shrink_super),
+                                ("tail_floor", make_tail_sub),
+                                ("decaying_envelope", make_selfsim_super))}
+_SEED = _Key("seed", _as_int, 0)
+_ANALYSIS = (_keys(fit_exponent, ("frac", "skip_end"), prefix="fit_")
+             + (_Key("j_R0", _check(Optional[float]), None),)  # null: no J run
+             + _keys(j_diagnostic, ("delta_probe",), prefix="j_"))
+_DOMINATION = _keys(check_domination, ("sense", "tol", "r_window"))
+_OUTPUT = (_Key("dir", _check(Optional[str]), None),)
+_RESIDUAL = (_keys(certify_sign, ("box", "sense", "tol", "n_t", "n_r"))
+             + (_SEED, _Key("output", _check(Optional[str]), None)))
+_SWEEP_DIR = (_Key("dir", _as_str, "sweep-runs"),)
+
+
+# ----- experiment assembly ------------------------------------------------
+
+@dataclass
+class Experiment:
+    problem: ProblemParams
+    grid: RadialGrid
+    reg: Regularization
+    ic: object
+    cfg: SolverConfig
+    analysis: dict
+    out_dir: Optional[str]
+    seed: int
+    resolved: dict
+
+
+def _build_ic(sec: dict, problem: ProblemParams):
+    kind = _as_str(_pop(sec, "ic", "kind"), "ic.kind")
+    if kind not in _IC:
+        raise ConfigError(f"ic.kind: unknown kind {kind!r}; expected "
+                          "bump, fast_decay or fat_tail")
+    if kind == "bump":
+        # describe() annotations; recomputed on construction
+        sec.pop("flat_certified", None)
+        sec.pop("amplitude_bound", None)
+    return _build(*_IC[kind], sec, "ic", problem)
+
+
+def build_profile(problem: ProblemParams, spec: dict, path: str = "profile"):
+    """Construct a closed-form comparison profile from a config object."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected an object")
+    spec = dict(spec)
+    kind = _as_str(_pop(spec, path, "kind"), f"{path}.kind")
+    if kind not in _PROFILES:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    return _build(*_PROFILES[kind], spec, path, problem)
+
+
+def domination_checks(problem: ProblemParams, specs) -> list:
+    """(profile, check_domination keywords) for each analysis.domination entry."""
+    if not isinstance(specs, list):
+        raise ConfigError("analysis.domination: expected a list of profile "
+                          "check objects")
+    checks = []
+    for i, spec in enumerate(specs):
+        path = f"analysis.domination[{i}]"
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{path}: expected an object")
+        spec = dict(spec)
+        profile_spec = _pop(spec, path, "profile")
+        kw = _read(spec, path, _DOMINATION)
+        checks.append((build_profile(problem, profile_spec, path=f"{path}.profile"), kw))
+    return checks
+
+
+def resolve_experiment(doc: dict) -> Experiment:
+    """Validate a config document and materialize every default."""
+    if not isinstance(doc, dict):
+        raise ConfigError("top level: expected a JSON object")
+    doc = dict(doc)
+    problem = _build(*_PROBLEM, _section(doc, "problem"), "problem")
+    ic = _build_ic(_section(doc, "ic"), problem)
+    grid = _build(*_GRID, _section(doc, "grid"), "grid", problem.N)
+    reg_sec = _section(doc, "regularization", required=False)
+    if reg_sec.get("eps") is None:
+        reg_sec["eps"] = default_eps(grid)
+    reg = _build(*_REG, reg_sec, "regularization")
+    with _config_errors("regularization"):
+        gamma_lift = reg.resolve_gamma_lift(problem)
+    cfg = _build(*_SOLVER, _section(doc, "solver"), "solver")
+    an_sec = _section(doc, "analysis", required=False)
+    domination = an_sec.pop("domination", [])
+    analysis = {**_read(an_sec, "analysis", _ANALYSIS), "domination": domination}
+    domination_checks(problem, domination)
+    out_dir = _read(_section(doc, "output", required=False), "output",
+                    _OUTPUT)["dir"]
+    seed = _read(doc, "", (_SEED,))["seed"]
+
+    tol_ext, tol_pos = cfg.resolve_tols(problem, reg)
+    resolved = {
+        "problem": {"N": problem.N, "p": problem.p, "q": problem.q},
+        "ic": ic.describe(),
+        "grid": {"r_max": grid.r_max, "M": grid.M},
+        "regularization": {"eps": reg.eps, "counterterm": reg.counterterm,
+                           "gamma_lift": gamma_lift},
+        "solver": {**asdict(cfg), "tol_ext": tol_ext, "tol_pos": tol_pos,
+                   "snapshot_times": list(cfg.snapshot_times)},
+        "analysis": analysis,
+        "output": {"dir": out_dir},
+        "seed": seed,
+    }
+    return Experiment(problem=problem, grid=grid, reg=reg, ic=ic, cfg=cfg,
+                      analysis=analysis, out_dir=out_dir, seed=seed,
+                      resolved=resolved)

@@ -264,10 +264,6 @@ class RunResult:
     grid: RadialGrid
     info: dict = field(default_factory=dict)
 
-    @property
-    def u_final(self) -> np.ndarray:
-        return self.snapshots["u"][-1]
-
 
 def detect_extinction(t1: float, s1: float, t2: float, s2: float, tol: float) -> float:
     """Log-linear estimate of the time the sup norm crossed tol.

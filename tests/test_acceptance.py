@@ -92,7 +92,7 @@ def test_11_details_are_the_quotient_envelopes(battery):
     from vhjlab.analysis import gradient_quotient
     details = battery.criterion_11().details["singular"]
     for M in (2048, 4096):
-        res = battery.run_bump_b(M)
+        res = battery.run("bump_b", **{"grid.M": M})
         quot = gradient_quotient(res.series["t"], res.series["grad_pow_sup"],
                                  res.sup0, PROBLEM_B)[1]
         assert details[f"envelope_M{M}"] == quot.max()

@@ -409,11 +409,55 @@ def test_sweep_finishes_the_other_jobs_when_one_fails(tmp_path, capsys):
 
 
 def test_analyze_reports_a_bad_domination_check_as_a_config_error(tmp_path, capsys):
+    # simulate refuses such a check (below); a run directory whose config
+    # was edited afterwards gets the same error from analyze
     doc = json.loads(json.dumps(BASE))
     doc["output"] = {"dir": str(tmp_path / "run")}
-    doc["analysis"] = {"domination": [
-        {"sense": "sideways", "tol": 1e-3, "profile": {"kind": "barrier"}}]}
     assert main(["simulate", write_config(tmp_path, doc)]) == 0
     capsys.readouterr()
+    path = tmp_path / "run" / "resolved-config.json"
+    resolved = json.loads(path.read_text())
+    resolved["analysis"]["domination"] = [
+        {"sense": "sideways", "tol": 1e-3, "profile": {"kind": "barrier"}}]
+    path.write_text(json.dumps(resolved))
     assert main(["analyze", str(tmp_path / "run")]) == 2
-    assert "analysis.domination[0]: sense must be" in capsys.readouterr().err
+    assert ("config error: analysis.domination[0].sense: expected 'upper' or "
+            "'lower', got 'sideways'") in capsys.readouterr().err
+
+
+BAD_DOMINATION = [
+    ([5], "analysis.domination[0]: expected an object"),
+    ([{"profile": {"kind": "nope"}}], "analysis.domination[0].sense: required key"),
+    ([{"sense": "upper", "tol": 1e-3, "profile": {"kind": "nope"}}],
+     "analysis.domination[0].profile.kind: unknown kind 'nope'"),
+    ([{"sense": "sideways", "tol": 1e-3, "profile": {"kind": "barrier"}}],
+     "analysis.domination[0].sense: expected 'upper' or 'lower', got 'sideways'"),
+    ([{"sense": "upper", "tol": 1e-3, "profile": {"kind": "barrier"}, "color": 1}],
+     "analysis.domination[0].color: unknown key"),
+    ([{"sense": "upper", "tol": 1e-3, "profile": {"kind": "barrier", "r1": 1.0}}],
+     "analysis.domination[0].profile.r1: unknown key"),
+    ({"sense": "upper"}, "analysis.domination: expected a list"),
+]
+
+
+@pytest.mark.parametrize("domination, message", BAD_DOMINATION)
+def test_simulate_rejects_a_bad_domination_check_before_running(
+        tmp_path, capsys, domination, message):
+    doc = json.loads(json.dumps(BASE))
+    doc["output"] = {"dir": str(tmp_path / "run")}
+    doc["analysis"] = {"domination": domination}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("domination, message", BAD_DOMINATION[2:4])
+def test_sweep_rejects_a_bad_domination_check_before_any_job(
+        tmp_path, capsys, domination, message):
+    base = json.loads(json.dumps(BASE))
+    base["analysis"] = {"domination": domination}
+    doc = {"base": base, "sweep": {"problem.q": [0.5, 0.6]},
+           "dir": str(tmp_path / "fan")}
+    assert main(["sweep", write_config(tmp_path, doc), "--workers", "2"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "fan").exists()

@@ -9,13 +9,10 @@ from vhjlab.exponents import ProblemParams, derive_constants
 from vhjlab.closedform import (
     Barrier,
     DecayTooSlow,
-    FreeBoundary,
     NotApplicable,
     SelfSimSuper,
     ShrinkSuper,
-    SingularPoint,
     TailSub,
-    apply_radial_operator,
     certify_sign,
     find_A0,
     make_shrink_super,
@@ -118,16 +115,17 @@ def test_barrier_amplitude_dichotomy():
         c = derive_constants(prm)
         lo = Barrier(prm, amplitude=0.5 * c.kappa)
         hi = Barrier(prm, amplitude=2.0 * c.kappa)
-        assert np.all(apply_radial_operator(lo, 0.0, r) > 0)
-        assert np.all(apply_radial_operator(hi, 0.0, r) < 0)
+        assert np.all(sum(operator_terms(lo, 0.0, r)[0]) > 0)
+        assert np.all(sum(operator_terms(hi, 0.0, r)[0]) < 0)
 
 
 def test_offcenter_barrier_value_and_tip():
     prof = Barrier(P_A, r0=2.0)
     assert prof.value(0.0, 2.0) == 0.0
     assert rel(float(prof.value(0.0, 4.0)), P_A.p and derive_constants(P_A).kappa * 2.0 ** 3) <= 1e-15
-    with pytest.raises(FreeBoundary):
-        apply_radial_operator(prof, 0.0, 2.0)
+    # a certificate skips the tip, and counts it, rather than sampling it
+    rep = certify_sign(prof, (0.0, 1.0, 1.0, 3.0), "super", n_t=1, n_r=3)
+    assert (rep.n_skipped, rep.n_samples) == (1, 2)
 
 
 # --------------------------------------------------------------------------
@@ -288,17 +286,16 @@ def test_selfsim_requires_singular_diffusion():
 # --------------------------------------------------------------------------
 
 def test_operator_guards():
-    bar = Barrier(P_A)
-    with pytest.raises(FreeBoundary):
-        apply_radial_operator(bar, 0.0, 0.0)
-    # with p < 2 a flat point has infinite diffusivity
-    tail_b = TailSub(P_B, a=3.0, b=0.4, T=1.0)
-    with pytest.raises(SingularPoint):
-        apply_radial_operator(tail_b, 0.5, 0.0)
-    # with p = 2 the mobility factor is identically one and r = 0 is only
-    # touched through the (N-1)/r drift, absent in one dimension
-    tail_a = TailSub(P_A, a=3.0, b=0.5, T=1.0)
-    assert np.isfinite(apply_radial_operator(tail_a, 0.5, 1e-30))
+    # certify_sign skips, and counts, a flat point at p < 2, where the
+    # diffusivity |z_r|^(p-2) is infinite; at p = 2 the mobility factor is
+    # identically one and the same points are sampled
+    for prm, skipped in ((P_B, 8), (P_A, 0)):
+        prof = make_shrink_super(prm, decay_C=1.0, decay_theta=3.0, sup_u0=1.0)
+        t = 0.5 * prof.t0
+        r = 2.0 * float(prof.support_radius(t))      # outside the support
+        rep = certify_sign(prof, (t, 1.01 * t, r, 2.0 * r), "super", n_t=2, n_r=4)
+        assert (rep.n_skipped, rep.n_samples) == (skipped, 8 - skipped)
+        assert rep.passed == (skipped == 0)
 
 
 def test_certify_sense_validation():

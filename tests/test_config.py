@@ -1,0 +1,63 @@
+"""The config reader and the battery's recipe table."""
+
+import copy
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vhjlab
+from vhjlab.acceptance import RECIPES, Battery
+from vhjlab.cli import main, write_run_dir
+from vhjlab.config import _apply_override, resolve_experiment
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_every_recipe_resolves_and_round_trips(name):
+    resolved = resolve_experiment(copy.deepcopy(RECIPES[name])).resolved
+    again = json.loads(json.dumps(resolved))
+    assert again == resolved
+    assert resolve_experiment(again).resolved == resolved
+
+
+def test_acceptance_does_not_import_the_command_line():
+    src = str(Path(vhjlab.__file__).resolve().parents[1])
+    code = ("import sys, vhjlab.acceptance; "
+            "print('vhjlab.config' in sys.modules, 'vhjlab.cli' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False"]
+
+
+@pytest.mark.parametrize("name", ["fat", "bump_b"])
+def test_simulate_on_a_recipe_writes_the_battery_run(tmp_path, name):
+    # one explicit run with snapshots, one semi-implicit with a gradient column
+    doc = copy.deepcopy(RECIPES[name])
+    _apply_override(doc, "grid.M", 64)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 0
+    res = Battery().run(name, **{"grid.M": 64})
+    write_run_dir(tmp_path / "battery", resolve_experiment(doc), res)
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+    simulated = tmp_path / name
+    assert files(simulated) == files(tmp_path / "battery")
+    assert len(files(simulated)) > 5
+    for rel in files(simulated):
+        assert (simulated / rel).read_bytes() == (tmp_path / "battery" / rel).read_bytes()
+
+
+def test_battery_runs_once_per_resolved_config(monkeypatch):
+    # the recipe's own M spelled out as an override is the same run
+    import vhjlab.solver as solver
+    calls = []
+    monkeypatch.setattr(solver, "run", lambda *args: calls.append(args) or len(calls))
+    battery = Battery()
+    assert battery.run("bump_a") == battery.run("bump_a", **{"grid.M": 2048}) == 1
+    assert battery.run("bump_a", **{"grid.M": 4096}) == 2
+    assert len(calls) == 2

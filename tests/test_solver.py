@@ -85,7 +85,7 @@ def test_semi_implicit_tracks_explicit():
     r_si = run(P_A, grid, reg, ic, SolverConfig(scheme="semi_implicit", max_dt=dt, **kw))
     assert r_ex.outcome is Outcome.HORIZON_REACHED
     assert r_si.outcome is Outcome.HORIZON_REACHED
-    diff = np.max(np.abs(r_ex.u_final - r_si.u_final))
+    diff = np.max(np.abs(r_ex.snapshots["u"][-1] - r_si.snapshots["u"][-1]))
     assert diff <= 1e-3 * r_ex.sup0
 
 
@@ -99,7 +99,7 @@ def test_vanishing_regularization_is_cauchy():
         res = run(P_A, grid, Regularization(eps=eps), ic,
                   SolverConfig(t_end=0.05, tol_ext=1e-12))
         assert res.outcome is Outcome.HORIZON_REACHED
-        finals.append(res.u_final)
+        finals.append(res.snapshots["u"][-1])
     d = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
     # the dominant eps-error enters through the absorption near the support
     # edge and scales like eps^q = sqrt(eps): each halving gains ~0.71
@@ -193,9 +193,9 @@ def test_reference_bump_trajectories_are_pinned():
     # an optimization of the step must not move a single rounding
     from vhjlab.acceptance import Battery
     b = Battery()
-    res_a = b.run_bump_a(128)
+    res_a = b.run("bump_a", **{"grid.M": 128})
     assert (res_a.n_steps, res_a.T_e_est) == (949, 0.09685515724561108)
-    res_b = b.run_bump_b(128)
+    res_b = b.run("bump_b", **{"grid.M": 128})
     assert (res_b.n_steps, res_b.T_e_est) == (737, 0.6048912776846821)
 
 
@@ -260,7 +260,7 @@ def test_first_step_of_run_is_the_schemes_step_function(scheme, prm):
     res = run(prm, grid, reg, ic,
               SolverConfig(t_end=dt, scheme=scheme, safety=0.5, tol_ext=1e-12))
     assert (res.outcome, res.n_steps, res.t_final) == (Outcome.HORIZON_REACHED, 1, dt)
-    assert res.u_final.tobytes() == u1.tobytes()
+    assert res.snapshots["u"][-1].tobytes() == u1.tobytes()
     if scheme == "explicit":
         one_shot = solver.explicit_step(grid, prm, reg, u0.copy(), dt)
         assert one_shot.tobytes() == u1.tobytes()
@@ -274,7 +274,7 @@ def _series_digest(res) -> str:
 def _pinned_path(name):
     from vhjlab.acceptance import BUMP_M, EPS_REFERENCE, Battery
     if name == "lifted":            # counterterm off, positivity lift
-        return Battery().run_lifted(128)
+        return Battery().lifted(128)
     if name == "no_absorption_explicit":
         return run(P_A, RadialGrid(1, 4.0, 128), Regularization(eps=1e-3),
                    Bump(P_A, m=BUMP_M, R0=1.0),
@@ -285,7 +285,7 @@ def _pinned_path(name):
                    Bump(P_B, m=BUMP_M, R0=1.0),
                    SolverConfig(t_end=0.5, scheme="semi_implicit", absorption=False,
                                 tol_ext=1e-7, tol_pos=1e-7, series_gradient_power=0.5))
-    if name == "semi_implicit_p2":  # run_bump_a's recipe on the other scheme
+    if name == "semi_implicit_p2":  # the bump_a recipe on the other scheme
         gp = (P_A.p - P_A.q - 1.0) / (P_A.p - P_A.q)
         return run(P_A, RadialGrid(1, 4.0, 128), Regularization(eps=EPS_REFERENCE),
                    Bump(P_A, m=BUMP_M, R0=1.0),
