@@ -313,10 +313,11 @@ class Battery:
     # -- one-step scheme structure --
 
     @staticmethod
-    def _smooth_states(rng, grid: RadialGrid, n: int, knots: int = 9):
-        """Nonnegative piecewise-linear fields with log-uniform amplitude."""
-        kr = np.linspace(0.0, grid.r_max, knots)
-        vals = rng.uniform(-0.4, 1.0, size=(n, knots))
+    def _smooth_states(rng, grid: RadialGrid, n: int):
+        """Nonnegative piecewise-linear fields on 9 knots with log-uniform
+        amplitude."""
+        kr = np.linspace(0.0, grid.r_max, 9)
+        vals = rng.uniform(-0.4, 1.0, size=(n, 9))
         amp = 10.0 ** rng.uniform(-3.0, 0.0, size=(n, 1))
         rows = np.asarray([np.interp(grid.r_cells, kr, v) for v in vals])
         return np.clip(rows, 0.0, None) * amp
@@ -412,7 +413,7 @@ class Battery:
         t0 = time.time()
         res = self.run("bump_a")
         fit = fit_exponent(res.series["t"], res.series["support_radius"],
-                           res.T_e_est, floor=0.0)
+                           res.T_e_est)
         lo, hi = 1.0 / 6.0 - 0.1, 2.0 / 3.0 + 0.1
         final_support = float(res.series["support_radius"][-1])
         bar = 5.0 * res.grid.dr

@@ -15,7 +15,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .exponents import DerivedConstants, ProblemParams, RegimeMismatch, derive_constants
+from .exponents import ProblemParams, RegimeMismatch, derive_constants
 from .gridop import RadialGrid, Regularization, face_gradient
 
 
@@ -40,15 +40,14 @@ def support_radius(grid: RadialGrid, u: np.ndarray, tol: float):
     return float(radius) if radius.ndim == 0 else radius
 
 
-def localization_radius(problem: ProblemParams, sup_u0: float, R0: float,
-                        consts: Optional[DerivedConstants] = None) -> float:
+def localization_radius(problem: ProblemParams, sup_u0: float, R0: float) -> float:
     """A priori support bound R0 + (sup u0 / kappa)^(1/omega) for data in B_R0.
 
     Sliding the critical power cone along the sphere of radius R0 caps the
     support of the evolution for all time: beyond this radius every cone
     translate lies above the data and stays above the flow.
     """
-    c = consts if consts is not None else derive_constants(problem)
+    c = derive_constants(problem)
     if c.kappa is None:
         raise RegimeMismatch("localization bound needs the single-point regime")
     return R0 + (sup_u0 / c.kappa) ** (1.0 / c.omega)
@@ -63,27 +62,27 @@ class FitResult:
     max_log_residual: float
 
 
-def fit_exponent(t, y, T_e: float, frac: float = 0.4, skip_end: int = 5,
-                 floor: float = 0.0, min_points: int = 8) -> FitResult:
+def fit_exponent(t, y, T_e: float, frac: float = 0.4, skip_end: int = 5) -> FitResult:
     """Least-squares slope of log y against log(T_e - t) near extinction.
 
     The window starts at T_e - frac*(T_e - t[0]) (the last frac of the
     lifetime) and drops the final skip_end samples, whose T_e - t is at
-    stepping noise level; samples at or below floor are discarded.
+    stepping noise level; nonpositive samples, which have no logarithm,
+    are dropped.  Fewer than 8 usable samples raise InsufficientPoints.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size != y.size:
         raise ValueError("t and y must have matching length")
     lo = T_e - frac * (T_e - t[0])
-    keep = (t >= lo) & (t < T_e) & (y > floor)
+    keep = (t >= lo) & (t < T_e) & (y > 0.0)
     if skip_end > 0:
         live = np.nonzero(keep)[0]
         keep[live[-skip_end:]] = False
     n = int(keep.sum())
-    if n < min_points:
+    if n < 8:
         raise InsufficientPoints(
-            f"{n} usable samples in [{lo}, {T_e}) with floor {floor}; need {min_points}")
+            f"{n} usable samples in [{lo}, {T_e}) with floor 0.0; need 8")
     x = np.log(T_e - t[keep])
     z = np.log(y[keep])
     slope, intercept = np.polyfit(x, z, 1)
@@ -115,25 +114,30 @@ class DominationReport:
                 "worst_r": self.worst_r, "passed": bool(self.passed)}
 
 
+def check_r_window(r_window: tuple) -> None:
+    """A radial window is two numbers lo < hi; anything else is a ValueError."""
+    if len(r_window) != 2 or not r_window[0] < r_window[1]:
+        raise ValueError(f"r_window must be two numbers lo < hi, got {list(r_window)}")
+
+
 def check_domination(grid: RadialGrid, snap_t, snap_u, profile,
                      sense: Literal["upper", "lower"], tol: float,
-                     r_window: Optional[tuple] = None,
-                     t_window: Optional[tuple] = None) -> DominationReport:
+                     r_window: Optional[tuple] = None) -> DominationReport:
     """Verify profile >= state ('upper') or profile <= state ('lower') on
-    the sampled snapshots, within tol, over the given windows."""
+    every snapshot, within tol, over the cells whose centers lie in
+    r_window (all cells when it is None)."""
     if sense not in ("upper", "lower"):
         raise ValueError(f"sense must be 'upper' or 'lower', got {sense!r}")
     sgn = 1.0 if sense == "upper" else -1.0
     r = grid.r_cells
     rmask = np.ones_like(r, dtype=bool)
     if r_window is not None:
+        check_r_window(r_window)
         rmask &= (r >= r_window[0]) & (r <= r_window[1])
     worst = -np.inf
     worst_t = worst_r = np.nan
     n = 0
     for tk, uk in zip(snap_t, snap_u):
-        if t_window is not None and not t_window[0] <= tk <= t_window[1]:
-            continue
         gap = sgn * (np.asarray(uk) - profile.value(tk, r))
         gap = np.where(rmask, gap, -np.inf)
         n += int(rmask.sum())
@@ -141,7 +145,7 @@ def check_domination(grid: RadialGrid, snap_t, snap_u, profile,
         if gap[k] > worst:
             worst, worst_t, worst_r = float(gap[k]), float(tk), float(r[k])
     if n == 0:
-        raise InsufficientPoints("no snapshot samples inside the requested windows")
+        raise InsufficientPoints("no snapshot samples inside the requested window")
     return DominationReport(sense=sense, tol=tol, n_points=n, max_violation=worst,
                             worst_t=worst_t, worst_r=worst_r, passed=bool(worst <= tol))
 
@@ -189,14 +193,14 @@ def flatness_floor(grid: RadialGrid, problem: ProblemParams, u: np.ndarray,
 
 
 def flux_balance(grid: RadialGrid, problem: ProblemParams, u: np.ndarray,
-                 delta: float, consts: Optional[DerivedConstants] = None) -> np.ndarray:
+                 delta: float) -> np.ndarray:
     """Per-cell balance r^(N-1)|gbar|^(p-2) gbar + delta r^lambda u^beta.
 
     Nonpositive values mean the inward gradient flux still dominates the
     calibrated power of the state: the structure that pins extinction to
     the origin.  lambda and beta are the matched homogeneity exponents.
     """
-    c = consts if consts is not None else derive_constants(problem)
+    c = derive_constants(problem)
     if c.lambda_j is None:
         raise RegimeMismatch("flux balance needs the single-point regime")
     p, N = problem.p, problem.N
@@ -217,7 +221,7 @@ class JDiagnostic:
     delta: np.ndarray         # flatness floor per such snapshot
     n_cells: np.ndarray
     delta_probe: float
-    max_excess: float         # max of J - slack*scale over admitted cells
+    max_excess: float         # max of J - 10 tol_pos scale over admitted cells
     worst_t: float
     passed: bool
 
@@ -230,9 +234,8 @@ class JDiagnostic:
 
 
 def j_diagnostic(grid: RadialGrid, problem: ProblemParams, snap_t, snap_u,
-                 tol_pos: float, R0: float, delta_probe: Optional[float] = None,
-                 consts: Optional[DerivedConstants] = None,
-                 slack_factor: float = 10.0) -> JDiagnostic:
+                 tol_pos: float, R0: float,
+                 delta_probe: Optional[float] = None) -> JDiagnostic:
     """Track the flatness floor over a run and probe the flux balance.
 
     A cell is admitted when u > 10 tol_pos and 2 dr < r < R0: the factor
@@ -240,11 +243,11 @@ def j_diagnostic(grid: RadialGrid, problem: ProblemParams, snap_t, snap_u,
     cells where the discrete gradient of a radial profile is 0/0 noise.
     delta_probe defaults to half the floor of the first admitted
     snapshot.  The probe passes when the balance J stays at or below
-    slack_factor*tol_pos*scale on every admitted cell, scale being the
+    10 tol_pos scale on every admitted cell, scale being the
     sum of the magnitudes of J's two parts.  Raises EmptySupport when no
     snapshot has an admitted cell.
     """
-    c = consts if consts is not None else derive_constants(problem)
+    c = derive_constants(problem)
     u_floor = 10.0 * tol_pos
     r_window = (2.0 * grid.dr, R0)
     ts, deltas, counts = [], [], []
@@ -267,10 +270,10 @@ def j_diagnostic(grid: RadialGrid, problem: ProblemParams, snap_t, snap_u,
         elig = (uu > u_floor) & (r > r_window[0]) & (r < r_window[1])
         if not elig.any():
             continue
-        balance = flux_balance(grid, problem, uu, delta_probe, c)
+        balance = flux_balance(grid, problem, uu, delta_probe)
         probe_part = delta_probe * r ** c.lambda_j * uu ** c.beta_j
         scale = np.abs(balance - probe_part) + probe_part
-        excess = balance[elig] - slack_factor * tol_pos * scale[elig]
+        excess = balance[elig] - 10.0 * tol_pos * scale[elig]
         k = int(np.argmax(excess))
         if excess[k] > max_excess:
             max_excess, worst_t = float(excess[k]), float(tt)

@@ -171,6 +171,9 @@ def analyze_run_dir(run_dir: Path) -> dict:
         if key not in summary:
             raise ConfigError(f"{summary_path}: missing key {key!r}")
         check(summary[key], f"{summary_path}: {key}")
+    if summary["n_series"] < 1:
+        raise ConfigError(f"{summary_path}: n_series is {summary['n_series']}, "
+                          "but a run records at least its initial state")
     series = _read_csv(part("series.csv"), _SERIES, summary["n_series"],
                        f"{summary_path.name} has n_series {summary['n_series']}")
     index_path = part("snapshots/index.csv")
@@ -199,8 +202,7 @@ def analyze_run_dir(run_dir: Path) -> dict:
             try:
                 fit = fit_exponent(series["t"], series[quantity], T_e,
                                    frac=exp.analysis["fit_frac"],
-                                   skip_end=exp.analysis["fit_skip_end"],
-                                   floor=0.0)
+                                   skip_end=exp.analysis["fit_skip_end"])
             except InsufficientPoints as exc:
                 report["fits"].append({"quantity": quantity,
                                        "error": str(exc)})

@@ -28,12 +28,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .exponents import (
-    DerivedConstants,
-    ProblemParams,
-    RegimeMismatch,
-    derive_constants,
-)
+from .exponents import ProblemParams, RegimeMismatch, derive_constants
 
 
 class DecayTooSlow(ValueError):
@@ -42,10 +37,6 @@ class DecayTooSlow(ValueError):
 
 class NotApplicable(ValueError):
     """Construction does not exist for these parameters."""
-
-
-def _consts(problem: ProblemParams, consts: Optional[DerivedConstants]) -> DerivedConstants:
-    return consts if consts is not None else derive_constants(problem)
 
 
 # --------------------------------------------------------------------------
@@ -64,9 +55,9 @@ class Barrier:
 
     family = "barrier"
 
-    def __init__(self, problem: ProblemParams, consts: Optional[DerivedConstants] = None,
-                 r0: float = 0.0, amplitude: Optional[float] = None):
-        c = _consts(problem, consts)
+    def __init__(self, problem: ProblemParams, r0: float = 0.0,
+                 amplitude: Optional[float] = None):
+        c = derive_constants(problem)
         if c.kappa is None:
             raise RegimeMismatch("barrier needs the single-point regime (q < p-1)")
         self.problem = problem
@@ -100,15 +91,14 @@ class ShrinkSuper:
     eta solves eta' = (alpha*gamma)^q/(2*gamma) * A^(-q/alpha) * eta^beta,
     eta(0) = 0, i.e. eta(t) = eta_coef * t^(1/(1-beta)) with
     beta = (alpha*(1 + q*gamma - gamma) + q)/alpha in (0, 1).
-    Supersolution on r > R for t < t0 (construction via make_shrink_super).
+    Supersolution on r > R for t < t0; make_shrink_super builds it and
+    sets t0, which is infinite on a bare construction.
     """
 
     family = "shrink_super"
 
-    def __init__(self, problem: ProblemParams, A: float, alpha: float,
-                 R: float = 1.0, t0: float = np.inf,
-                 consts: Optional[DerivedConstants] = None, kink_tol: float = 1e-6):
-        c = _consts(problem, consts)
+    def __init__(self, problem: ProblemParams, A: float, alpha: float, R: float = 1.0):
+        c = derive_constants(problem)
         if c.gamma_sigma is None:
             raise RegimeMismatch("shrinking envelope needs the single-point regime")
         q = problem.q
@@ -117,8 +107,7 @@ class ShrinkSuper:
         self.alpha = float(alpha)
         self.gamma = c.gamma_sigma
         self.R = float(R)
-        self.t0 = float(t0)
-        self.kink_tol = float(kink_tol)
+        self.t0 = np.inf
         g, a = self.gamma, self.alpha
         self.beta = (a * (1.0 + q * g - g) + q) / a
         if not 0.0 < self.beta < 1.0:
@@ -161,8 +150,9 @@ class ShrinkSuper:
         return val, dt, dr, drr
 
     def exclude_mask(self, t, r):
+        # samples within 1e-6 A of the positive-part kink y = 0
         _, _, _, y = self._core(t, r)
-        return np.abs(y) < self.kink_tol * self.A
+        return np.abs(y) < 1e-6 * self.A
 
     def support_radius(self, t):
         """Outer edge of the positivity set at time t."""
@@ -185,9 +175,8 @@ class TailSub:
 
     family = "tail_sub"
 
-    def __init__(self, problem: ProblemParams, a: float, b: float, T: float,
-                 consts: Optional[DerivedConstants] = None):
-        c = _consts(problem, consts)
+    def __init__(self, problem: ProblemParams, a: float, b: float, T: float):
+        c = derive_constants(problem)
         if c.theta_sub is None:
             raise RegimeMismatch("tail subsolution needs the single-point regime")
         self.problem = problem
@@ -232,9 +221,8 @@ class SelfSimSuper:
 
     family = "selfsim_super"
 
-    def __init__(self, problem: ProblemParams, A: float, T: float,
-                 consts: Optional[DerivedConstants] = None):
-        c = _consts(problem, consts)
+    def __init__(self, problem: ProblemParams, A: float, T: float):
+        c = derive_constants(problem)
         if c.alpha_ss is None or c.gamma_super is None:
             raise RegimeMismatch("self-similar bound needs an extinction regime")
         if problem.p >= 2.0:
@@ -334,14 +322,16 @@ class CertReport:
 
 def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
                  n_t: int = 24, n_r: int = 96,
-                 tol: float = 1e-10, rng=None, log_r: Optional[bool] = None):
+                 tol: float = 1e-10, rng=None):
     """Sample L z over box = (t_lo, t_hi, r_lo, r_hi) and certify its sign.
 
     Margins are measured relative to the local operator scale (the sum of
     the magnitudes of the four terms), so a certificate means "L has the
     right sign up to tol of the sizes actually involved".  Kink-adjacent
-    samples are excluded and counted.  rng adds jitter inside the sample
-    lattice; without it the lattice is deterministic.
+    samples are excluded and counted.  The radial lattice is logarithmic
+    when the box spans more than a factor 50 in r, linear otherwise.  rng
+    adds jitter inside the sample lattice; without it the lattice is
+    deterministic.
     """
     t_lo, t_hi, r_lo, r_hi = box
     if not (t_lo < t_hi and 0.0 < r_lo < r_hi):
@@ -353,8 +343,7 @@ def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
         if n < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")
     sgn = 1.0 if sense == "super" else -1.0
-    if log_r is None:
-        log_r = r_hi / r_lo > 50.0
+    log_r = r_hi / r_lo > 50.0
     tg = t_lo + (t_hi - t_lo) * (np.arange(n_t) + 0.5) / n_t
     if log_r:
         rg = np.exp(np.linspace(np.log(r_lo), np.log(r_hi), n_r))
@@ -411,7 +400,7 @@ def _bisect_decreasing(f, lo, hi, iters=200):
 
 
 def make_shrink_super(problem: ProblemParams, decay_C: float, decay_theta: float,
-                      sup_u0: float, consts: Optional[DerivedConstants] = None) -> ShrinkSuper:
+                      sup_u0: float) -> ShrinkSuper:
     """Build a certified collapsing envelope above data with tail C(1+r)^(-theta).
 
     Needs theta > q/(1-q) (else DecayTooSlow).  Tail exponents at or above
@@ -420,7 +409,7 @@ def make_shrink_super(problem: ProblemParams, decay_C: float, decay_theta: float
     Returns a ShrinkSuper whose R, A satisfy the construction inequalities
     with margins recorded in .achieved.
     """
-    c = _consts(problem, consts)
+    c = derive_constants(problem)
     if c.gamma_sigma is None:
         raise RegimeMismatch("shrinking envelope needs the single-point regime")
     p, q = problem.p, problem.q
@@ -441,7 +430,7 @@ def make_shrink_super(problem: ProblemParams, decay_C: float, decay_theta: float
         R *= 1.25
     A = 1.5 * (1.0 + R ** alpha) * s
 
-    prof = ShrinkSuper(problem, A=A, alpha=alpha, R=R, consts=c)
+    prof = ShrinkSuper(problem, A=A, alpha=alpha, R=R)
     # t0: latest time the envelope still clears sup u0 on the lateral boundary,
     # shaved by 1% so the certificate box stays strictly inside
     eta_at_t0 = A / (1.0 + R ** alpha) - s
@@ -460,15 +449,14 @@ def make_shrink_super(problem: ProblemParams, decay_C: float, decay_theta: float
     return prof
 
 
-def tail_sub_min_a(problem: ProblemParams, b: float, T: float,
-                   consts: Optional[DerivedConstants] = None) -> float:
+def tail_sub_min_a(problem: ProblemParams, b: float, T: float) -> float:
     """Threshold offset above which TailSub(a, b, T) is a certified subsolution.
 
     Located by bisection on the defining inequality (decreasing in a):
       (gamma*theta*b)^(p-1) T^((p-1-q)/(1-q)) a^((2-p)gamma - p + 1)
            * ((1+gamma) p + N - 1)  <  1 / (2 (1-q)).
     """
-    c = _consts(problem, consts)
+    c = derive_constants(problem)
     if c.theta_sub is None:
         raise RegimeMismatch("tail subsolution needs the single-point regime")
     p, q, N = problem.p, problem.q, problem.N
@@ -495,34 +483,32 @@ def tail_sub_min_a(problem: ProblemParams, b: float, T: float,
 
 
 def make_tail_sub(problem: ProblemParams, T: float, b: Optional[float] = None,
-                  a: Optional[float] = None, a_factor: float = 2.0,
-                  consts: Optional[DerivedConstants] = None) -> TailSub:
-    """TailSub with certified defaults: b = b0/2 and a = a_factor * threshold."""
-    c = _consts(problem, consts)
+                  a: Optional[float] = None) -> TailSub:
+    """TailSub with certified defaults: b = b0/2 and a = twice the threshold."""
     if b is None:
-        if c.b0_sub is None:
+        b0 = derive_constants(problem).b0_sub
+        if b0 is None:
             raise RegimeMismatch("tail subsolution needs the single-point regime")
-        b = 0.5 * c.b0_sub
-    a_min = tail_sub_min_a(problem, b, T, consts=c)
+        b = 0.5 * b0
+    a_min = tail_sub_min_a(problem, b, T)
     if a is None:
-        a = a_factor * a_min
+        a = 2.0 * a_min
     elif a <= a_min:
         raise NotApplicable(f"a = {a} below subsolution threshold {a_min}")
-    prof = TailSub(problem, a=a, b=b, T=T, consts=c)
+    prof = TailSub(problem, a=a, b=b, T=T)
     prof.a_min = a_min
     return prof
 
 
-def make_selfsim_super(problem: ProblemParams, T: float, A: Optional[float] = None,
-                       consts: Optional[DerivedConstants] = None) -> SelfSimSuper:
+def make_selfsim_super(problem: ProblemParams, T: float,
+                       A: Optional[float] = None) -> SelfSimSuper:
     """SelfSimSuper with the certified default amplitude A = A0/2 (see find_A0)."""
     if A is None:
-        A = 0.5 * find_A0(problem, consts=consts)[0]
-    return SelfSimSuper(problem, A=A, T=T, consts=consts)
+        A = 0.5 * find_A0(problem)[0]
+    return SelfSimSuper(problem, A=A, T=T)
 
 
-def selfsim_certificates(problem: ProblemParams, A: float,
-                         consts: Optional[DerivedConstants] = None) -> dict:
+def selfsim_certificates(problem: ProblemParams, A: float) -> dict:
     """The four closed-form certificate values whose joint nonnegativity
     makes SelfSimSuper(A, T) a supersolution for every horizon T.
 
@@ -530,7 +516,7 @@ def selfsim_certificates(problem: ProblemParams, A: float,
     near field (diffusion controlled by the time term) from the far field
     (diffusion controlled by half the absorption).
     """
-    c = _consts(problem, consts)
+    c = derive_constants(problem)
     p, q = problem.p, problem.q
     if p >= 2.0:
         raise NotApplicable("self-similar upper bound is a p < 2 construction")
@@ -548,18 +534,16 @@ def selfsim_certificates(problem: ProblemParams, A: float,
     }
 
 
-def find_A0(problem: ProblemParams, consts: Optional[DerivedConstants] = None,
-            rtol: float = 1e-12) -> tuple:
-    """Largest amplitude whose certificates are simultaneously nonnegative.
+def find_A0(problem: ProblemParams) -> tuple:
+    """Largest amplitude whose certificates are simultaneously nonnegative,
+    to a relative 1e-12.
 
     Returns (A0, certificates_at_half) where the dict holds the four
     certificate values at A0/2 (all positive, by monotonicity).
     Raises NotApplicable at p = 2.
     """
-    c = _consts(problem, consts)
-
     def worst(A):
-        return min(selfsim_certificates(problem, A, consts=c).values())
+        return min(selfsim_certificates(problem, A).values())
 
     lo = 1e-30
     if worst(lo) <= 0.0:
@@ -569,5 +553,5 @@ def find_A0(problem: ProblemParams, consts: Optional[DerivedConstants] = None,
         hi *= 100.0
         if hi > 1e100:
             raise NotApplicable("certificates never fail; threshold unbounded")
-    A0 = _bisect_decreasing(worst, lo, hi, iters=max(60, int(np.log2((np.log(hi) - np.log(lo)) / rtol))))
-    return A0, selfsim_certificates(problem, A0 / 2.0, consts=c)
+    A0 = _bisect_decreasing(worst, lo, hi, iters=max(60, int(np.log2((np.log(hi) - np.log(lo)) / 1e-12))))
+    return A0, selfsim_certificates(problem, A0 / 2.0)

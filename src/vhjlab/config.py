@@ -30,9 +30,10 @@ seed            an integer, default 0
 
 A profile object (residual, domination) has a kind and the parameters
 of its builder: barrier (Barrier), shrink_envelope (make_shrink_super),
-tail_floor (make_tail_sub, without a_factor) or decaying_envelope
-(make_selfsim_super).  A residual config holds problem, profile, box,
-sense, tol, n_t and n_r of certify_sign, seed and output.
+tail_floor (make_tail_sub) or decaying_envelope (make_selfsim_super).
+A domination r_window is two numbers lo < hi.  A residual config holds
+problem, profile, box, sense, tol, n_t and n_r of certify_sign, seed and
+output.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import asdict, dataclass
 from typing import (Callable, Literal, NamedTuple, Optional, get_args, get_origin,
                     get_type_hints)
 
-from .analysis import check_domination, fit_exponent, j_diagnostic
+from .analysis import check_domination, check_r_window, fit_exponent, j_diagnostic
 from .closedform import Barrier, certify_sign, make_selfsim_super, \
     make_shrink_super, make_tail_sub
 from .exponents import ProblemParams, validate_params
@@ -201,15 +202,15 @@ def _apply_override(doc: dict, dotted: str, value):
     node[keys[-1]] = value
 
 
-# (builder, keys); problem and consts are supplied by the caller
-_CONTEXT = ("problem", "consts")
+# (builder, keys); the problem is supplied by the caller
+_CONTEXT = ("problem",)
 _PROBLEM = (validate_params, _keys(ProblemParams))
 _GRID = (RadialGrid, _keys(RadialGrid, skip=("N",)))
 _REG = (Regularization, _keys(Regularization))
 _SOLVER = (SolverConfig, _keys(SolverConfig))
 _IC = {cls.kind: (cls, _keys(cls, skip=_CONTEXT))
        for cls in (Bump, FastDecay, FatTail)}
-_PROFILES = {kind: (make, _keys(make, skip=_CONTEXT + ("a_factor",)))
+_PROFILES = {kind: (make, _keys(make, skip=_CONTEXT))
              for kind, make in (("barrier", Barrier),
                                 ("shrink_envelope", make_shrink_super),
                                 ("tail_floor", make_tail_sub),
@@ -276,6 +277,9 @@ def domination_checks(problem: ProblemParams, specs) -> list:
         spec = dict(spec)
         profile_spec = _pop(spec, path, "profile")
         kw = _read(spec, path, _DOMINATION)
+        if kw["r_window"] is not None:
+            with _config_errors(path):
+                check_r_window(kw["r_window"])
         checks.append((build_profile(problem, profile_spec, path=f"{path}.profile"), kw))
     return checks
 

@@ -124,9 +124,10 @@ class Regularization:
 
     eps enters both coefficient laws through z + eps^2.  counterterm=True
     subtracts eps^q from the absorption so constants are steady states of
-    the regularized flow.  gamma_lift controls the eps^gamma_lift floor
-    used by diagnostic runs that need strictly positive data; None defers
-    to default_gamma_lift at the point of use.
+    the regularized flow.  gamma_lift is the exponent of the eps^gamma_lift
+    positivity floor and enters the default tolerances
+    (default_domination_tol); None defers to default_gamma_lift at the
+    point of use.
     """
 
     eps: float
@@ -144,9 +145,6 @@ class Regularization:
             raise ExponentOutOfRange(
                 f"gamma_lift = {g} outside (0, {top}) = (0, min(p/4, q/2, p-1, 1-q))")
         return g
-
-    def lift(self, problem: ProblemParams) -> float:
-        return self.eps ** self.resolve_gamma_lift(problem)
 
 
 def default_eps(grid: RadialGrid) -> float:

@@ -93,22 +93,24 @@ class Bump:
                  power: Optional[float] = None):
         if m <= 0 or R0 <= 0:
             raise DataShapeError(f"need m > 0 and R0 > 0, got m = {m}, R0 = {R0}")
+        if power is not None and not power > 0:
+            raise DataShapeError(f"need power > 0, got {power}")
         self.problem = problem
         self.m = float(m)
         self.R0 = float(R0)
         self.flat_certified = False
         self.amplitude_bound = None
-        single_point = (classify_regime(problem.N, problem.p, problem.q)
-                        is Regime.SINGLE_POINT)
+        c = (derive_constants(problem)
+             if classify_regime(problem.N, problem.p, problem.q) is Regime.SINGLE_POINT
+             else None)
         if power is None:
-            if not single_point:
+            if c is None:
                 raise RegimeMismatch(
                     "default bump power is the barrier exponent, defined only for "
                     "q < p-1; give power explicitly")
-            power = derive_constants(problem).omega
+            power = c.omega
         self.power = float(power)
-        if single_point:
-            c = derive_constants(problem)
+        if c is not None:
             # certificate attaches whenever the resolved power is the
             # barrier exponent, however it was requested
             if self.power == c.omega:
@@ -233,6 +235,8 @@ class SolverConfig:
             raise ValueError(f"safety must be positive, got {self.safety}")
         if self.series_stride < 1:
             raise ValueError("series_stride must be >= 1")
+        if not self.lift >= 0:
+            raise ValueError(f"lift must be nonnegative, got {self.lift}")
         for name in ("fixed_dt", "max_dt"):
             value = getattr(self, name)
             if value is not None and not value > 0:

@@ -54,7 +54,7 @@ def test_fit_raises_when_window_is_starved():
         fit_exponent(t, y, 1.0)          # all samples far from T_e
     t2 = np.linspace(0.9, 0.999, 10)
     with pytest.raises(InsufficientPoints):
-        fit_exponent(t2, (1.0 - t2) ** 2, 1.0, floor=1e6)
+        fit_exponent(t2, np.zeros_like(t2), 1.0)   # no logarithm to fit
 
 
 def test_support_radius_basics():
@@ -115,7 +115,11 @@ def test_check_domination_senses():
         check_domination(grid, times, states, prof, "above", tol=1e-12)
     with pytest.raises(InsufficientPoints):
         check_domination(grid, times, states, prof, "upper", tol=1e-12,
-                         t_window=(5.0, 6.0))
+                         r_window=(5.0, 6.0))    # beyond r_max = 4
+    for r_window in [(1.0,), (3.0, 1.0), (1.0, 1.0), (0.5, 1.0, 2.0)]:
+        with pytest.raises(ValueError, match="r_window must be two numbers lo < hi"):
+            check_domination(grid, times, states, prof, "upper", tol=1e-12,
+                             r_window=r_window)
 
 
 def test_default_domination_tol():

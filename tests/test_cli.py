@@ -169,6 +169,15 @@ def _drop_last_row(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
 
+def _no_series(summary_path):
+    # a consistent but empty series: n_series 0 and a header-only csv
+    series = summary_path.parent / "series.csv"
+    series.write_text(series.read_text().splitlines(keepends=True)[0])
+    summary = json.loads(summary_path.read_text())
+    assert summary["T_e_est"] is not None
+    summary_path.write_text(json.dumps({**summary, "n_series": 0}))
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("summary.json", lambda p: p.write_text("{"), "not valid JSON"),
     ("summary.json", lambda p: p.write_text("[]"), "expected a JSON object"),
@@ -199,11 +208,12 @@ def _drop_last_row(path):
     ("snapshots/snap-0001.csv",
      lambda p: p.write_text("\n".join(p.read_text().split("\n")[:30])),
      "29 rows, the grid has 128 cells"),
+    ("summary.json", _no_series, "n_series is 0, but a run records at least"),
 ], ids=["summary-not-json", "summary-not-object", "summary-missing-key",
         "summary-bad-value", "series-empty", "series-missing-column",
         "series-non-numeric", "series-ragged", "series-truncated", "index-missing-k",
         "index-fractional-k", "index-overflowing-k", "index-repeated-k",
-        "index-truncated", "snapshot-ragged", "snapshot-short"])
+        "index-truncated", "snapshot-ragged", "snapshot-short", "summary-no-series"])
 def test_analyze_rejects_a_damaged_run_directory(tmp_path, capsys, name, damage, message):
     cfg = write_config(tmp_path, BASE)
     assert main(["simulate", cfg]) == 0
@@ -361,6 +371,9 @@ def test_resolve_experiment_materializes_defaults():
     ("solver", "max_steps", 0),
     ("solver", "divergence_factor", 0.5),
     ("solver", "divergence_factor", 1.0),
+    ("solver", "lift", -1.0),
+    ("ic", "power", -1.0),
+    ("ic", "power", 0.0),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, section, key, value):
     doc = json.loads(json.dumps(BASE))
@@ -372,6 +385,7 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, section, key, v
         assert f"config error: {section}.{key}: expected a finite number, got {value}" in err
     else:
         assert f"config error: {section}: " in err and key in err
+    assert not (tmp_path / "exp").exists()
 
 
 @pytest.mark.parametrize("section, key", [
@@ -437,6 +451,11 @@ BAD_DOMINATION = [
     ([{"sense": "upper", "tol": 1e-3, "profile": {"kind": "barrier", "r1": 1.0}}],
      "analysis.domination[0].profile.r1: unknown key"),
     ({"sense": "upper"}, "analysis.domination: expected a list"),
+    ([{"sense": "upper", "tol": 1e-3, "r_window": [1.0], "profile": {"kind": "barrier"}}],
+     "analysis.domination[0]: r_window must be two numbers lo < hi, got [1.0]"),
+    ([{"sense": "upper", "tol": 1e-3, "r_window": [3.0, 1.0],
+       "profile": {"kind": "barrier"}}],
+     "analysis.domination[0]: r_window must be two numbers lo < hi, got [3.0, 1.0]"),
 ]
 
 
@@ -451,7 +470,7 @@ def test_simulate_rejects_a_bad_domination_check_before_running(
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("domination, message", BAD_DOMINATION[2:4])
+@pytest.mark.parametrize("domination, message", BAD_DOMINATION[2:4] + BAD_DOMINATION[-2:])
 def test_sweep_rejects_a_bad_domination_check_before_any_job(
         tmp_path, capsys, domination, message):
     base = json.loads(json.dumps(BASE))

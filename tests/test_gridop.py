@@ -159,8 +159,7 @@ def test_regularization_validation():
     with pytest.raises(ExponentOutOfRange):
         reg.resolve_gamma_lift(P_A)  # window tops out at q/2 = 0.25 here
     assert abs(default_gamma_lift(P_A) - 0.2) <= 1e-15
-    auto = Regularization(eps=1e-4)
-    assert abs(auto.lift(P_A) - (1e-4) ** 0.2) <= 1e-18
+    assert Regularization(eps=1e-4).resolve_gamma_lift(P_A) == default_gamma_lift(P_A)
 
 
 def test_grid_geometry_is_read_only_with_value_semantics():

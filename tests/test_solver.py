@@ -164,16 +164,25 @@ def test_data_validation():
     with pytest.raises(RegimeMismatch):
         Bump(P_C, m=1.0, R0=1.0)           # no default power outside q < p-1
     assert Bump(P_C, m=1.0, R0=1.0, power=2.0).power == 2.0
+    for power in (-1.0, 0.0):              # 0.0 would sample as a constant
+        with pytest.raises(DataShapeError, match="power > 0"):
+            Bump(P_A, m=1 / 96, R0=1.0, power=power)
     with pytest.raises(DataShapeError):
         FastDecay(P_A, C=1.0, theta=0.9)   # threshold is 1 here
     FastDecay(P_A, C=1.0, theta=1.0)       # equality is the borderline case
     with pytest.raises(DataShapeError):
         FatTail(P_A, C=1.0, rho=1.0)       # fat means strictly below
     FatTail(P_A, C=1.0, rho=0.5)
+    with pytest.raises(ValueError, match="lift must be nonnegative"):
+        SolverConfig(t_end=0.1, lift=-1.0)
     grid = RadialGrid(1, 4.0, 64)
-    with pytest.raises(DataShapeError):
-        run(P_A, grid, Regularization(eps=1e-3),
-            Bump(P_A, m=1 / 96, R0=1.0), SolverConfig(t_end=0.1, lift=-1.0))
+
+    class NaNData:                         # any object with a sample method
+        def sample(self, r):
+            return np.full(np.shape(r), np.nan)
+
+    with pytest.raises(DataShapeError, match="finite and nonnegative"):
+        run(P_A, grid, Regularization(eps=1e-3), NaNData(), SolverConfig(t_end=0.1))
     with pytest.raises(RegimeMismatch):
         run(P_B, grid, Regularization(eps=1e-3),
             Bump(P_B, m=1e-7, R0=1.0), SolverConfig(t_end=0.1))
