@@ -15,7 +15,7 @@ failure message always names the measured value and the band it missed.
 
 from __future__ import annotations
 
-import copy
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -39,7 +39,7 @@ from .closedform import (
     make_tail_sub,
     operator_terms,
 )
-from .config import _apply_override, resolve_experiment
+from .config import jsonable, resolve_experiment, with_overrides
 from .exponents import ProblemParams, derive_constants
 from .gridop import RadialGrid, Regularization, default_eps, stable_dt
 from .solver import Bump, Outcome, explicit_step
@@ -117,6 +117,8 @@ RECIPES = {
 
 @dataclass
 class CriterionResult:
+    """One criterion's verdict; ``verify --json`` writes these fields."""
+
     number: int
     title: str
     passed: bool
@@ -126,11 +128,6 @@ class CriterionResult:
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return f"criterion {self.number:2d} {flag} [{self.elapsed:7.1f}s] {self.title}"
-
-    def as_dict(self) -> dict:
-        return {"number": self.number, "title": self.title,
-                "passed": bool(self.passed), "elapsed": self.elapsed,
-                "details": self.details}
 
 
 SUITES = {
@@ -142,16 +139,27 @@ SUITES = {
 }
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
-    return x
+# number -> title of every criterion, filled in by _criterion
+CRITERIA: dict = {}
+
+
+def _criterion(number: int, title: str):
+    """Register a Battery method that returns (passed, details) as
+    criterion number: calling it times the check and returns its
+    CriterionResult, the details in JSON form."""
+    if number in CRITERIA:
+        raise ValueError(f"criterion {number} is registered twice")
+    CRITERIA[number] = title
+
+    def harness(check):
+        @functools.wraps(check)
+        def timed(self) -> CriterionResult:
+            t0 = time.time()
+            passed, details = check(self)
+            return CriterionResult(number, title, bool(passed), time.time() - t0,
+                                   jsonable(details))
+        return timed
+    return harness
 
 
 class Battery:
@@ -171,10 +179,7 @@ class Battery:
     def run(self, name: str, **overrides):
         """RECIPES[name] with dotted overrides (``**{"grid.M": 4096}``),
         simulated once per resolved config."""
-        doc = copy.deepcopy(RECIPES[name])
-        for dotted, value in overrides.items():
-            _apply_override(doc, dotted, value)
-        exp = resolve_experiment(doc)
+        exp = resolve_experiment(with_overrides(RECIPES[name], overrides))
         key = json.dumps(exp.resolved, sort_keys=True)
         return self._memo(key, lambda: solver.run(exp.problem, exp.grid, exp.reg,
                                                   exp.ic, exp.cfg))
@@ -230,9 +235,9 @@ class Battery:
 
     # ----- criteria -----------------------------------------------------
 
-    def criterion_1(self) -> CriterionResult:
+    @_criterion(1, "derived-exponent identities")
+    def criterion_1(self):
         """Derived-exponent identities across the single-point range."""
-        t0 = time.time()
         rng = np.random.default_rng(self.seed)
         n_triples = 10_000
         worst = 0.0
@@ -253,14 +258,12 @@ class Battery:
                 if err > worst:
                     worst, worst_triple = err, (N, p, q)
         passed = worst <= 1e-12
-        return CriterionResult(1, "derived-exponent identities", passed,
-                               time.time() - t0,
-                               {"n_triples": n_triples, "worst_error": worst,
-                                "tolerance": 1e-12, "worst_triple": worst_triple})
+        return passed, {"n_triples": n_triples, "worst_error": worst,
+                        "tolerance": 1e-12, "worst_triple": worst_triple}
 
-    def criterion_2(self) -> CriterionResult:
+    @_criterion(2, "steady barrier solves the operator exactly")
+    def criterion_2(self):
         """The steady power-law barrier solves the operator exactly."""
-        t0 = time.time()
         rng = np.random.default_rng(self.seed + 1)
         from .closedform import Barrier
         n_sets = 100
@@ -280,15 +283,13 @@ class Battery:
             if rel[k] > worst:
                 worst, worst_at = float(rel[k]), (N, p, q, float(r[k]))
         passed = worst <= 1e-12
-        return CriterionResult(2, "steady barrier solves the operator exactly",
-                               passed, time.time() - t0,
-                               {"n_sets": n_sets, "points_per_set": 200,
-                                "worst_residual": worst, "tolerance": 1e-12,
-                                "worst_at": worst_at})
+        return passed, {"n_sets": n_sets, "points_per_set": 200,
+                        "worst_residual": worst, "tolerance": 1e-12,
+                        "worst_at": worst_at}
 
-    def criterion_3(self) -> CriterionResult:
+    @_criterion(3, "closed-form sign certificates")
+    def criterion_3(self):
         """Sign certificates for the three comparison profiles."""
-        t0 = time.time()
         rng = np.random.default_rng(self.seed + 2)
         sigma = self.shrink_super()
         cert_sigma = certify_sign(
@@ -304,11 +305,8 @@ class Battery:
             W2, box=(1e-3, 0.999 * 2.0, 1e-4, 1e3),
             sense="super", tol=1e-10, rng=rng)
         passed = cert_sigma.passed and cert_tail.passed and cert_w.passed
-        return CriterionResult(3, "closed-form sign certificates", passed,
-                               time.time() - t0,
-                               {"shrink_envelope": cert_sigma.as_dict(),
-                                "tail_floor": cert_tail.as_dict(),
-                                "decaying_envelope": cert_w.as_dict()})
+        return passed, {"shrink_envelope": cert_sigma, "tail_floor": cert_tail,
+                        "decaying_envelope": cert_w}
 
     # -- one-step scheme structure --
 
@@ -322,7 +320,8 @@ class Battery:
         rows = np.asarray([np.interp(grid.r_cells, kr, v) for v in vals])
         return np.clip(rows, 0.0, None) * amp
 
-    def criterion_4(self) -> CriterionResult:
+    @_criterion(4, "one-step scheme structure on random data")
+    def criterion_4(self):
         """Comparison, maximum principle, shape preservation, per step.
 
         One step of the solver's own explicit scheme (explicit_step)
@@ -330,7 +329,6 @@ class Battery:
         reference parameter sets; four properties, a thousand trials
         each, slack 1e-10 relative to the field size.
         """
-        t0 = time.time()
         rng = np.random.default_rng(self.seed + 3)
         slack = 1e-10
         trials_per_config = 500
@@ -384,14 +382,12 @@ class Battery:
                                                 float(((a1 - b1) / scale).max()))
 
         passed = all(v <= slack for v in stats.values())
-        details = {"worst_violation": stats, "slack": slack,
-                   "trials_per_property": 2 * trials_per_config, "M": 256}
-        return CriterionResult(4, "one-step scheme structure on random data",
-                               passed, time.time() - t0, details)
+        return passed, {"worst_violation": stats, "slack": slack,
+                        "trials_per_property": 2 * trials_per_config, "M": 256}
 
-    def criterion_5(self) -> CriterionResult:
+    @_criterion(5, "reference bump goes extinct at the fitted rate")
+    def criterion_5(self):
         """Reference bump dies in finite time at the fitted rate."""
-        t0 = time.time()
         res2 = self.run("bump_a")
         res4 = self.run("bump_a", **{"grid.M": 4096})
         extinct = (res2.outcome is Outcome.EXTINCT
@@ -400,17 +396,14 @@ class Battery:
         in_band = 1.4 <= fit.exponent <= 2.1
         drift = abs(res4.T_e_est - res2.T_e_est) / res2.T_e_est if extinct else np.inf
         passed = extinct and in_band and drift <= 0.03
-        return CriterionResult(
-            5, "reference bump goes extinct at the fitted rate", passed,
-            time.time() - t0,
-            {"outcome": res2.outcome.value, "T_e": res2.T_e_est,
-             "T_e_refined": res4.T_e_est, "T_e_drift": drift,
-             "T_e_drift_bar": 0.03, "sup_exponent": fit.exponent,
-             "exponent_band": (1.4, 2.1), "fit_points": fit.n_points})
+        return passed, {"outcome": res2.outcome.value, "T_e": res2.T_e_est,
+                        "T_e_refined": res4.T_e_est, "T_e_drift": drift,
+                        "T_e_drift_bar": 0.03, "sup_exponent": fit.exponent,
+                        "exponent_band": (1.4, 2.1), "fit_points": fit.n_points}
 
-    def criterion_6(self) -> CriterionResult:
+    @_criterion(6, "support collapses to a point at the fitted rate")
+    def criterion_6(self):
         """Support collapses to a point at the fitted rate."""
-        t0 = time.time()
         res = self.run("bump_a")
         fit = fit_exponent(res.series["t"], res.series["support_radius"],
                            res.T_e_est)
@@ -418,34 +411,30 @@ class Battery:
         final_support = float(res.series["support_radius"][-1])
         bar = 5.0 * res.grid.dr
         passed = (lo <= fit.exponent <= hi) and final_support <= bar
-        return CriterionResult(
-            6, "support collapses to a point at the fitted rate", passed,
-            time.time() - t0,
-            {"support_exponent": fit.exponent, "exponent_band": (lo, hi),
-             "final_support": final_support, "final_support_bar": bar,
-             "fit_points": fit.n_points})
+        return passed, {"support_exponent": fit.exponent, "exponent_band": (lo, hi),
+                        "final_support": final_support, "final_support_bar": bar,
+                        "fit_points": fit.n_points}
 
-    def criterion_7(self) -> CriterionResult:
+    @_criterion(7, "support never leaves the initial ball")
+    def criterion_7(self):
         """Support never leaves the initial ball, at every stored step.
 
         The details set the measured support beside the a-priori
         localization bound R0 + (sup u0 / kappa)^(1/omega), which holds
         for any data in the ball, flat or not.
         """
-        t0 = time.time()
         res = self.run("bump_a")
         bar = BUMP_R0 + 2.0 * res.grid.dr
         worst = float(np.max(res.series["support_radius"]))
         ic = Bump(PROBLEM_A, m=BUMP_M, R0=BUMP_R0)
-        passed = bool(ic.flat_certified and worst <= bar)
-        return CriterionResult(
-            7, "support never leaves the initial ball", passed,
-            time.time() - t0,
-            {"flat_certified": ic.flat_certified, "max_support": worst,
-             "localization_radius": localization_radius(PROBLEM_A, ic.sup(), BUMP_R0),
-             "bar": bar, "n_steps_checked": int(len(res.series["t"]))})
+        passed = ic.flat_certified and worst <= bar
+        return passed, {
+            "flat_certified": ic.flat_certified, "max_support": worst,
+            "localization_radius": localization_radius(PROBLEM_A, ic.sup(), BUMP_R0),
+            "bar": bar, "n_steps_checked": len(res.series["t"])}
 
-    def criterion_8(self) -> CriterionResult:
+    @_criterion(8, "slow-decay tail shrinks to a bounded set")
+    def criterion_8(self):
         """Everywhere-positive slow-decay data shrinks to a bounded set.
 
         Four checks: the data clears the positivity tolerance on the
@@ -459,7 +448,6 @@ class Battery:
         date the half-domain crossing on the shrink recipe run to t = 0.1,
         because the criterion's own run stops at t = 0.05, just before it.
         """
-        t0 = time.time()
         res = self.run("shrink")
         grid = res.grid
         u0 = np.asarray(res.snapshots["u"][0])
@@ -486,17 +474,14 @@ class Battery:
             r_window=(1.0001 * sigma.R, grid.r_max))
 
         passed = data_positive and decreasing and early_enough and dom.passed
-        return CriterionResult(
-            8, "slow-decay tail shrinks to a bounded set", passed,
-            time.time() - t0,
-            {"data_positive": data_positive, "support_decreasing": decreasing,
-             "support_at_t0.01": support_at_probe, "target": target,
-             "probe_ok": early_enough, "half_domain_cross_time": cross_time,
-             "domination": dom.as_dict()})
+        return passed, {"data_positive": data_positive, "support_decreasing": decreasing,
+                        "support_at_t0.01": support_at_probe, "target": target,
+                        "probe_ok": early_enough, "half_domain_cross_time": cross_time,
+                        "domination": dom}
 
-    def criterion_9(self) -> CriterionResult:
+    @_criterion(9, "fat-tail data survives past the horizon")
+    def criterion_9(self):
         """Fat-tail data stays positive past the horizon."""
-        t0 = time.time()
         res = self.run("fat")
         grid = res.grid
         T = 2.0
@@ -520,17 +505,14 @@ class Battery:
         survived = res.outcome is Outcome.HORIZON_REACHED
         passed = (ordering >= 0.0 and dom.passed and final_min > 0.0
                   and survived)
-        return CriterionResult(
-            9, "fat-tail data survives past the horizon", passed,
-            time.time() - t0,
-            {"outcome": res.outcome.value, "initial_ordering_margin": ordering,
-             "tail_offset": tail.a, "domination": dom.as_dict(),
-             "min_at_horizon_inner_half": final_min,
-             "floor_at_horizon_center": float(tail.value(1.0, np.array([1e-9]))[0])})
+        return passed, {"outcome": res.outcome.value, "initial_ordering_margin": ordering,
+                        "tail_offset": tail.a, "domination": dom,
+                        "min_at_horizon_inner_half": final_min,
+                        "floor_at_horizon_center": tail.value(1.0, np.array([1e-9]))[0]}
 
-    def criterion_10(self) -> CriterionResult:
+    @_criterion(10, "complete extinction keeps the ball positive")
+    def criterion_10(self):
         """Complete extinction keeps the whole ball positive to the end."""
-        t0 = time.time()
         res = self.complete()
         extinct = res.outcome is Outcome.EXTINCT
         grid = res.grid
@@ -551,16 +533,13 @@ class Battery:
                     failures += 1
         passed = extinct and checked > 0 and failures == 0 and (
             first_min is not None and first_min > res.tol_pos)
-        return CriterionResult(
-            10, "complete extinction keeps the ball positive", passed,
-            time.time() - t0,
-            {"outcome": res.outcome.value, "T_e": res.T_e_est,
-             "snapshots_checked": checked, "positivity_failures": failures,
-             "min_at_first_snapshot": first_min, "tol_pos": res.tol_pos})
+        return passed, {"outcome": res.outcome.value, "T_e": res.T_e_est,
+                        "snapshots_checked": checked, "positivity_failures": failures,
+                        "min_at_first_snapshot": first_min, "tol_pos": res.tol_pos}
 
-    def criterion_11(self) -> CriterionResult:
+    @_criterion(11, "gradient envelope is refinement-stable")
+    def criterion_11(self):
         """Gradient envelope is finite and refinement-stable, both configs."""
-        t0 = time.time()
         details = {}
         passed = True
         for label, name, problem in (("p2", "bump_a", PROBLEM_A),
@@ -578,12 +557,11 @@ class Battery:
             details[label] = {"envelope_M2048": envs[2048],
                               "envelope_M4096": envs[4096],
                               "drift": drift, "drift_bar": 0.2}
-        return CriterionResult(11, "gradient envelope is refinement-stable",
-                               passed, time.time() - t0, details)
+        return passed, details
 
-    def criterion_12(self) -> CriterionResult:
+    @_criterion(12, "flatness floor and flux balance persist")
+    def criterion_12(self):
         """Flatness floor persists and the probed flux balance holds."""
-        t0 = time.time()
         details = {}
         ratios = {}
         probes_ok = True
@@ -605,12 +583,11 @@ class Battery:
         details["ratio_drift"] = drift
         details["ratio_drift_bar"] = 0.2
         passed = floor_ok and drift <= 0.2 and probes_ok
-        return CriterionResult(12, "flatness floor and flux balance persist",
-                               passed, time.time() - t0, details)
+        return passed, details
 
-    def criterion_13(self) -> CriterionResult:
+    @_criterion(13, "extinction beats the certified horizon")
+    def criterion_13(self):
         """Borderline-decay run dies before the certified horizon."""
-        t0 = time.time()
         W, _ = self.horizon_profile()
         rng = np.random.default_rng(self.seed + 4)
         cert = certify_sign(W, box=(1e-3, 0.999 * W.T, 1e-4, 50.0),
@@ -625,24 +602,14 @@ class Battery:
         extinct = res.outcome is Outcome.EXTINCT
         bounded = extinct and res.T_e_est <= W.T
         passed = cert.passed and ordering >= 0.0 and dom.passed and bounded
-        return CriterionResult(
-            13, "extinction beats the certified horizon", passed,
-            time.time() - t0,
-            {"outcome": res.outcome.value, "T_e": res.T_e_est,
-             "horizon": W.T, "initial_ordering_margin": ordering,
-             "certificate": cert.as_dict(), "domination": dom.as_dict()})
+        return passed, {"outcome": res.outcome.value, "T_e": res.T_e_est,
+                        "horizon": W.T, "initial_ordering_margin": ordering,
+                        "certificate": cert, "domination": dom}
 
     # ----- orchestration -------------------------------------------------
 
-    def run_criteria(self, numbers=None) -> list:
-        numbers = tuple(numbers) if numbers is not None else SUITES["all"]
-        results = []
-        for n in numbers:
-            fn = getattr(self, f"criterion_{n}")
-            res = fn()
-            res.details = _jsonable(res.details)
-            results.append(res)
-        return results
+    def run_criteria(self, numbers) -> list:
+        return [getattr(self, f"criterion_{n}")() for n in numbers]
 
 
 def run_suite(name: str, seed: int = 17) -> list:

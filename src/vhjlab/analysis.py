@@ -108,16 +108,21 @@ class DominationReport:
     worst_r: float
     passed: bool
 
-    def as_dict(self):
-        return {"sense": self.sense, "tol": self.tol, "n_points": self.n_points,
-                "max_violation": self.max_violation, "worst_t": self.worst_t,
-                "worst_r": self.worst_r, "passed": bool(self.passed)}
 
+def window_cells(grid: RadialGrid, r_window: tuple) -> np.ndarray:
+    """Mask of the cells whose centres r satisfy lo <= r <= hi.
 
-def check_r_window(r_window: tuple) -> None:
-    """A radial window is two numbers lo < hi; anything else is a ValueError."""
+    The window must be two numbers lo < hi (else ValueError) holding at
+    least one cell centre (else InsufficientPoints).
+    """
     if len(r_window) != 2 or not r_window[0] < r_window[1]:
         raise ValueError(f"r_window must be two numbers lo < hi, got {list(r_window)}")
+    r = grid.r_cells
+    mask = (r >= r_window[0]) & (r <= r_window[1])
+    if not mask.any():
+        raise InsufficientPoints(f"r_window {list(r_window)} holds no cell centre "
+                                 f"of the grid on [0, {grid.r_max}]")
+    return mask
 
 
 def check_domination(grid: RadialGrid, snap_t, snap_u, profile,
@@ -130,10 +135,10 @@ def check_domination(grid: RadialGrid, snap_t, snap_u, profile,
         raise ValueError(f"sense must be 'upper' or 'lower', got {sense!r}")
     sgn = 1.0 if sense == "upper" else -1.0
     r = grid.r_cells
-    rmask = np.ones_like(r, dtype=bool)
-    if r_window is not None:
-        check_r_window(r_window)
-        rmask &= (r >= r_window[0]) & (r <= r_window[1])
+    if r_window is None:
+        rmask = np.ones_like(r, dtype=bool)
+    else:
+        rmask = window_cells(grid, r_window)
     worst = -np.inf
     worst_t = worst_r = np.nan
     n = 0
@@ -224,13 +229,6 @@ class JDiagnostic:
     max_excess: float         # max of J - 10 tol_pos scale over admitted cells
     worst_t: float
     passed: bool
-
-    def as_dict(self):
-        return {"t": [float(x) for x in self.t],
-                "delta": [float(x) for x in self.delta],
-                "n_cells": [int(x) for x in self.n_cells],
-                "delta_probe": self.delta_probe, "max_excess": self.max_excess,
-                "worst_t": self.worst_t, "passed": bool(self.passed)}
 
 
 def j_diagnostic(grid: RadialGrid, problem: ProblemParams, snap_t, snap_u,

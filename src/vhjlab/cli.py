@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -42,9 +41,9 @@ from .analysis import (
 )
 from .closedform import certify_sign
 from .config import (
-    _PROBLEM, _RESIDUAL, _SWEEP_DIR, ConfigError, Experiment, _apply_override,
-    _as_float, _as_int, _as_str, _build, _check, _config_errors, _pop, _read,
-    _section, build_profile, domination_checks, resolve_experiment,
+    _PROBLEM, _RESIDUAL, _SWEEP_DIR, ConfigError, Experiment, _as_float, _as_int,
+    _as_str, _build, _check, _config_errors, _pop, _read, _section, build_profile,
+    domination_checks, jsonable, resolve_experiment, with_overrides,
 )
 from .exponents import classify_regime, derive_constants, validate_params
 from .solver import Outcome, run
@@ -224,16 +223,16 @@ def analyze_run_dir(run_dir: Path) -> dict:
             diag = j_diagnostic(exp.grid, exp.problem, snap_t, snap_u,
                                 summary["tol_pos"], R0=exp.analysis["j_R0"],
                                 delta_probe=exp.analysis["j_delta_probe"])
-            report["j_diagnostic"] = diag.as_dict()
+            report["j_diagnostic"] = jsonable(diag)
         except EmptySupport as exc:
             report["j_diagnostic"] = {"error": str(exc)}
 
-    checks = domination_checks(exp.problem, exp.analysis["domination"])
+    checks = domination_checks(exp.problem, exp.grid, exp.analysis["domination"])
     for i, (profile, kw) in enumerate(checks):
         with _config_errors(f"analysis.domination[{i}]"):
             rep = check_domination(exp.grid, np.asarray(snap_t),
                                    np.asarray(snap_u), profile, **kw)
-        report["domination"].append(rep.as_dict())
+        report["domination"].append(jsonable(rep))
 
     (run_dir / "analysis-report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -247,7 +246,7 @@ def cmd_derive(args) -> int:
     out = {"regime": regime.value, "constants": None}
     try:
         problem = validate_params(args.N, args.p, args.q)
-        out["constants"] = asdict(derive_constants(problem))
+        out["constants"] = jsonable(derive_constants(problem))
     except ValueError as exc:
         out["note"] = str(exc)
     print(json.dumps(out, sort_keys=True, indent=2))
@@ -264,7 +263,7 @@ def cmd_residual(args) -> int:
     seed, out_path = kw.pop("seed"), kw.pop("output")
     with _config_errors(""):
         cert = certify_sign(profile, **kw, rng=np.random.default_rng(seed))
-    text = json.dumps(cert.as_dict(), sort_keys=True, indent=2)
+    text = json.dumps(jsonable(cert), sort_keys=True, indent=2)
     if out_path is not None:
         Path(out_path).write_text(text + "\n")
     print(text)
@@ -297,15 +296,12 @@ def cmd_verify(args) -> int:
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     if args.json is not None:
         Path(args.json).write_text(json.dumps(
-            [r.as_dict() for r in results], sort_keys=True, indent=2) + "\n")
+            jsonable(results), sort_keys=True, indent=2) + "\n")
     return 1 if n_fail else 0
 
 
 def _sweep_one(base_doc: dict, overrides: dict, out_dir: str) -> dict:
-    doc = json.loads(json.dumps(base_doc))
-    for dotted, value in overrides.items():
-        _apply_override(doc, dotted, value)
-    _apply_override(doc, "output.dir", out_dir)
+    doc = with_overrides(base_doc, {**overrides, "output.dir": out_dir})
     exp = resolve_experiment(doc)
     result = run(exp.problem, exp.grid, exp.reg, exp.ic, exp.cfg)
     write_run_dir(Path(out_dir), exp, result)
@@ -325,7 +321,7 @@ def cmd_sweep(args) -> int:
     for dotted, values in axes.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{dotted}: expected a non-empty list")
-    resolve_experiment(json.loads(json.dumps(base)))  # validate early
+    resolve_experiment(base)  # validate early
 
     names = sorted(axes)
     combos = [{}]

@@ -310,15 +310,6 @@ class CertReport:
     passed: bool
     note: str = ""
 
-    def as_dict(self):
-        return {
-            "family": self.family, "params": self.params, "box": list(self.box),
-            "sense": self.sense, "tol": self.tol, "n_samples": self.n_samples,
-            "n_skipped": self.n_skipped, "min_margin": self.min_margin,
-            "worst_point": list(self.worst_point), "passed": bool(self.passed),
-            "note": self.note,
-        }
-
 
 def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
                  n_t: int = 24, n_r: int = 96,

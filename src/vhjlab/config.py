@@ -31,21 +31,25 @@ seed            an integer, default 0
 A profile object (residual, domination) has a kind and the parameters
 of its builder: barrier (Barrier), shrink_envelope (make_shrink_super),
 tail_floor (make_tail_sub) or decaying_envelope (make_selfsim_super).
-A domination r_window is two numbers lo < hi.  A residual config holds
+A domination r_window is two numbers lo < hi with at least one cell
+centre of the grid between them.  A residual config holds
 problem, profile, box, sense, tol, n_t and n_r of certify_sign, seed and
 output.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import (Callable, Literal, NamedTuple, Optional, get_args, get_origin,
                     get_type_hints)
 
-from .analysis import check_domination, check_r_window, fit_exponent, j_diagnostic
+import numpy as np
+
+from .analysis import check_domination, fit_exponent, j_diagnostic, window_cells
 from .closedform import Barrier, certify_sign, make_selfsim_super, \
     make_shrink_super, make_tail_sub
 from .exponents import ProblemParams, validate_params
@@ -191,15 +195,33 @@ def _section(doc: dict, key: str, required: bool = True) -> dict:
     return dict(sec)
 
 
-def _apply_override(doc: dict, dotted: str, value):
-    """Set doc's key at a dotted path (``grid.M``), making sections on the way."""
-    keys = dotted.split(".")
-    node = doc
-    for k in keys[:-1]:
-        if not isinstance(node.get(k), dict):
-            node[k] = {}
-        node = node[k]
-    node[keys[-1]] = value
+def with_overrides(doc: dict, overrides: dict) -> dict:
+    """A copy of doc with each dotted key path (``grid.M``) set to its
+    value in overrides, making sections on the way."""
+    doc = copy.deepcopy(doc)
+    for dotted, value in overrides.items():
+        *sections, key = dotted.split(".")
+        node = doc
+        for k in sections:
+            if not isinstance(node.get(k), dict):
+                node[k] = {}
+            node = node[k]
+        node[key] = value
+    return doc
+
+
+def jsonable(x):
+    """x with dataclasses expanded to dicts of their fields, tuples and
+    arrays turned into lists and numpy scalars into Python numbers."""
+    if is_dataclass(x) and not isinstance(x, type):
+        return jsonable(asdict(x))
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    return x
 
 
 # (builder, keys); the problem is supplied by the caller
@@ -264,7 +286,7 @@ def build_profile(problem: ProblemParams, spec: dict, path: str = "profile"):
     return _build(*_PROFILES[kind], spec, path, problem)
 
 
-def domination_checks(problem: ProblemParams, specs) -> list:
+def domination_checks(problem: ProblemParams, grid: RadialGrid, specs) -> list:
     """(profile, check_domination keywords) for each analysis.domination entry."""
     if not isinstance(specs, list):
         raise ConfigError("analysis.domination: expected a list of profile "
@@ -279,7 +301,7 @@ def domination_checks(problem: ProblemParams, specs) -> list:
         kw = _read(spec, path, _DOMINATION)
         if kw["r_window"] is not None:
             with _config_errors(path):
-                check_r_window(kw["r_window"])
+                window_cells(grid, kw["r_window"])
         checks.append((build_profile(problem, profile_spec, path=f"{path}.profile"), kw))
     return checks
 
@@ -302,7 +324,7 @@ def resolve_experiment(doc: dict) -> Experiment:
     an_sec = _section(doc, "analysis", required=False)
     domination = an_sec.pop("domination", [])
     analysis = {**_read(an_sec, "analysis", _ANALYSIS), "domination": domination}
-    domination_checks(problem, domination)
+    domination_checks(problem, grid, domination)
     out_dir = _read(_section(doc, "output", required=False), "output",
                     _OUTPUT)["dir"]
     seed = _read(doc, "", (_SEED,))["seed"]

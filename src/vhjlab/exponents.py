@@ -71,34 +71,30 @@ def validate_params(N, p, q) -> ProblemParams:
     N = int(N)
     if N < 1:
         raise NonIntegerDimension(f"N must be >= 1, got {N}")
-    p = float(p)
-    q = float(q)
-    p_c = 2.0 * N / (N + 1.0)
+    params = ProblemParams(N=N, p=float(p), q=float(q))
+    p, q, p_c = params.p, params.q, params.p_crit
     if not 1.0 < p <= 2.0:
         raise ExponentOutOfRange(f"need 1 < p <= 2, got p = {p}")
     if p <= p_c:
         raise ExponentOutOfRange(f"p <= p_c = {p_c} (fast-diffusion range requires p > 2N/(N+1))")
     if q <= 0.0:
         raise ExponentOutOfRange(f"need q > 0, got q = {q}")
-    return ProblemParams(N=N, p=p, q=q)
+    return params
 
 
 def classify_regime(N, p, q) -> Regime:
-    """Tag a raw triple.  Accepts anything; invalid input is out_of_scope.
+    """Tag a raw triple.  Accepts anything; a triple validate_params
+    rejects is out_of_scope.
 
     The three in-scope tags partition {p in (p_c, 2], q > 0}: note that
     [p-1, p/2) is empty at p = 2, so for the plain Laplacian the
     complete-extinction window disappears.
     """
     try:
-        N = int(N)
+        params = validate_params(N, p, q)
     except (TypeError, ValueError):
         return Regime.OUT_OF_SCOPE
-    if N < 1 or not (1.0 < p <= 2.0) or q <= 0.0:
-        return Regime.OUT_OF_SCOPE
-    p_c = 2.0 * N / (N + 1.0)
-    if p <= p_c:
-        return Regime.OUT_OF_SCOPE
+    p, q = params.p, params.q
     if q < p - 1.0:
         return Regime.SINGLE_POINT
     if q < p / 2.0:

@@ -10,10 +10,11 @@ minutes; the reference-resolution extinction run dominates.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
-from vhjlab.acceptance import Battery
+from vhjlab.acceptance import CRITERIA, SUITES, Battery, _criterion
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,23 @@ def _check(result):
 
 def test_01_exponent_identities_hold(battery):
     _check(battery.criterion_1())
+
+
+def test_a_criterion_called_directly_matches_its_suite_record(battery):
+    direct = asdict(battery.criterion_1())
+    listed = asdict(Battery(seed=17).run_criteria([1])[0])
+    del direct["elapsed"], listed["elapsed"]
+    assert direct == listed
+    assert direct["number"] == 1
+
+
+def test_every_criterion_is_registered_once_with_a_title():
+    assert sorted(CRITERIA) == list(SUITES["all"])
+    for n, title in CRITERIA.items():
+        assert isinstance(title, str) and title
+        assert callable(getattr(Battery, f"criterion_{n}").__wrapped__)
+    with pytest.raises(ValueError, match="criterion 1 is registered twice"):
+        _criterion(1, "again")
 
 
 def test_02_barrier_solves_operator_exactly(battery):

@@ -456,6 +456,10 @@ BAD_DOMINATION = [
     ([{"sense": "upper", "tol": 1e-3, "r_window": [3.0, 1.0],
        "profile": {"kind": "barrier"}}],
      "analysis.domination[0]: r_window must be two numbers lo < hi, got [3.0, 1.0]"),
+    ([{"sense": "upper", "tol": 1e-3, "r_window": [5.0, 6.0],
+       "profile": {"kind": "barrier"}}],
+     "analysis.domination[0]: r_window [5.0, 6.0] holds no cell centre of the grid "
+     "on [0, 4.0]"),
 ]
 
 
@@ -470,7 +474,7 @@ def test_simulate_rejects_a_bad_domination_check_before_running(
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("domination, message", BAD_DOMINATION[2:4] + BAD_DOMINATION[-2:])
+@pytest.mark.parametrize("domination, message", BAD_DOMINATION[2:4] + BAD_DOMINATION[7:])
 def test_sweep_rejects_a_bad_domination_check_before_any_job(
         tmp_path, capsys, domination, message):
     base = json.loads(json.dumps(BASE))

@@ -1,6 +1,7 @@
 """Closed-form profiles: exact derivatives, operator residuals, constructions."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -154,9 +155,9 @@ def test_shrink_is_certified_supersolution():
     prof = make_shrink_super(P_A, decay_C=1.0, decay_theta=2.0, sup_u0=1.0)
     rep = certify_sign(prof, (1e-6, prof.t0, prof.R, 64.0), "super",
                        rng=np.random.default_rng(3))
-    assert rep.passed, rep.as_dict()
+    assert rep.passed, rep
     assert rep.n_samples > 1000
-    json.dumps(rep.as_dict())  # report must serialize as-is
+    json.dumps(asdict(rep))  # report must serialize as-is
 
 
 def test_shrink_lateral_and_collapse():
@@ -225,7 +226,7 @@ def test_tail_is_certified_subsolution():
         prof = make_tail_sub(prm, T=1.0)
         rep = certify_sign(prof, (0.0, 0.999, 1e-3, 200.0), "sub",
                            rng=np.random.default_rng(6))
-        assert rep.passed, (prm, rep.as_dict())
+        assert rep.passed, (prm, rep)
 
 
 def test_tail_parameter_windows():
@@ -270,7 +271,7 @@ def test_selfsim_is_certified_supersolution():
     prof = SelfSimSuper(P_B, A=A0 / 2.0, T=2.0)
     rep = certify_sign(prof, (1e-6, 2.0 - 1e-6, 1e-4, 50.0), "super",
                        rng=np.random.default_rng(7))
-    assert rep.passed, rep.as_dict()
+    assert rep.passed, rep
     assert float(prof.value(2.0, 1.0)) == 0.0
 
 

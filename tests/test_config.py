@@ -11,7 +11,7 @@ import pytest
 import vhjlab
 from vhjlab.acceptance import RECIPES, Battery
 from vhjlab.cli import main, write_run_dir
-from vhjlab.config import _apply_override, resolve_experiment
+from vhjlab.config import resolve_experiment, with_overrides
 
 
 @pytest.mark.parametrize("name", sorted(RECIPES))
@@ -35,8 +35,7 @@ def test_acceptance_does_not_import_the_command_line():
 @pytest.mark.parametrize("name", ["fat", "bump_b"])
 def test_simulate_on_a_recipe_writes_the_battery_run(tmp_path, name):
     # one explicit run with snapshots, one semi-implicit with a gradient column
-    doc = copy.deepcopy(RECIPES[name])
-    _apply_override(doc, "grid.M", 64)
+    doc = with_overrides(RECIPES[name], {"grid.M": 64})
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path)]) == 0

@@ -58,6 +58,15 @@ def test_regime_examples():
     assert classify_regime(2, 1.2, 0.1) is Regime.OUT_OF_SCOPE
 
 
+def test_regime_of_a_non_numeric_triple_follows_validate_params():
+    # validate_params reads numeric strings, so classify_regime does too
+    assert classify_regime(1, "2.0", 0.5) is Regime.SINGLE_POINT
+    for N, p, q in ((None, 2.0, 0.5), (1, "two", 0.5), (1, 2.0, [0.5])):
+        with pytest.raises((TypeError, ValueError)):
+            validate_params(N, p, q)
+        assert classify_regime(N, p, q) is Regime.OUT_OF_SCOPE
+
+
 def test_regime_partition_is_exhaustive_and_exclusive():
     rng = np.random.default_rng(7)
     for _ in range(2000):

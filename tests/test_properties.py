@@ -31,6 +31,8 @@ def maybe(strategy):
 @example(N=2, p=1.8, q=0.9)           # q = p/2
 @example(N=1, p=2.0, q=0.0)
 @example(N=0, p=2.0, q=0.5)
+@example(N=1.5, p=2.0, q=0.5)         # not an integer dimension
+@example(N=True, p=2.0, q=0.5)        # a bool is not a dimension
 def test_regimes_partition_the_admissible_set(N, p, q):
     regime = classify_regime(N, p, q)
     try:
