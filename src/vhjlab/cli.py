@@ -16,7 +16,7 @@ sweep      fan a base experiment out over parameter values
 
 Exit codes: 0 success, 1 a verification or certification failed or a
 sweep job failed, 2 configuration or usage error, 3 numerical divergence
-at runtime.
+or an exhausted step budget at runtime.
 """
 
 from __future__ import annotations

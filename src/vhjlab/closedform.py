@@ -308,7 +308,6 @@ class CertReport:
     min_margin: float     # min over samples of sense-adjusted L / local scale
     worst_point: tuple
     passed: bool
-    note: str = ""
 
 
 def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],

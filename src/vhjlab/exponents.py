@@ -22,6 +22,7 @@ single_point regime (they need q < p - 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -63,7 +64,7 @@ def validate_params(N, p, q) -> ProblemParams:
     """Check a raw (N, p, q) triple and return an immutable record.
 
     Enforces N integer >= 1, 1 < p <= 2 with p above the critical value
-    p_c = 2N/(N+1), and q > 0.  Raises NonIntegerDimension or
+    p_c = 2N/(N+1), and a finite q > 0.  Raises NonIntegerDimension or
     ExponentOutOfRange with the offending bound in the message.
     """
     if isinstance(N, bool) or not float(N).is_integer():
@@ -77,8 +78,8 @@ def validate_params(N, p, q) -> ProblemParams:
         raise ExponentOutOfRange(f"need 1 < p <= 2, got p = {p}")
     if p <= p_c:
         raise ExponentOutOfRange(f"p <= p_c = {p_c} (fast-diffusion range requires p > 2N/(N+1))")
-    if q <= 0.0:
-        raise ExponentOutOfRange(f"need q > 0, got q = {q}")
+    if not 0.0 < q < math.inf:
+        raise ExponentOutOfRange(f"need a finite q > 0, got q = {q}")
     return params
 
 

@@ -42,6 +42,11 @@ import numpy as np
 from .exponents import ExponentOutOfRange, ProblemParams
 
 
+# fraction of the explicit step bound a step takes; the monotonicity of
+# the explicit step needs a fraction of at most 1
+SAFETY = 0.5
+
+
 class GridMismatch(ValueError):
     """Field or problem incompatible with the grid it is used on."""
 
@@ -265,8 +270,7 @@ class StepTerms:
 
 
 def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-                 u: np.ndarray, absorption: bool = True,
-                 terms: Optional[StepTerms] = None) -> np.ndarray:
+                 u: np.ndarray, terms: Optional[StepTerms] = None) -> np.ndarray:
     """du/dt of the semi-discrete scheme: flux divergence minus gradient source.
 
     terms, if given, is a StepTerms of (grid, problem, reg) filled from u;
@@ -282,8 +286,7 @@ def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
         np.multiply(terms.weights, terms.g, out=terms.face_scratch)
         div = np.subtract(terms._flux_right, terms._flux_left, out=terms.cell_scratch)
     div /= grid.metric_cells
-    if absorption:
-        div -= terms.absorption()
+    div -= terms.absorption()
     return div
 
 
@@ -303,14 +306,14 @@ def source_rate(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
 
 
 def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-              u: np.ndarray, safety: float = 0.5,
-              terms: Optional[StepTerms] = None) -> float:
+              u: np.ndarray, terms: Optional[StepTerms] = None) -> float:
     """Explicit-Euler step bound from the frozen-coefficient row sums.
 
     Diffusion contributes (rf_{i+1}^(N-1) a_{i+1} + rf_i^(N-1) a_i) /
     (r_i^(N-1) dr^2) on each cell's diagonal, the gradient source its
-    per-cell Lipschitz bound.  terms, if given, is a StepTerms of
-    (grid, problem, reg) filled from u.
+    per-cell Lipschitz bound; the bound is SAFETY over the largest row
+    total.  terms, if given, is a StepTerms of (grid, problem, reg)
+    filled from u.
     """
     if terms is None:
         terms = StepTerms.of(grid, problem, reg, u)
@@ -322,4 +325,4 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
         diffusion = np.add(w[..., 1:], w[..., :-1], out=terms._power)
         diffusion /= terms._cell_dr
     total = np.add(diffusion, rate, out=terms._power)
-    return safety / float(total.max())
+    return SAFETY / float(total.max())

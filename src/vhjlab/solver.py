@@ -8,7 +8,7 @@ workspace, filled once per step from the current state.
 explicit       stable_dt, then forward Euler in place (explicit_step);
                monotone under the default eps = dr^(2/3) tie, cheapest
                at p = 2 where the mobility is constant.
-semi_implicit  safety / max source_rate, capped at dr, then backward
+semi_implicit  SAFETY / max source_rate, capped at dr, then backward
                Euler on the diffusion with mobilities frozen at the
                current gradients and the gradient source kept explicit,
                one tridiagonal solve per step by LAPACK's dgtsv, its
@@ -16,14 +16,17 @@ semi_implicit  safety / max source_rate, capped at dr, then backward
                Removes the eps^(p-2) diffusion restriction that
                strangles explicit stepping at p < 2 with small eps.
 
-run looks its scheme up once and has one loop with one exit.  A run ends
-in one of three ways: the sup norm falls below tol_ext (extinct, with the
-crossing time estimated by log-linear interpolation; data already below
-it is extinct at time zero and takes no step), the horizon t_end arrives
-first, or the state escapes upward (diverged: the scheme was driven
-outside its stability region).  The clamp at zero removes the negative
-undershoots at the support edge; the continuum solution is nonnegative
-and the clamp keeps the discrete one comparable.
+run looks its scheme up once and has one loop with one exit.  Every step
+takes the scheme's own bound, clipped at the next snapshot time and at
+the horizon.  A run ends in one of three ways: the sup norm falls below
+tol_ext (extinct, with the crossing time estimated by log-linear
+interpolation; data already below it is extinct at time zero and takes
+no step), the horizon t_end arrives first, or the state escapes upward
+past DIVERGENCE_FACTOR times its initial sup (diverged: the scheme was
+driven outside its stability region).  A run that takes MAX_STEPS steps
+without ending raises RuntimeError.  The clamp at zero removes the
+negative undershoots at the support edge; the continuum solution is
+nonnegative and the clamp keeps the discrete one comparable.
 
 The series records t and sup of every series_stride-th state and of the
 last one.  Each recorded state is copied into a block of K = max(1,
@@ -54,6 +57,7 @@ from .exponents import (
     derive_constants,
 )
 from .gridop import (
+    SAFETY,
     RadialGrid,
     Regularization,
     StepTerms,
@@ -67,6 +71,10 @@ from .analysis import default_domination_tol, support_radius
 
 # cells in one buffer of the series' record blocks: 64 KiB of float64
 RECORD_BLOCK_CELLS = 8192
+# a sup above this multiple of the initial sup ends a run as diverged
+DIVERGENCE_FACTOR = 2.0
+# steps a run may take before it is abandoned with a RuntimeError
+MAX_STEPS = 200_000_000
 
 
 class DataShapeError(ValueError):
@@ -206,23 +214,16 @@ class SolverConfig:
     defaults to tol_ext.  series_stride thins the time series, snapshots
     are taken at the listed times (plus start and final state).
     lift adds a constant floor to the data (for diagnostics on strictly
-    positive states); fixed_dt bypasses the adaptive bound, for controlled
-    comparisons only.
+    positive states).
     """
 
     t_end: float
     scheme: str = "explicit"
-    safety: float = 0.5
     tol_ext: Optional[float] = None
     tol_pos: Optional[float] = None
     series_stride: int = 8
     snapshot_times: tuple = ()
     lift: float = 0.0
-    fixed_dt: Optional[float] = None
-    max_dt: Optional[float] = None
-    max_steps: int = 200_000_000
-    divergence_factor: float = 2.0
-    absorption: bool = True
     series_gradient_power: Optional[float] = None
     series_gradient_floor: float = 0.0
 
@@ -231,21 +232,10 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not self.safety > 0:
-            raise ValueError(f"safety must be positive, got {self.safety}")
         if self.series_stride < 1:
             raise ValueError("series_stride must be >= 1")
         if not self.lift >= 0:
             raise ValueError(f"lift must be nonnegative, got {self.lift}")
-        for name in ("fixed_dt", "max_dt"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not self.divergence_factor > 1:
-            raise ValueError(
-                f"divergence_factor must exceed 1, got {self.divergence_factor}")
 
     def resolve_tols(self, problem: ProblemParams, reg: Regularization) -> tuple:
         te = self.tol_ext if self.tol_ext is not None else default_domination_tol(problem, reg)
@@ -318,36 +308,33 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _explicit_bound(grid, problem, reg, u, safety, terms) -> float:
-    return stable_dt(grid, problem, reg, u, safety, terms=terms)
+def _explicit_bound(grid, problem, reg, u, terms) -> float:
+    return stable_dt(grid, problem, reg, u, terms=terms)
 
 
-def _semi_implicit_bound(grid, problem, reg, u, safety, terms) -> float:
+def _semi_implicit_bound(grid, problem, reg, u, terms) -> float:
     rate = float(source_rate(grid, problem, reg, u, terms=terms).max())
     # even with implicit diffusion, do not outrun the state's own
     # relaxation scale by more than a factor of the grid
-    return min(safety / rate if rate > 0 else np.inf, grid.dr)
+    return min(SAFETY / rate if rate > 0 else np.inf, grid.dr)
 
 
 def explicit_step(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-                  u: np.ndarray, dt: float, absorption: bool = True,
-                  terms: Optional[StepTerms] = None) -> np.ndarray:
+                  u: np.ndarray, dt: float, terms: Optional[StepTerms] = None) -> np.ndarray:
     """Forward Euler in place on u (one state or a stack), clamped at zero."""
-    rhs = discrete_rhs(grid, problem, reg, u, absorption, terms=terms)
+    rhs = discrete_rhs(grid, problem, reg, u, terms=terms)
     rhs *= dt
     u += rhs
     return np.maximum(u, 0.0, out=u)
 
 
 def semi_implicit_step(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-                       u: np.ndarray, dt: float, absorption: bool,
-                       terms: StepTerms) -> np.ndarray:
+                       u: np.ndarray, dt: float, terms: StepTerms) -> np.ndarray:
     """Backward Euler on the diffusion, clamped at zero, into a new array."""
     rhs = u.copy()
-    if absorption:
-        src = terms.absorption()
-        src *= dt
-        rhs -= src
+    src = terms.absorption()
+    src *= dt
+    rhs -= src
     ab = _semi_implicit_matrix(grid, terms, dt)
     # dgtsv overwrites the bands, rebuilt each step, and solves into rhs,
     # new each step; a non-finite system is an error
@@ -432,23 +419,19 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     outcome, T_e = (Outcome.EXTINCT, 0.0) if sup0 <= tol_ext else (None, None)
 
     while outcome is None:
-        if n >= cfg.max_steps:
-            raise RuntimeError(f"step budget {cfg.max_steps} exhausted at t = {t}")
+        if n >= MAX_STEPS:
+            raise RuntimeError(f"step budget {MAX_STEPS} exhausted at t = {t}")
         terms.fill(u)
-        dt = cfg.fixed_dt
-        if dt is None:
-            dt = bound(grid, problem, reg, u, cfg.safety, terms)
-        if cfg.max_dt is not None:
-            dt = min(dt, cfg.max_dt)
+        dt = bound(grid, problem, reg, u, terms)
         t_next_event = pending[0] if pending else cfg.t_end
         dt = min(dt, t_next_event - t, cfg.t_end - t)
         # the explicit step updates u, this run's own array, in place
-        u = step(grid, problem, reg, u, dt, cfg.absorption, terms)
+        u = step(grid, problem, reg, u, dt, terms)
         t += dt
         n += 1
 
         sup = float(u.max())
-        if not math.isfinite(sup) or sup > cfg.divergence_factor * sup0:
+        if not math.isfinite(sup) or sup > DIVERGENCE_FACTOR * sup0:
             outcome = Outcome.DIVERGED
         else:
             while pending and t >= pending[0] - 1e-12 * cfg.t_end:

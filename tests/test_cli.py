@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from vhjlab import solver
 from vhjlab.cli import ConfigError, build_profile, main, resolve_experiment
 from vhjlab.exponents import ProblemParams
 
@@ -37,6 +38,14 @@ def test_derive_out_of_scope_is_not_an_error(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["regime"] == "out_of_scope"
     assert out["constants"] is None
+
+
+@pytest.mark.parametrize("q", ["nan", "inf"])
+def test_derive_of_a_non_finite_q_is_out_of_scope(capsys, q):
+    assert main(["derive", "1", "2.0", q]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["regime"], out["constants"]) == ("out_of_scope", None)
+    assert "need a finite q > 0" in out["note"]
 
 
 def test_type_error_names_the_key_path(tmp_path, capsys):
@@ -83,6 +92,29 @@ def test_simulate_writes_run_directory(tmp_path, capsys):
     assert summary["outcome"] == "extinct"
     header = (run / "series.csv").read_text().splitlines()[0]
     assert header.split(",")[:3] == ["t", "sup", "support_radius"]
+
+
+def test_simulate_exits_3_on_a_diverged_run(tmp_path, capsys, monkeypatch):
+    # steps of 50 times the explicit bound drive the scheme unstable; the
+    # run directory is still written
+    bound, step = solver.SCHEMES["explicit"]
+    monkeypatch.setitem(solver.SCHEMES, "explicit",
+                        (lambda *args: 50.0 * bound(*args), step))
+    doc = json.loads(json.dumps(BASE))
+    doc["output"] = {"dir": str(tmp_path / "run")}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 3
+    assert capsys.readouterr().out.startswith("diverged: ")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["outcome"] == "diverged"
+
+
+def test_simulate_exits_3_when_the_step_budget_runs_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_STEPS", 5)
+    doc = json.loads(json.dumps(BASE))
+    doc["output"] = {"dir": str(tmp_path / "run")}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err.startswith("runtime error: step budget 5 exhausted at t = ")
+    assert not (tmp_path / "run").exists()
 
 
 def test_two_runs_are_byte_identical(tmp_path):
@@ -357,6 +389,9 @@ def test_resolve_experiment_materializes_defaults():
     assert exp.resolved["seed"] == 0
 
 
+SOLVER_CONSTANTS = ("safety", "fixed_dt", "max_dt", "max_steps", "divergence_factor")
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("solver", "scheme", "crank_nicolson"),
     ("solver", "safety", -0.5),
@@ -380,7 +415,10 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, section, key, v
     doc[section][key] = value
     assert main(["simulate", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
-    if isinstance(value, float) and not math.isfinite(value):
+    if key in SOLVER_CONSTANTS:
+        # step settings that are constants of the solver, not keys
+        assert f"config error: solver.{key}: unknown key" in err
+    elif isinstance(value, float) and not math.isfinite(value):
         # json writes NaN and Infinity, and reads them back
         assert f"config error: {section}.{key}: expected a finite number, got {value}" in err
     else:

@@ -8,6 +8,7 @@ import pytest
 from vhjlab.exponents import ExponentOutOfRange, ProblemParams
 from vhjlab.closedform import Barrier
 from vhjlab.gridop import (
+    SAFETY,
     GridMismatch,
     RadialGrid,
     Regularization,
@@ -64,7 +65,8 @@ def test_rhs_consistency_on_exact_solution():
 
 def test_stable_dt_zero_field_arithmetic():
     # flat state, N = 1: mobility is eps^(p-2) = 10 on every face and the
-    # gradient source has zero Lipschitz bound, so dt = safety dr^2 / (2*10)
+    # gradient source has zero Lipschitz bound, so dt = SAFETY dr^2 / (2*10)
+    # with SAFETY = 0.5
     grid = RadialGrid(1, 1.0, 64)
     prm = ProblemParams(1, 1.5, 0.5)
     reg = Regularization(eps=1e-2)
@@ -82,7 +84,7 @@ def test_diffusion_conserves_mass():
         prm = ProblemParams(N, 1.8, 0.3)
         reg = Regularization(eps=1e-3)
         u = np.exp(-grid.r_cells ** 2) * (1.0 + 0.1 * rng.random(grid.M))
-        rhs = discrete_rhs(grid, prm, reg, u, absorption=False)
+        rhs = discrete_rhs(grid, prm, reg, u) + StepTerms.of(grid, prm, reg, u).absorption()
         drift = float(np.sum(rhs * grid.metric_cells))
         g = face_gradient(grid, u)
         outflow = grid.metric_faces[-1] * mobility(g[-1] ** 2, prm.p, reg.eps) * g[-1]
@@ -200,7 +202,7 @@ def test_p2_shortcut_matches_mobility_reference(N):
         wa = grid.metric_faces * a
         diffusion = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
         rate = float(np.max(diffusion + source_rate(grid, prm, reg, u)))
-        assert stable_dt(grid, prm, reg, u, safety=0.4) == 0.4 / rate
+        assert stable_dt(grid, prm, reg, u) == SAFETY / rate
 
 
 @pytest.mark.parametrize("p", [2.0, 1.8])
@@ -219,9 +221,8 @@ def test_precomputed_gradient_gives_identical_results(N, p):
             u = rng.random(shape + (grid.M,))
             terms.fill(u)
             assert np.array_equal(terms.g, face_gradient(grid, u))
-            assert stable_dt(grid, prm, reg, u, 0.4, terms=terms) == stable_dt(grid, prm, reg, u, 0.4)
+            assert stable_dt(grid, prm, reg, u, terms=terms) == stable_dt(grid, prm, reg, u)
             assert np.array_equal(source_rate(grid, prm, reg, u, terms=terms),
                                   source_rate(grid, prm, reg, u))
-            for absorption in (True, False):
-                assert np.array_equal(discrete_rhs(grid, prm, reg, u, absorption, terms=terms),
-                                      discrete_rhs(grid, prm, reg, u, absorption))
+            assert np.array_equal(discrete_rhs(grid, prm, reg, u, terms=terms),
+                                  discrete_rhs(grid, prm, reg, u))

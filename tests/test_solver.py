@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from vhjlab.exponents import ProblemParams, RegimeMismatch
-from vhjlab.gridop import RadialGrid, Regularization, stable_dt
+from vhjlab.gridop import RadialGrid, Regularization, StepTerms, stable_dt
 from vhjlab.solver import (
+    SCHEMES,
     Bump,
     DataShapeError,
     FastDecay,
@@ -59,34 +60,38 @@ def test_radial_monotonicity_is_preserved():
         assert np.all(np.diff(u) <= 1e-12 * res.sup0)
 
 
+def _states_at_one_dt(scheme, prm, grid, reg, u, dt, n):
+    """The n states after u of the scheme's step function, all with one dt."""
+    step = SCHEMES[scheme][1]
+    terms = StepTerms(grid, prm, reg)
+    u = u.copy()
+    for _ in range(n):
+        u = step(grid, prm, reg, u, dt, terms.fill(u))
+        yield u
+
+
 def test_ordered_data_stays_ordered_with_shared_steps():
-    # same fixed dt for both runs: the discrete comparison principle
+    # same dt for both states: the discrete comparison principle
     grid = RadialGrid(1, 4.0, 64)
     reg = Regularization(eps=1e-2)
-    lo = Bump(P_A, m=1 / 96, R0=1.0)
-    hi = Bump(P_A, m=1 / 48, R0=1.0)
-    dt = 0.25 * min(stable_dt(grid, P_A, reg, lo.sample(grid.r_cells)),
-                    stable_dt(grid, P_A, reg, hi.sample(grid.r_cells)))
-    times = (0.002, 0.004, 0.006)
-    kw = dict(t_end=0.008, tol_ext=1e-12, fixed_dt=dt, snapshot_times=times)
-    r_lo = run(P_A, grid, reg, lo, SolverConfig(**kw))
-    r_hi = run(P_A, grid, reg, hi, SolverConfig(**kw))
-    for ul, uh in zip(r_lo.snapshots["u"], r_hi.snapshots["u"]):
+    lo = Bump(P_A, m=1 / 96, R0=1.0).sample(grid.r_cells)
+    hi = Bump(P_A, m=1 / 48, R0=1.0).sample(grid.r_cells)
+    dt = 0.25 * min(stable_dt(grid, P_A, reg, lo), stable_dt(grid, P_A, reg, hi))
+    n = int(0.008 / dt)
+    for ul, uh in zip(_states_at_one_dt("explicit", P_A, grid, reg, lo, dt, n),
+                      _states_at_one_dt("explicit", P_A, grid, reg, hi, dt, n)):
         assert np.all(uh - ul >= -1e-10)
 
 
 def test_semi_implicit_tracks_explicit():
     grid = RadialGrid(1, 4.0, 128)
     reg = Regularization(eps=1e-2)
-    ic = Bump(P_A, m=1 / 96, R0=1.0)
-    kw = dict(t_end=0.01, tol_ext=1e-12)
-    r_ex = run(P_A, grid, reg, ic, SolverConfig(scheme="explicit", **kw))
-    dt = 0.5 * stable_dt(grid, P_A, reg, ic.sample(grid.r_cells))
-    r_si = run(P_A, grid, reg, ic, SolverConfig(scheme="semi_implicit", max_dt=dt, **kw))
-    assert r_ex.outcome is Outcome.HORIZON_REACHED
-    assert r_si.outcome is Outcome.HORIZON_REACHED
-    diff = np.max(np.abs(r_ex.snapshots["u"][-1] - r_si.snapshots["u"][-1]))
-    assert diff <= 1e-3 * r_ex.sup0
+    u0 = Bump(P_A, m=1 / 96, R0=1.0).sample(grid.r_cells)
+    dt = 0.5 * stable_dt(grid, P_A, reg, u0)
+    n = round(0.01 / dt)
+    *_, u_ex = _states_at_one_dt("explicit", P_A, grid, reg, u0, dt, n)
+    *_, u_si = _states_at_one_dt("semi_implicit", P_A, grid, reg, u0, dt, n)
+    assert np.max(np.abs(u_ex - u_si)) <= 1e-3 * u0.max()
 
 
 def test_vanishing_regularization_is_cauchy():
@@ -118,13 +123,17 @@ def test_extinction_detection_on_synthetic_history():
     assert detect_extinction(0.0, 1.0, 1.0, 0.0, 1e-6) == 1.0
 
 
-def test_divergence_is_reported():
+def overstep(monkeypatch, scheme):
+    """Make run step at 50 times the scheme's own bound."""
+    bound, step = SCHEMES[scheme]
+    monkeypatch.setitem(SCHEMES, scheme, (lambda *args: 50.0 * bound(*args), step))
+
+
+def test_divergence_is_reported(monkeypatch):
     grid = RadialGrid(1, 4.0, 64)
-    reg = Regularization(eps=1e-2)
-    ic = Bump(P_A, m=1 / 96, R0=1.0)
-    dt = 50.0 * stable_dt(grid, P_A, reg, ic.sample(grid.r_cells))
-    res = run(P_A, grid, reg, ic,
-              SolverConfig(t_end=1.0, fixed_dt=dt, max_steps=10_000, tol_ext=1e-12))
+    overstep(monkeypatch, "explicit")
+    res = run(P_A, grid, Regularization(eps=1e-2), Bump(P_A, m=1 / 96, R0=1.0),
+              SolverConfig(t_end=1.0, tol_ext=1e-12))
     assert res.outcome is Outcome.DIVERGED
 
 
@@ -258,16 +267,14 @@ def test_first_step_of_run_is_the_schemes_step_function(scheme, prm):
     # scheme's step function, bit for bit; criterion 4's one-shot call of
     # the explicit step (no workspace) lands on the same bits
     import vhjlab.solver as solver
-    from vhjlab.gridop import StepTerms
     grid, reg = RadialGrid(prm.N, 4.0, 64), Regularization(eps=1e-3)
     ic = Bump(prm, m=1 / 96, R0=1.0)
     u0 = ic.sample(grid.r_cells)
     bound, step = solver.SCHEMES[scheme]
     terms = StepTerms(grid, prm, reg).fill(u0)
-    dt = bound(grid, prm, reg, u0, 0.5, terms)
-    u1 = step(grid, prm, reg, u0.copy(), dt, True, terms)
-    res = run(prm, grid, reg, ic,
-              SolverConfig(t_end=dt, scheme=scheme, safety=0.5, tol_ext=1e-12))
+    dt = bound(grid, prm, reg, u0, terms)
+    u1 = step(grid, prm, reg, u0.copy(), dt, terms)
+    res = run(prm, grid, reg, ic, SolverConfig(t_end=dt, scheme=scheme, tol_ext=1e-12))
     assert (res.outcome, res.n_steps, res.t_final) == (Outcome.HORIZON_REACHED, 1, dt)
     assert res.snapshots["u"][-1].tobytes() == u1.tobytes()
     if scheme == "explicit":
@@ -284,16 +291,6 @@ def _pinned_path(name):
     from vhjlab.acceptance import BUMP_M, EPS_REFERENCE, Battery
     if name == "lifted":            # counterterm off, positivity lift
         return Battery().lifted(128)
-    if name == "no_absorption_explicit":
-        return run(P_A, RadialGrid(1, 4.0, 128), Regularization(eps=1e-3),
-                   Bump(P_A, m=BUMP_M, R0=1.0),
-                   SolverConfig(t_end=0.05, absorption=False, tol_ext=1e-7,
-                                tol_pos=1e-7, series_gradient_power=0.5))
-    if name == "no_absorption_semi_implicit":
-        return run(P_B, RadialGrid(2, 4.0, 128), Regularization(eps=1e-3),
-                   Bump(P_B, m=BUMP_M, R0=1.0),
-                   SolverConfig(t_end=0.5, scheme="semi_implicit", absorption=False,
-                                tol_ext=1e-7, tol_pos=1e-7, series_gradient_power=0.5))
     if name == "semi_implicit_p2":  # the bump_a recipe on the other scheme
         gp = (P_A.p - P_A.q - 1.0) / (P_A.p - P_A.q)
         return run(P_A, RadialGrid(1, 4.0, 128), Regularization(eps=EPS_REFERENCE),
@@ -313,8 +310,6 @@ def _pinned_path(name):
 
 @pytest.mark.parametrize("name, outcome, n_steps, T_e, digest", [
     ("lifted", "horizon_reached", 1600, None, "14b55377c8fd4b59"),
-    ("no_absorption_explicit", "horizon_reached", 237, None, "096ffc18f9b90fd4"),
-    ("no_absorption_semi_implicit", "horizon_reached", 84, None, "4e3f7875f87c3371"),
     ("semi_implicit_p2", "extinct", 567, 0.09680687400538615, "a4fd84d78043c83e"),
     ("N2_explicit", "horizon_reached", 8341, None, "03f5cd06d0392736"),
     ("N3_explicit", "extinct", 9222, 1.1217840220411834, "5736447c70fb2d9f"),
@@ -322,8 +317,8 @@ def _pinned_path(name):
 ])
 def test_remaining_paths_are_pinned(name, outcome, n_steps, T_e, digest):
     # the paths the reference pins miss, each exact to the last bit: no
-    # counterterm with a lift, no absorption on either scheme, the
-    # semi-implicit scheme at p = 2, and N = 2, 3
+    # counterterm with a lift, the semi-implicit scheme at p = 2, and
+    # N = 2, 3
     res = _pinned_path(name)
     assert (res.outcome.value, res.n_steps, res.T_e_est) == (outcome, n_steps, T_e)
     assert _series_digest(res) == digest
@@ -412,7 +407,7 @@ def _reference_series(prm, grid, reg, ic, cfg):
     """run's series, one state at a time: the library's bound and step,
     each row measured with the per-state formulas (no snapshots)."""
     import vhjlab.solver as solver
-    from vhjlab.gridop import StepTerms, face_gradient
+    from vhjlab.gridop import face_gradient
     bound, step = solver.SCHEMES[cfg.scheme]
     tol_ext, tol_pos = cfg.resolve_tols(prm, reg)
     u = ic.sample(grid.r_cells) + cfg.lift
@@ -435,13 +430,12 @@ def _reference_series(prm, grid, reg, ic, cfg):
     t, n, done = 0.0, 0, sup0 <= tol_ext
     while not done:
         terms.fill(u)
-        dt = cfg.fixed_dt or bound(grid, prm, reg, u, cfg.safety, terms)
-        dt = min(dt, cfg.max_dt or np.inf, cfg.t_end - t)
-        u = step(grid, prm, reg, u, dt, cfg.absorption, terms)
+        dt = min(bound(grid, prm, reg, u, terms), cfg.t_end - t)
+        u = step(grid, prm, reg, u, dt, terms)
         t += dt
         n += 1
         sup = float(u.max())
-        done = (not np.isfinite(sup) or sup > cfg.divergence_factor * sup0
+        done = (not np.isfinite(sup) or sup > solver.DIVERGENCE_FACTOR * sup0
                 or sup <= tol_ext or t >= cfg.t_end - 1e-12 * cfg.t_end)
         if done or n % cfg.series_stride == 0:
             record(t, u, sup)
@@ -451,10 +445,11 @@ def _reference_series(prm, grid, reg, ic, cfg):
 @pytest.mark.parametrize("gp", [None, 0.5], ids=["plain", "gradient"])
 @pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("case", ["explicit", "semi_implicit", "zero", "diverged"])
-def test_block_recorded_series_equals_the_per_state_formulas(case, stride, gp):
+def test_block_recorded_series_equals_the_per_state_formulas(monkeypatch, case, stride, gp):
     # run measures its recorded states a block at a time; every column
     # must equal the per-state formulas bit for bit, across block edges
-    # (M = 64: blocks of 128 states) and in a last, partly filled block
+    # (M = 64: blocks of 128 states; M = 1024: of 8) and in a last, partly
+    # filled block
     import vhjlab.solver as solver
     grid, reg = RadialGrid(P_A.N, 4.0, 64), Regularization(eps=1e-3)
     prm, ic = P_A, Bump(P_A, m=1 / 96, R0=1.0)
@@ -462,12 +457,12 @@ def test_block_recorded_series_equals_the_per_state_formulas(case, stride, gp):
               series_gradient_power=gp, series_gradient_floor=1e-5)
     if case == "semi_implicit":
         prm, ic = P_B, Bump(P_B, m=1 / 96, R0=1.0)
-        grid = RadialGrid(P_B.N, 4.0, 64)
-        kw.update(t_end=0.6, max_dt=1e-3, scheme="semi_implicit")
+        grid = RadialGrid(P_B.N, 4.0, 1024)
+        kw.update(t_end=0.6, scheme="semi_implicit")
     elif case == "zero":
         kw.update(tol_ext=2.0 * ic.sup())
     elif case == "diverged":
-        kw.update(fixed_dt=50.0 * stable_dt(grid, prm, reg, ic.sample(grid.r_cells)))
+        overstep(monkeypatch, "explicit")
     cfg = SolverConfig(**kw)
     res = run(prm, grid, reg, ic, cfg)
     n, rows = _reference_series(prm, grid, reg, ic, cfg)
