@@ -294,16 +294,16 @@ class Battery:
         sigma = self.shrink_super()
         cert_sigma = certify_sign(
             sigma, box=(1e-3, 0.999 * sigma.t0, 1.0001 * sigma.R, 1e3),
-            sense="super", tol=1e-10, rng=rng)
+            sense="super", rng=rng)
         tail = make_tail_sub(PROBLEM_A, T=2.0)
         cert_tail = certify_sign(
             tail, box=(1e-3, 0.999 * 2.0, 1e-3, 1e3),
-            sense="sub", tol=1e-10, rng=rng)
+            sense="sub", rng=rng)
         W, A0 = self.horizon_profile()
         W2 = SelfSimSuper(PROBLEM_B, A=0.5 * A0, T=2.0)
         cert_w = certify_sign(
             W2, box=(1e-3, 0.999 * 2.0, 1e-4, 1e3),
-            sense="super", tol=1e-10, rng=rng)
+            sense="super", rng=rng)
         passed = cert_sigma.passed and cert_tail.passed and cert_w.passed
         return passed, {"shrink_envelope": cert_sigma, "tail_floor": cert_tail,
                         "decaying_envelope": cert_w}
@@ -591,7 +591,7 @@ class Battery:
         W, _ = self.horizon_profile()
         rng = np.random.default_rng(self.seed + 4)
         cert = certify_sign(W, box=(1e-3, 0.999 * W.T, 1e-4, 50.0),
-                            sense="super", tol=1e-10, rng=rng)
+                            sense="super", rng=rng)
         res = self.run("border")
         grid = res.grid
         u0 = np.asarray(res.snapshots["u"][0])

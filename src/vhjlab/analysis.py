@@ -16,7 +16,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .exponents import ProblemParams, RegimeMismatch, derive_constants
-from .gridop import RadialGrid, Regularization, face_gradient
+from .gridop import RadialGrid, Regularization, default_gamma_lift, face_gradient
 
 
 class InsufficientPoints(ValueError):
@@ -62,11 +62,11 @@ class FitResult:
     max_log_residual: float
 
 
-def fit_exponent(t, y, T_e: float, frac: float = 0.4, skip_end: int = 5) -> FitResult:
+def fit_exponent(t, y, T_e: float) -> FitResult:
     """Least-squares slope of log y against log(T_e - t) near extinction.
 
-    The window starts at T_e - frac*(T_e - t[0]) (the last frac of the
-    lifetime) and drops the final skip_end samples, whose T_e - t is at
+    The window starts at T_e - 0.4 (T_e - t[0]) (the last 40% of the
+    lifetime) and drops the final 5 samples, whose T_e - t is at
     stepping noise level; nonpositive samples, which have no logarithm,
     are dropped.  Fewer than 8 usable samples raise InsufficientPoints.
     """
@@ -74,11 +74,9 @@ def fit_exponent(t, y, T_e: float, frac: float = 0.4, skip_end: int = 5) -> FitR
     y = np.asarray(y, dtype=float)
     if t.size != y.size:
         raise ValueError("t and y must have matching length")
-    lo = T_e - frac * (T_e - t[0])
+    lo = T_e - 0.4 * (T_e - t[0])
     keep = (t >= lo) & (t < T_e) & (y > 0.0)
-    if skip_end > 0:
-        live = np.nonzero(keep)[0]
-        keep[live[-skip_end:]] = False
+    keep[np.nonzero(keep)[0][-5:]] = False
     n = int(keep.sum())
     if n < 8:
         raise InsufficientPoints(
@@ -93,9 +91,10 @@ def fit_exponent(t, y, T_e: float, frac: float = 0.4, skip_end: int = 5) -> FitR
 
 
 def default_domination_tol(problem: ProblemParams, reg: Regularization) -> float:
-    """Comparison slack 10 eps^min(q, gamma_lift): the regularization-induced
-    offset between the computed flow and the unregularized one."""
-    return 10.0 * reg.eps ** min(problem.q, reg.resolve_gamma_lift(problem))
+    """Comparison slack 10 eps^default_gamma_lift(problem): the
+    regularization-induced offset between the computed flow and the
+    unregularized one."""
+    return 10.0 * reg.eps ** default_gamma_lift(problem)
 
 
 @dataclass
@@ -232,17 +231,16 @@ class JDiagnostic:
 
 
 def j_diagnostic(grid: RadialGrid, problem: ProblemParams, snap_t, snap_u,
-                 tol_pos: float, R0: float,
-                 delta_probe: Optional[float] = None) -> JDiagnostic:
+                 tol_pos: float, R0: float) -> JDiagnostic:
     """Track the flatness floor over a run and probe the flux balance.
 
     A cell is admitted when u > 10 tol_pos and 2 dr < r < R0: the factor
     of ten keeps tolerance-level fringe out, the inner cut drops the
     cells where the discrete gradient of a radial profile is 0/0 noise.
-    delta_probe defaults to half the floor of the first admitted
-    snapshot.  The probe passes when the balance J stays at or below
-    10 tol_pos scale on every admitted cell, scale being the
-    sum of the magnitudes of J's two parts.  Raises EmptySupport when no
+    The probe coefficient delta_probe is half the floor of the first
+    admitted snapshot.  The probe passes when the balance J stays at or
+    below 10 tol_pos scale on every admitted cell, scale being the sum of
+    the magnitudes of J's two parts.  Raises EmptySupport when no
     snapshot has an admitted cell.
     """
     c = derive_constants(problem)
@@ -258,8 +256,7 @@ def j_diagnostic(grid: RadialGrid, problem: ProblemParams, snap_t, snap_u,
         counts.append(n)
     if not ts:
         raise EmptySupport("no cells above the positivity filter in any snapshot")
-    if delta_probe is None:
-        delta_probe = 0.5 * deltas[0]
+    delta_probe = 0.5 * deltas[0]
 
     r = grid.r_cells
     max_excess, worst_t = -np.inf, float("nan")

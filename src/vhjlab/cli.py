@@ -199,9 +199,7 @@ def analyze_run_dir(run_dir: Path) -> dict:
     if T_e is not None:
         for quantity in ("sup", "support_radius"):
             try:
-                fit = fit_exponent(series["t"], series[quantity], T_e,
-                                   frac=exp.analysis["fit_frac"],
-                                   skip_end=exp.analysis["fit_skip_end"])
+                fit = fit_exponent(series["t"], series[quantity], T_e)
             except InsufficientPoints as exc:
                 report["fits"].append({"quantity": quantity,
                                        "error": str(exc)})
@@ -221,8 +219,7 @@ def analyze_run_dir(run_dir: Path) -> dict:
     if exp.analysis["j_R0"] is not None:
         try:
             diag = j_diagnostic(exp.grid, exp.problem, snap_t, snap_u,
-                                summary["tol_pos"], R0=exp.analysis["j_R0"],
-                                delta_probe=exp.analysis["j_delta_probe"])
+                                summary["tol_pos"], R0=exp.analysis["j_R0"])
             report["j_diagnostic"] = jsonable(diag)
         except EmptySupport as exc:
             report["j_diagnostic"] = {"error": str(exc)}

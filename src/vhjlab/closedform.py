@@ -294,6 +294,11 @@ def operator_terms(profile, t, r):
     return (dt, diff, drift, absorb), dr
 
 
+# relative margin a certificate forgives: L may miss its sign by this
+# fraction of the local operator scale (floating-point cancellation)
+CERT_TOL = 1e-10
+
+
 @dataclass
 class CertReport:
     """Outcome of sampling sign(L z) over a box."""
@@ -311,17 +316,16 @@ class CertReport:
 
 
 def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
-                 n_t: int = 24, n_r: int = 96,
-                 tol: float = 1e-10, rng=None):
+                 n_t: int = 24, n_r: int = 96, rng=None):
     """Sample L z over box = (t_lo, t_hi, r_lo, r_hi) and certify its sign.
 
     Margins are measured relative to the local operator scale (the sum of
     the magnitudes of the four terms), so a certificate means "L has the
-    right sign up to tol of the sizes actually involved".  Kink-adjacent
-    samples are excluded and counted.  The radial lattice is logarithmic
-    when the box spans more than a factor 50 in r, linear otherwise.  rng
-    adds jitter inside the sample lattice; without it the lattice is
-    deterministic.
+    right sign up to CERT_TOL of the sizes actually involved".
+    Kink-adjacent samples are excluded and counted.  The radial lattice is
+    logarithmic when the box spans more than a factor 50 in r, linear
+    otherwise.  rng adds jitter inside the sample lattice; without it the
+    lattice is deterministic.
     """
     t_lo, t_hi, r_lo, r_hi = box
     if not (t_lo < t_hi and 0.0 < r_lo < r_hi):
@@ -365,8 +369,8 @@ def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
     n_live = margin.size - n_skip
     return CertReport(
         family=profile.family, params=profile.params_dict(), box=tuple(map(float, box)),
-        sense=sense, tol=tol, n_samples=n_live, n_skipped=n_skip,
-        min_margin=mn, worst_point=worst, passed=bool(n_live > 0 and mn >= -tol),
+        sense=sense, tol=CERT_TOL, n_samples=n_live, n_skipped=n_skip,
+        min_margin=mn, worst_point=worst, passed=bool(n_live > 0 and mn >= -CERT_TOL),
     )
 
 

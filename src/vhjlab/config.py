@@ -18,23 +18,21 @@ ic              kind (bump, fast_decay, fat_tail) and the parameters of
                 Bump, FastDecay or FatTail; a bump also accepts the
                 flat_certified and amplitude_bound its description adds
 grid            r_max, M of RadialGrid (N is the problem's)
-regularization  eps, counterterm, gamma_lift of Regularization; eps
-                absent or null is default_eps of the grid
+regularization  eps, counterterm of Regularization; eps absent or null
+                is default_eps of the grid
 solver          every field of SolverConfig
-analysis        fit_frac, fit_skip_end (frac, skip_end of fit_exponent),
-                j_R0 (R0 of j_diagnostic; null skips the diagnostic),
-                j_delta_probe (its delta_probe), domination: a list of
-                {profile, sense, tol, r_window} for check_domination
+analysis        j_R0 (R0 of j_diagnostic; null skips the diagnostic),
+                domination: a list of {profile, sense, tol, r_window}
+                for check_domination
 output          dir (null: the config's path without its suffix)
-seed            an integer, default 0
 
 A profile object (residual, domination) has a kind and the parameters
 of its builder: barrier (Barrier), shrink_envelope (make_shrink_super),
 tail_floor (make_tail_sub) or decaying_envelope (make_selfsim_super).
 A domination r_window is two numbers lo < hi with at least one cell
 centre of the grid between them.  A residual config holds
-problem, profile, box, sense, tol, n_t and n_r of certify_sign, seed and
-output.
+problem, profile, box, sense, n_t and n_r of certify_sign, seed (a
+non-negative integer for the sampling jitter) and output.
 """
 
 from __future__ import annotations
@@ -49,11 +47,11 @@ from typing import (Callable, Literal, NamedTuple, Optional, get_args, get_origi
 
 import numpy as np
 
-from .analysis import check_domination, fit_exponent, j_diagnostic, window_cells
+from .analysis import check_domination, window_cells
 from .closedform import Barrier, certify_sign, make_selfsim_super, \
     make_shrink_super, make_tail_sub
 from .exponents import ProblemParams, validate_params
-from .gridop import RadialGrid, Regularization, default_eps
+from .gridop import RadialGrid, Regularization, default_eps, default_gamma_lift
 from .solver import Bump, FastDecay, FatTail, SolverConfig
 
 
@@ -79,6 +77,12 @@ def _pop(sec: dict, path: str, key: str):
 def _as_int(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{label}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_seed(value, label: str) -> int:
+    if _as_int(value, label) < 0:
+        raise ConfigError(f"{label}: expected a non-negative integer, got {value!r}")
     return value
 
 
@@ -237,14 +241,11 @@ _PROFILES = {kind: (make, _keys(make, skip=_CONTEXT))
                                 ("shrink_envelope", make_shrink_super),
                                 ("tail_floor", make_tail_sub),
                                 ("decaying_envelope", make_selfsim_super))}
-_SEED = _Key("seed", _as_int, 0)
-_ANALYSIS = (_keys(fit_exponent, ("frac", "skip_end"), prefix="fit_")
-             + (_Key("j_R0", _check(Optional[float]), None),)  # null: no J run
-             + _keys(j_diagnostic, ("delta_probe",), prefix="j_"))
+_ANALYSIS = (_Key("j_R0", _check(Optional[float]), None),)  # null: no J run
 _DOMINATION = _keys(check_domination, ("sense", "tol", "r_window"))
 _OUTPUT = (_Key("dir", _check(Optional[str]), None),)
-_RESIDUAL = (_keys(certify_sign, ("box", "sense", "tol", "n_t", "n_r"))
-             + (_SEED, _Key("output", _check(Optional[str]), None)))
+_RESIDUAL = (_keys(certify_sign, ("box", "sense", "n_t", "n_r"))
+             + (_Key("seed", _as_seed, 0), _Key("output", _check(Optional[str]), None)))
 _SWEEP_DIR = (_Key("dir", _as_str, "sweep-runs"),)
 
 
@@ -259,7 +260,6 @@ class Experiment:
     cfg: SolverConfig
     analysis: dict
     out_dir: Optional[str]
-    seed: int
     resolved: dict
 
 
@@ -318,8 +318,8 @@ def resolve_experiment(doc: dict) -> Experiment:
     if reg_sec.get("eps") is None:
         reg_sec["eps"] = default_eps(grid)
     reg = _build(*_REG, reg_sec, "regularization")
-    with _config_errors("regularization"):
-        gamma_lift = reg.resolve_gamma_lift(problem)
+    with _config_errors("problem"):     # a run needs the lift's window
+        default_gamma_lift(problem)
     cfg = _build(*_SOLVER, _section(doc, "solver"), "solver")
     an_sec = _section(doc, "analysis", required=False)
     domination = an_sec.pop("domination", [])
@@ -327,21 +327,18 @@ def resolve_experiment(doc: dict) -> Experiment:
     domination_checks(problem, grid, domination)
     out_dir = _read(_section(doc, "output", required=False), "output",
                     _OUTPUT)["dir"]
-    seed = _read(doc, "", (_SEED,))["seed"]
+    _read(doc, "", ())              # a key left at the top level is unknown
 
     tol_ext, tol_pos = cfg.resolve_tols(problem, reg)
     resolved = {
         "problem": {"N": problem.N, "p": problem.p, "q": problem.q},
         "ic": ic.describe(),
         "grid": {"r_max": grid.r_max, "M": grid.M},
-        "regularization": {"eps": reg.eps, "counterterm": reg.counterterm,
-                           "gamma_lift": gamma_lift},
+        "regularization": {"eps": reg.eps, "counterterm": reg.counterterm},
         "solver": {**asdict(cfg), "tol_ext": tol_ext, "tol_pos": tol_pos,
                    "snapshot_times": list(cfg.snapshot_times)},
         "analysis": analysis,
         "output": {"dir": out_dir},
-        "seed": seed,
     }
     return Experiment(problem=problem, grid=grid, reg=reg, ic=ic, cfg=cfg,
-                      analysis=analysis, out_dir=out_dir, seed=seed,
-                      resolved=resolved)
+                      analysis=analysis, out_dir=out_dir, resolved=resolved)

@@ -113,43 +113,32 @@ class RadialGrid:
         return self._unit_mobility_rows
 
 
-def _gamma_lift_top(problem: ProblemParams) -> float:
-    """Top of the admissible gamma_lift window (0, min(p/4, q/2, p-1, 1-q))."""
-    return min(problem.p / 4.0, problem.q / 2.0, problem.p - 1.0, 1.0 - problem.q)
-
-
 def default_gamma_lift(problem: ProblemParams) -> float:
-    """Default exponent for the eps^gamma positivity lift: 80% of the window top."""
-    return 0.8 * _gamma_lift_top(problem)
+    """Exponent of the eps^gamma positivity lift: 80% of the top of its
+    window (0, min(p/4, q/2, p-1, 1-q)), which is empty unless q < 1.
+
+    The lift enters the default tolerances (default_domination_tol).
+    """
+    if not problem.q < 1.0:
+        raise ExponentOutOfRange(f"the positivity lift needs q < 1, got q = {problem.q}")
+    return 0.8 * min(problem.p / 4.0, problem.q / 2.0, problem.p - 1.0, 1.0 - problem.q)
 
 
 @dataclass
 class Regularization:
-    """Gradient regularization strength and the knobs tied to it.
+    """Gradient regularization strength and the knob tied to it.
 
     eps enters both coefficient laws through z + eps^2.  counterterm=True
     subtracts eps^q from the absorption so constants are steady states of
-    the regularized flow.  gamma_lift is the exponent of the eps^gamma_lift
-    positivity floor and enters the default tolerances
-    (default_domination_tol); None defers to default_gamma_lift at the
-    point of use.
+    the regularized flow.
     """
 
     eps: float
     counterterm: bool = True
-    gamma_lift: Optional[float] = None
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ExponentOutOfRange(f"eps must be positive, got {self.eps}")
-
-    def resolve_gamma_lift(self, problem: ProblemParams) -> float:
-        top = _gamma_lift_top(problem)
-        g = self.gamma_lift if self.gamma_lift is not None else default_gamma_lift(problem)
-        if not 0.0 < g < top:
-            raise ExponentOutOfRange(
-                f"gamma_lift = {g} outside (0, {top}) = (0, min(p/4, q/2, p-1, 1-q))")
-        return g
 
 
 def default_eps(grid: RadialGrid) -> float:

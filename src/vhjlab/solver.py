@@ -148,6 +148,8 @@ class FastDecay:
     kind = "fast_decay"
 
     def __init__(self, problem: ProblemParams, C: float, theta: float):
+        if not problem.q < 1.0:
+            raise DataShapeError(f"tail data needs q < 1, got q = {problem.q}")
         thr = problem.q / (1.0 - problem.q)
         if C <= 0:
             raise DataShapeError(f"need C > 0, got {C}")
@@ -175,6 +177,8 @@ class FatTail:
     kind = "fat_tail"
 
     def __init__(self, problem: ProblemParams, C: float, rho: float):
+        if not problem.q < 1.0:
+            raise DataShapeError(f"tail data needs q < 1, got q = {problem.q}")
         thr = problem.q / (1.0 - problem.q)
         if C <= 0:
             raise DataShapeError(f"need C > 0, got {C}")
@@ -209,10 +213,11 @@ class Outcome(Enum):
 class SolverConfig:
     """Knobs for a single run; None tolerances resolve against eps.
 
-    tol_ext defaults to 10 eps^min(q, gamma_lift), the floor below which
-    the regularized dynamics cannot distinguish a state from zero; tol_pos
-    defaults to tol_ext.  series_stride thins the time series, snapshots
-    are taken at the listed times (plus start and final state).
+    tol_ext defaults to 10 eps^default_gamma_lift(problem), the floor
+    below which the regularized dynamics cannot distinguish a state from
+    zero; tol_pos defaults to tol_ext.  series_stride thins the time
+    series, snapshots are taken at the listed times (plus start and final
+    state).
     lift adds a constant floor to the data (for diagnostics on strictly
     positive states).
     """

@@ -124,7 +124,7 @@ def test_check_domination_senses():
 
 def test_default_domination_tol():
     reg = Regularization(eps=1e-4)
-    # min(q, gamma_lift) = min(0.5, 0.2) = 0.2
+    # default_gamma_lift = 0.8 min(p/4, q/2, p-1, 1-q) = 0.8 * 0.25 = 0.2
     assert abs(default_domination_tol(P_A, reg) - 10 * (1e-4) ** 0.2) <= 1e-12
 
 
@@ -197,10 +197,12 @@ def test_j_diagnostic_traces_floor_and_probes_balance():
     # half the floor keeps the balance nonpositive everywhere admitted
     assert diag.passed and diag.max_excess <= 0.0
 
-    # a probe far above the floor must push the balance positive
-    hot = j_diagnostic(grid, P_A, [0.0], snaps[:1], tol_pos, R0=1.0,
-                       delta_probe=10.0 * d0)
-    assert not hot.passed and hot.max_excess > 0.0
+    # a later snapshot far flatter than half the first floor pushes the
+    # balance positive: u scaled by 1e-3 scales the floor by (1e-3)^(1/3)
+    flat = [snaps[0], 1e-3 * snaps[0]]
+    hot = j_diagnostic(grid, P_A, [0.0, 0.1], flat, tol_pos, R0=1.0)
+    assert hot.delta[1] < 0.5 * hot.delta[0] == hot.delta_probe
+    assert not hot.passed and hot.max_excess > 0.0 and hot.worst_t == 0.1
 
     with pytest.raises(EmptySupport):
         j_diagnostic(grid, P_A, [0.0], [np.zeros(grid.M)], tol_pos, R0=1.0)

@@ -276,7 +276,7 @@ def test_residual_pass_and_fail_exit_codes(tmp_path, capsys):
     ok = {"problem": {"N": 1, "p": 2.0, "q": 0.5},
           "profile": {"kind": "barrier"},
           "box": [0.0, 1.0, 0.001, 1000.0],
-          "sense": "super", "tol": 1e-10}
+          "sense": "super"}
     assert main(["residual", write_config(tmp_path, ok, "ok.json")]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["passed"] is True
@@ -308,6 +308,21 @@ def test_residual_rejects_an_empty_sample_lattice(tmp_path, capsys, key, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config error: {key} must be at least 1, got {value}" in captured.err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", -1, "seed: expected a non-negative integer, got -1"),
+    ("seed", 1.5, "seed: expected an integer, got 1.5"),
+    ("tol", 1e-10, "tol: unknown key"),     # certify_sign's CERT_TOL
+])
+def test_residual_key_errors_name_their_key(tmp_path, capsys, key, value, message):
+    doc = {"problem": {"N": 1, "p": 2.0, "q": 0.5},
+           "profile": {"kind": "barrier"},
+           "box": [0.0, 1.0, 0.001, 1000.0], "sense": "super", key: value}
+    assert main(["residual", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}\n" == captured.err
 
 
 @pytest.mark.parametrize("box", [
@@ -384,18 +399,28 @@ def test_resolve_experiment_materializes_defaults():
     solver = exp.resolved["solver"]
     assert solver["scheme"] == "explicit"
     assert solver["series_stride"] == 8
-    assert exp.resolved["regularization"]["counterterm"] is True
-    assert exp.resolved["regularization"]["gamma_lift"] is not None
-    assert exp.resolved["seed"] == 0
+    assert exp.resolved["regularization"] == {"eps": 1e-7, "counterterm": True}
+    assert exp.resolved["analysis"] == {"j_R0": None, "domination": []}
+    assert sorted(exp.resolved) == ["analysis", "grid", "ic", "output", "problem",
+                                    "regularization", "solver"]
 
 
-SOLVER_CONSTANTS = ("safety", "fixed_dt", "max_dt", "max_steps", "divergence_factor")
+# keys that are constants of the library now, not config keys
+REMOVED_KEYS = ({("solver", key) for key in
+                 ("safety", "fixed_dt", "max_dt", "max_steps", "divergence_factor")}
+                | {("regularization", "gamma_lift"), ("analysis", "fit_frac"),
+                   ("analysis", "fit_skip_end"), ("analysis", "j_delta_probe"),
+                   ("", "seed")})
 
 
 @pytest.mark.parametrize("section, key, value", [
     ("solver", "scheme", "crank_nicolson"),
     ("solver", "safety", -0.5),
     ("regularization", "gamma_lift", 5.0),
+    ("analysis", "fit_frac", 0.0),
+    ("analysis", "fit_skip_end", -1),
+    ("analysis", "j_delta_probe", -1.0),
+    ("", "seed", -1),
     ("ic", "m", math.nan),
     ("solver", "t_end", math.inf),
     ("problem", "q", math.nan),
@@ -412,17 +437,33 @@ SOLVER_CONSTANTS = ("safety", "fixed_dt", "max_dt", "max_steps", "divergence_fac
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, section, key, value):
     doc = json.loads(json.dumps(BASE))
-    doc[section][key] = value
+    (doc.setdefault(section, {}) if section else doc)[key] = value
     assert main(["simulate", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
-    if key in SOLVER_CONSTANTS:
-        # step settings that are constants of the solver, not keys
-        assert f"config error: solver.{key}: unknown key" in err
+    if (section, key) in REMOVED_KEYS:
+        path = f"{section}.{key}" if section else key
+        assert f"config error: {path}: unknown key" in err
     elif isinstance(value, float) and not math.isfinite(value):
         # json writes NaN and Infinity, and reads them back
         assert f"config error: {section}.{key}: expected a finite number, got {value}" in err
     else:
         assert f"config error: {section}: " in err and key in err
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("q, ic, message", [
+    (1.0, {"kind": "fast_decay", "C": 1.0, "theta": 3.0},
+     "ic: tail data needs q < 1, got q = 1.0"),
+    (1.0, {"kind": "fat_tail", "C": 1.0, "rho": 0.5},
+     "ic: tail data needs q < 1, got q = 1.0"),
+    (1.5, {"kind": "bump", "m": 0.01, "R0": 1.0, "power": 2.0},
+     "problem: the positivity lift needs q < 1, got q = 1.5"),
+])
+def test_runs_at_q_one_and_above_are_config_errors(tmp_path, capsys, q, ic, message):
+    doc = json.loads(json.dumps(BASE))
+    doc["problem"]["q"], doc["ic"] = q, ic
+    assert main(["simulate", write_config(tmp_path, doc)]) == 2
+    assert f"config error: {message}\n" == capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
 
 

@@ -9,9 +9,39 @@ from pathlib import Path
 import pytest
 
 import vhjlab
+from vhjlab import config
 from vhjlab.acceptance import RECIPES, Battery
 from vhjlab.cli import main, write_run_dir
 from vhjlab.config import resolve_experiment, with_overrides
+
+
+def test_the_config_schema_is_pinned():
+    # every config key, section by section: adding or removing one is an
+    # edit here
+    def names(keys):
+        return [key.name for key in keys]
+    assert {section: names(keys) for section, (_, keys) in (
+        ("problem", config._PROBLEM), ("grid", config._GRID),
+        ("regularization", config._REG), ("solver", config._SOLVER))} == {
+        "problem": ["N", "p", "q"],
+        "grid": ["r_max", "M"],
+        "regularization": ["eps", "counterterm"],
+        "solver": ["t_end", "scheme", "tol_ext", "tol_pos", "series_stride",
+                   "snapshot_times", "lift", "series_gradient_power",
+                   "series_gradient_floor"],
+    }
+    assert {kind: names(keys) for kind, (_, keys) in config._IC.items()} == {
+        "bump": ["m", "R0", "power"], "fast_decay": ["C", "theta"],
+        "fat_tail": ["C", "rho"]}
+    assert {kind: names(keys) for kind, (_, keys) in config._PROFILES.items()} == {
+        "barrier": ["r0", "amplitude"],
+        "shrink_envelope": ["decay_C", "decay_theta", "sup_u0"],
+        "tail_floor": ["T", "b", "a"], "decaying_envelope": ["T", "A"]}
+    assert names(config._ANALYSIS) == ["j_R0"]          # and domination
+    assert names(config._DOMINATION) == ["sense", "tol", "r_window"]  # and profile
+    assert names(config._OUTPUT) == ["dir"]
+    assert names(config._RESIDUAL) == ["box", "sense", "n_t", "n_r", "seed", "output"]
+    assert names(config._SWEEP_DIR) == ["dir"]
 
 
 @pytest.mark.parametrize("name", sorted(RECIPES))

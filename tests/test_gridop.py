@@ -157,11 +157,12 @@ def test_grid_mass_and_validation():
 def test_regularization_validation():
     with pytest.raises(ExponentOutOfRange):
         Regularization(eps=0.0)
-    reg = Regularization(eps=1e-4, gamma_lift=0.3)
-    with pytest.raises(ExponentOutOfRange):
-        reg.resolve_gamma_lift(P_A)  # window tops out at q/2 = 0.25 here
     assert abs(default_gamma_lift(P_A) - 0.2) <= 1e-15
-    assert Regularization(eps=1e-4).resolve_gamma_lift(P_A) == default_gamma_lift(P_A)
+    # the window (0, min(p/4, q/2, p-1, 1-q)) is empty unless q < 1
+    for q in (1.0, 1.5):
+        with pytest.raises(ExponentOutOfRange,
+                           match=rf"^the positivity lift needs q < 1, got q = {q}$"):
+            default_gamma_lift(ProblemParams(1, 2.0, q))
 
 
 def test_grid_geometry_is_read_only_with_value_semantics():

@@ -1,12 +1,10 @@
 """Property tests: regime tags and the config layer's round trip and defaults."""
 
-import inspect
 import json
 from dataclasses import asdict, fields
 
 from hypothesis import example, given, settings, strategies as st
 
-from vhjlab.analysis import fit_exponent
 from vhjlab.cli import resolve_experiment
 from vhjlab.exponents import Regime, classify_regime, validate_params
 from vhjlab.solver import SolverConfig
@@ -52,7 +50,8 @@ def test_regimes_partition_the_admissible_set(N, p, q):
 
 @st.composite
 def single_point_problems(draw):
-    """(N, p, q) with q < p - 1: every initial datum and gamma_lift exists."""
+    """(N, p, q) with q < p - 1: every initial datum and the positivity lift
+    exist."""
     N = draw(st.integers(1, 3))
     p = draw(floats(max(2.0 * N / (N + 1.0), 1.1) + 0.05, 2.0))
     q = draw(floats(0.02, p - 1.05))
@@ -93,24 +92,17 @@ def test_the_solver_strategy_covers_every_field():
 @st.composite
 def experiments(draw):
     problem = draw(single_point_problems())
-    p, q = problem["p"], problem["q"]
-    top = min(p / 4.0, q / 2.0, p - 1.0, 1.0 - q)
     return {
         "problem": problem,
-        "ic": draw(initial_data(q)),
+        "ic": draw(initial_data(problem["q"])),
         "grid": {"r_max": draw(floats(0.5, 20.0)), "M": draw(st.integers(4, 4096))},
         "regularization": draw(st.fixed_dictionaries({}, optional={
             "eps": maybe(floats(1e-9, 1.0)),
-            "counterterm": st.booleans(),
-            "gamma_lift": maybe(floats(0.01 * top, 0.99 * top))})),
+            "counterterm": st.booleans()})),
         "solver": draw(st.fixed_dictionaries({"t_end": floats(1e-3, 10.0)},
                                              optional=SOLVER_OPTIONAL)),
         "analysis": draw(st.fixed_dictionaries({}, optional={
-            "fit_frac": floats(0.05, 1.0),
-            "fit_skip_end": st.integers(0, 10),
-            "j_R0": maybe(floats(0.1, 5.0)),
-            "j_delta_probe": maybe(floats(1e-6, 1.0))})),
-        "seed": draw(st.integers(0, 2 ** 31)),
+            "j_R0": maybe(floats(0.1, 5.0))})),
     }
 
 
@@ -138,6 +130,4 @@ def test_minimal_config_takes_its_defaults_from_the_library(problem, t_end):
     tol_ext, tol_pos = cfg.resolve_tols(exp.problem, exp.reg)
     assert exp.resolved["solver"] == {**asdict(cfg), "tol_ext": tol_ext,
                                       "tol_pos": tol_pos, "snapshot_times": []}
-    fit = inspect.signature(fit_exponent).parameters
-    assert exp.resolved["analysis"]["fit_frac"] == fit["frac"].default
-    assert exp.resolved["analysis"]["fit_skip_end"] == fit["skip_end"].default
+    assert exp.resolved["analysis"] == {"j_R0": None, "domination": []}

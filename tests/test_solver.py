@@ -341,15 +341,14 @@ def test_default_tolerance_is_the_domination_slack():
     from vhjlab.analysis import default_domination_tol
     from vhjlab.exponents import ExponentOutOfRange
     cfg = SolverConfig(t_end=1.0)
-    for gamma in (None, 0.1):
-        reg = Regularization(eps=1e-4, gamma_lift=gamma)
-        te, tp = cfg.resolve_tols(P_A, reg)
-        assert te == tp == default_domination_tol(P_A, reg)
-    # the window tops out at q/2 = 0.25 for P_A
+    reg = Regularization(eps=1e-4)
+    te, tp = cfg.resolve_tols(P_A, reg)
+    assert te == tp == default_domination_tol(P_A, reg)
+    # the lift's window is empty at q >= 1; an explicit tol_ext needs no lift
+    q_high = ProblemParams(1, 2.0, 1.5)
     with pytest.raises(ExponentOutOfRange):
-        cfg.resolve_tols(P_A, Regularization(eps=1e-4, gamma_lift=0.3))
-    assert SolverConfig(t_end=1.0, tol_ext=1e-6).resolve_tols(
-        P_A, Regularization(eps=1e-4, gamma_lift=0.3)) == (1e-6, 1e-6)
+        cfg.resolve_tols(q_high, reg)
+    assert SolverConfig(t_end=1.0, tol_ext=1e-6).resolve_tols(q_high, reg) == (1e-6, 1e-6)
 
 
 def _tridiagonal(seed, M, pivot):
