@@ -85,7 +85,7 @@ RECIPES = {
     # the flat bump on the p = 2 configuration, gradient column on
     "bump_a": _recipe(PROBLEM_A, {"kind": "bump", "m": BUMP_M, "R0": BUMP_R0}, 4.0,
                       EPS_REFERENCE, t_end=0.3, scheme="explicit", tol_ext=1e-7,
-                      tol_pos=1e-7, series_stride=4,
+                      tol_pos=1e-7, series_stride=2,
                       **_gradient_column(PROBLEM_A, 1e-5)),
     # the same bump on the singular-diffusion configuration
     "bump_b": _recipe(PROBLEM_B, {"kind": "bump", "m": BUMP_M, "R0": BUMP_R0}, 4.0,

@@ -357,10 +357,17 @@ def cmd_sweep(args) -> int:
     return 1 if any(res["error"] for res in results) else 0
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int, kind: str):
+    """An argparse type: a decimal integer of at least low."""
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected {kind} integer, got {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive")
+_seed = _int_at_least(0, "a non-negative")
 
 
 def main(argv=None) -> int:
@@ -390,7 +397,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run an acceptance suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=17)
+    p.add_argument("--seed", type=_seed, default=17)
     p.add_argument("--json", default=None, help="also write results here")
     p.set_defaults(fn=cmd_verify)
 

@@ -17,7 +17,8 @@ regularized flow stays above the unregularized one.
 A grid computes its geometry (dr, cell and face radii, metric weights,
 and the p = 2 diffusion row sums of the step bound) once, at construction,
 and hands out the same read-only arrays on every access; at p = 2 the
-operator and the step bound skip the unit mobility.
+operator skips the unit mobility, and the step bound, whose diffusion
+rows are then the grid's, reads the state only at the symmetry cell.
 
 The gradient terms of a state -- face gradients g, cell averages gbar,
 z = gbar^2 + eps^2 and, at p != 2, the face weights rf^(N-1) a_eps(g^2)
@@ -207,6 +208,8 @@ class StepTerms:
         self.unit_weights = problem.p == 2.0 and grid.N == 1
         if problem.p == 2.0:        # the mobility is exactly 1
             self.weights = grid.metric_faces
+            rows = grid.unit_mobility_rows
+            self._unit_rows = (float(rows[0]), float(rows.max()))
         else:
             self.weights = np.empty(faces)
             self._cell_dr = grid.metric_cells * grid.dr
@@ -249,11 +252,13 @@ class StepTerms:
             source -= self._eps_q
         return source
 
-    def source_rate(self) -> np.ndarray:
-        """q |gbar| (gbar^2+eps^2)^(q/2-1) / dr per cell; see source_rate."""
-        rate = np.abs(self.gbar, out=self._rate)
+    def source_rate(self, cells: slice) -> np.ndarray:
+        """q |gbar| (gbar^2+eps^2)^(q/2-1) / dr on the cells of a slice of
+        the cell axis; see source_rate."""
+        rate = np.abs(self.gbar[..., cells], out=self._rate[..., cells])
         rate *= self.problem.q
-        rate *= np.power(self.z, self._half_q_less_1, out=self._power)
+        rate *= np.power(self.z[..., cells], self._half_q_less_1,
+                         out=self._power[..., cells])
         rate /= self.grid.dr
         return rate
 
@@ -291,27 +296,50 @@ def source_rate(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     """
     if terms is None:
         terms = StepTerms.of(grid, problem, reg, u)
-    return terms.source_rate()
+    return terms.source_rate(slice(None))
 
 
 def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
               u: np.ndarray, terms: Optional[StepTerms] = None) -> float:
-    """Explicit-Euler step bound from the frozen-coefficient row sums.
+    """Explicit-Euler step bound: each cell's own coefficient stays
+    nonnegative.
 
-    Diffusion contributes (rf_{i+1}^(N-1) a_{i+1} + rf_i^(N-1) a_i) /
-    (r_i^(N-1) dr^2) on each cell's diagonal, the gradient source its
-    per-cell Lipschitz bound; the bound is SAFETY over the largest row
-    total.  terms, if given, is a StepTerms of (grid, problem, reg)
-    filled from u.
+    The forward Euler update u_i + dt (div_i - b_eps(gbar_i^2)) is
+    monotone when its derivative in every input cell is nonnegative.  Its
+    derivative in the cell's own value u_i is 1 - dt row_i, with row_i
+    the cell's own-cell rate:
+
+    - diffusion: (rf_{i+1}^(N-1) a_{i+1} + rf_i^(N-1) a_i) / (r_i^(N-1)
+      dr^2), the mobilities frozen at the current gradients.  At p < 2
+      the true flux derivative is a + 2 a' g^2 = a (1 + (p-2) g^2 /
+      (g^2 + eps^2)), between (p-1) a and a, so the frozen row bounds it;
+      at p = 2 the rows are the grid's unit_mobility_rows.
+    - gradient source: gbar_i = (u_(i+1) - u_(i-1)) / (2 dr) does not
+      hold u_i, except at the symmetry cell, where g_0 = 0 makes gbar_0 =
+      (u_1 - u_0) / (2 dr).  There the source adds q |gbar_0|
+      (gbar_0^2+eps^2)^(q/2-1) / (2 dr), half of cell 0's source_rate,
+      evaluated by StepTerms.source_rate on that cell alone.
+
+    The derivatives in the neighbors, dt (rf^(N-1) a / (r_i^(N-1) dr^2)
+    -+ q gbar (gbar^2+eps^2)^(q/2-1) / (2 dr)), carry dt only as a
+    factor: their sign does not depend on dt, and the eps = dr^(2/3) tie
+    of default_eps keeps them nonnegative.  So dt = SAFETY / max_i row_i
+    keeps every own-cell coefficient at least 1 - SAFETY, over all cells
+    and all states of a stack.  terms, if given, is a StepTerms of (grid,
+    problem, reg) filled from u.
     """
     if terms is None:
         terms = StepTerms.of(grid, problem, reg, u)
-    rate = terms.source_rate()
+    # cell 0's source rate: half of it is the source's own-cell derivative
+    source = terms.source_rate(slice(0, 1))
     if problem.p == 2.0:            # at p = 2 the mobility is exactly 1
-        diffusion = grid.unit_mobility_rows
+        row_0, row_max = terms._unit_rows
+        own = max(row_max, row_0 + 0.5 * float(source.max()))
     else:
         w = terms.weights
-        diffusion = np.add(w[..., 1:], w[..., :-1], out=terms._power)
-        diffusion /= terms._cell_dr
-    total = np.add(diffusion, rate, out=terms._power)
-    return SAFETY / float(total.max())
+        rows = np.add(w[..., 1:], w[..., :-1], out=terms._power)
+        rows /= terms._cell_dr
+        source *= 0.5
+        rows[..., :1] += source
+        own = float(rows.max())
+    return SAFETY / own

@@ -5,9 +5,12 @@ largest safe dt for the current state, and a step function, advancing
 the state by dt and clamping it at zero.  Both take the run's StepTerms
 workspace, filled once per step from the current state.
 
-explicit       stable_dt, then forward Euler in place (explicit_step);
-               monotone under the default eps = dr^(2/3) tie, cheapest
-               at p = 2 where the mobility is constant.
+explicit       stable_dt: SAFETY over the largest own-cell rate of the
+               update, the diffusion row sum in every cell plus the
+               gradient source's own-cell derivative at the symmetry
+               cell; then forward Euler in place (explicit_step).
+               Monotone under the default eps = dr^(2/3) tie, cheapest
+               at p = 2, where the diffusion rows are the grid's.
 semi_implicit  SAFETY / max source_rate, capped at dr, then backward
                Euler on the diffusion with mobilities frozen at the
                current gradients and the gradient source kept explicit,

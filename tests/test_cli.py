@@ -355,6 +355,15 @@ def test_verify_rejects_unknown_suite():
     assert err.value.code == 2
 
 
+def test_verify_rejects_a_negative_seed_as_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "all", "--seed", "-1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed: expected a non-negative integer, got '-1'" in captured.err
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_sweep_rejects_a_worker_count_below_one(tmp_path, workers):
     with pytest.raises(SystemExit) as err:

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from vhjlab.acceptance import PROBLEM_A, PROBLEM_B
 from vhjlab.exponents import ExponentOutOfRange, ProblemParams
 from vhjlab.closedform import Barrier
 from vhjlab.gridop import (
@@ -201,9 +202,44 @@ def test_p2_shortcut_matches_mobility_reference(N):
         source = absorption_law(gbar * gbar, prm.q, reg.eps) - reg.eps ** prm.q
         assert np.array_equal(discrete_rhs(grid, prm, reg, u), div - source)
         wa = grid.metric_faces * a
-        diffusion = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
-        rate = float(np.max(diffusion + source_rate(grid, prm, reg, u)))
-        assert stable_dt(grid, prm, reg, u) == SAFETY / rate
+        own = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
+        # the source's own-cell derivative, at the symmetry cell only
+        gbar0 = gbar[..., 0]
+        rate0 = prm.q * np.abs(gbar0) * absorption_law(gbar0 * gbar0, prm.q - 2.0,
+                                                        reg.eps) / grid.dr
+        own[..., 0] += 0.5 * rate0
+        assert stable_dt(grid, prm, reg, u) == SAFETY / float(np.max(own))
+
+
+@pytest.mark.parametrize("prm", [PROBLEM_A, PROBLEM_B, ProblemParams(2, 2.0, 0.5)],
+                         ids=["A", "B", "N2_p2"])
+def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
+    # d u_i^new / d u_i of the pre-clamp explicit update, by a forward
+    # difference in each u_i: the bound keeps it at least 1 - SAFETY (the
+    # frozen rows bound the true own-cell rate), so nonnegative, in every
+    # cell of every state of a stack.  At N = 2 and p = 2 every diffusion
+    # row is 2/dr^2, so the source's term at the symmetry cell sets dt
+    rng = np.random.default_rng(31)
+    grid = RadialGrid(prm.N, 4.0, 256)
+    reg = Regularization(eps=default_eps(grid))
+    knots = np.linspace(0.0, grid.r_max, 9)
+    h = 1e-7
+    cells = np.arange(grid.M)
+    for shape in ((), (3,)):
+        n = int(np.prod(shape))
+        u = np.array([np.interp(grid.r_cells, knots, rng.random(9) * (1.0 - knots / 4.0))
+                      for _ in range(n)]).reshape(shape + (grid.M,))
+        dt = stable_dt(grid, prm, reg, u)
+
+        def update(v):
+            return v + dt * discrete_rhs(grid, prm, reg, v)
+
+        # one perturbed copy of the state per cell
+        bumped = np.repeat(u[..., None, :], grid.M, axis=-2)
+        bumped[..., cells, cells] += h
+        own = (update(bumped)[..., cells, cells] - update(u)) / h
+        assert own.shape == u.shape
+        assert own.min() >= 1.0 - SAFETY - 1e-6
 
 
 @pytest.mark.parametrize("p", [2.0, 1.8])
