@@ -180,7 +180,8 @@ class StepTerms:
     are the grid's read-only metric_faces.  The buffers are allocated
     once, for states of shape shape + (M,).
 
-    absorption and source_rate each return their own buffer; discrete_rhs
+    absorption and source_rate each return their own buffer
+    (origin_source_rate the first cell of source_rate's); discrete_rhs
     writes its fluxes into face_scratch (at N = 1 and p = 2, where every
     weight is 1.0, it differences g itself) and returns cell_scratch.  Those
     two are free for a caller's own use otherwise: the semi-implicit
@@ -219,6 +220,8 @@ class StepTerms:
         self._source = np.empty(cells)
         self._rate = np.empty(cells)
         self._power = np.empty(cells)
+        # the symmetry cell's gbar, z and source_rate buffers, as views
+        self._origin = tuple(a[..., :1] for a in (self.gbar, self.z, self._rate, self._power))
         # the left and right faces of every cell, as views
         self._g_left, self._g_right = self.g[..., :-1], self.g[..., 1:]
         self._flux_left = self.face_scratch[..., :-1]
@@ -252,13 +255,18 @@ class StepTerms:
             source -= self._eps_q
         return source
 
-    def source_rate(self, cells: slice) -> np.ndarray:
-        """q |gbar| (gbar^2+eps^2)^(q/2-1) / dr on the cells of a slice of
-        the cell axis; see source_rate."""
-        rate = np.abs(self.gbar[..., cells], out=self._rate[..., cells])
+    def source_rate(self) -> np.ndarray:
+        """q |gbar| (gbar^2+eps^2)^(q/2-1) / dr per cell; see source_rate."""
+        return self._source_rate(self.gbar, self.z, self._rate, self._power)
+
+    def origin_source_rate(self) -> np.ndarray:
+        """source_rate at the symmetry cell alone, shape shape + (1,)."""
+        return self._source_rate(*self._origin)
+
+    def _source_rate(self, gbar, z, rate, power) -> np.ndarray:
+        np.abs(gbar, out=rate)
         rate *= self.problem.q
-        rate *= np.power(self.z[..., cells], self._half_q_less_1,
-                         out=self._power[..., cells])
+        rate *= np.power(z, self._half_q_less_1, out=power)
         rate /= self.grid.dr
         return rate
 
@@ -296,7 +304,7 @@ def source_rate(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     """
     if terms is None:
         terms = StepTerms.of(grid, problem, reg, u)
-    return terms.source_rate(slice(None))
+    return terms.source_rate()
 
 
 def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
@@ -318,7 +326,7 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
       hold u_i, except at the symmetry cell, where g_0 = 0 makes gbar_0 =
       (u_1 - u_0) / (2 dr).  There the source adds q |gbar_0|
       (gbar_0^2+eps^2)^(q/2-1) / (2 dr), half of cell 0's source_rate,
-      evaluated by StepTerms.source_rate on that cell alone.
+      which StepTerms.origin_source_rate evaluates on that cell alone.
 
     The derivatives in the neighbors, dt (rf^(N-1) a / (r_i^(N-1) dr^2)
     -+ q gbar (gbar^2+eps^2)^(q/2-1) / (2 dr)), carry dt only as a
@@ -331,7 +339,7 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     if terms is None:
         terms = StepTerms.of(grid, problem, reg, u)
     # cell 0's source rate: half of it is the source's own-cell derivative
-    source = terms.source_rate(slice(0, 1))
+    source = terms.origin_source_rate()
     if problem.p == 2.0:            # at p = 2 the mobility is exactly 1
         row_0, row_max = terms._unit_rows
         own = max(row_max, row_0 + 0.5 * float(source.max()))
