@@ -10,9 +10,10 @@ diffusion term is the conservative flux difference
 with face gradients g_j = (u_j - u_{j-1})/dr, mobility a_eps(z) =
 (z + eps^2)^((p-2)/2), and a Dirichlet-zero ghost beyond the outer face.
 The gradient source uses cell-averaged face gradients and b_eps(z) =
-(z + eps^2)^(q/2); with the counterterm enabled the constant eps^q is
-subtracted so flat states have exactly zero absorption and the
-regularized flow stays above the unregularized one.
+(z + eps^2)^(q/2); with the counterterm enabled the constant b_eps(0) =
+eps^q is subtracted, computed by the same array power as the absorption,
+so flat states have exactly zero absorption and the regularized flow
+stays above the unregularized one.
 
 A grid computes its geometry (dr, cell and face radii, metric weights,
 and the p = 2 diffusion row sums of the step bound) once, at construction,
@@ -130,8 +131,10 @@ class Regularization:
     """Gradient regularization strength and the knob tied to it.
 
     eps enters both coefficient laws through z + eps^2.  counterterm=True
-    subtracts eps^q from the absorption so constants are steady states of
-    the regularized flow.
+    subtracts b_eps(0) = (eps^2)^(q/2) from the absorption, taken by the
+    same array power that evaluates the absorption, so constants are
+    steady states of the regularized flow to the last bit (a scalar
+    eps ** q differs from it by an ulp for some q).
     """
 
     eps: float
@@ -198,9 +201,13 @@ class StepTerms:
         # per-run constants, each with the expression of its use
         q = problem.q
         self._eps2 = reg.eps * reg.eps
-        self._eps_q = reg.eps ** q if reg.counterterm else None
         self._half_q = q / 2.0
         self._half_q_less_1 = q / 2.0 - 1.0
+        # the counterterm is b_eps at zero gradient, (eps^2)^(q/2), taken by
+        # the same array power absorption applies: a flat state's
+        # absorption is then exactly zero
+        self._eps_q = (np.power(np.full(1, self._eps2), self._half_q).item()
+                       if reg.counterterm else None)
         self.g = np.empty(faces)
         self.gbar = np.empty(cells)
         self.z = np.empty(cells)
@@ -249,7 +256,7 @@ class StepTerms:
         return self
 
     def absorption(self) -> np.ndarray:
-        """b_eps(gbar^2) per cell, less eps^q with the counterterm."""
+        """b_eps(gbar^2) per cell, less b_eps(0) with the counterterm."""
         source = np.power(self.z, self._half_q, out=self._source)
         if self._eps_q is not None:
             source -= self._eps_q

@@ -104,6 +104,22 @@ def test_constant_state_is_steady_inside():
     assert rhs[-1] < 0.0
 
 
+@pytest.mark.parametrize("q", [0.3, 0.48, 0.5, 0.6, 0.9])
+@pytest.mark.parametrize("eps", [1e-7, 1e-6])
+@pytest.mark.parametrize("N, p", [(1, 2.0), (2, 1.8)], ids=["N1_p2", "N2_p1.8"])
+def test_uniform_states_are_exactly_steady_with_the_counterterm(N, p, eps, q):
+    # a flat state has zero gradients off the outer face, so only the last
+    # cell sees the zero ghost; everywhere else the counterterm must cancel
+    # the absorption b_eps(0) to the bit, or the flat state would move
+    grid = RadialGrid(N, 4.0, 64)
+    prm = ProblemParams(N, p, q)
+    u = np.full(grid.M, 0.3)
+    on = discrete_rhs(grid, prm, Regularization(eps=eps), u)
+    assert np.all(on[:-1] == 0.0)
+    off = discrete_rhs(grid, prm, Regularization(eps=eps, counterterm=False), u)
+    assert np.all(off[:-1] == -absorption_law(np.zeros(grid.M - 1), q, eps))
+
+
 def test_counterterm_sign():
     grid = RadialGrid(1, 4.0, 64)
     reg_on = Regularization(eps=1e-2, counterterm=True)
