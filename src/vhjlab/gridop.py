@@ -19,12 +19,14 @@ A grid computes its geometry (dr, cell and face radii, metric weights,
 and the p = 2 diffusion row sums of the step bound) once, at construction,
 and hands out the same read-only arrays on every access; at p = 2 the
 operator skips the unit mobility, and the step bound, whose diffusion
-rows are then the grid's, reads the state only at the symmetry cell.
+rows are then the grid's, reads the state only at the symmetry cell: for
+one state, as two Python floats (gbar_0 and the power of z_0).
 
 The gradient terms of a state -- face gradients g, cell averages gbar,
 z = gbar^2 + eps^2 and, at p != 2, the face weights rf^(N-1) a_eps(g^2)
--- live in a StepTerms workspace: its buffers are allocated once and
-refilled from each new state by one face_gradient call.  discrete_rhs,
+-- live in a StepTerms workspace: its buffers, and the views of them that
+its fill and readers use, are made once, and fill refills them from each
+new state by face_gradient's formula on those views.  discrete_rhs,
 stable_dt and source_rate read them from an optional terms argument;
 without one, each builds a one-shot workspace from u, so every formula
 has one home and the result is the same to the last bit either way.  A
@@ -168,20 +170,30 @@ def face_gradient(grid: RadialGrid, u: np.ndarray,
     u = np.asarray(u, dtype=float)
     g = np.empty(u.shape[:-1] + (grid.M + 1,)) if out is None else out
     g[..., 0] = 0.0
-    inner = np.subtract(u[..., 1:], u[..., :-1], out=g[..., 1:-1])
-    inner /= grid.dr
-    np.divide(u[..., -1:], -grid.dr, out=g[..., -1:])
+    _face_differences(u, g[..., 1:-1], g[..., -1:], grid.dr)
     return g
+
+
+def _face_differences(u: np.ndarray, inner: np.ndarray, outer: np.ndarray, dr: float):
+    """face_gradient's formula off the symmetry face: (u_j - u_(j-1))/dr
+    into inner, the faces between cells, and -u_(M-1)/dr, the difference
+    against the zero ghost, into outer."""
+    np.subtract(u[..., 1:], u[..., :-1], out=inner)
+    inner /= dr
+    np.divide(u[..., -1:], -dr, out=outer)
 
 
 class StepTerms:
     """Workspace holding the gradient terms of one state.
 
-    fill(u) computes, through one face_gradient call, the face gradients
-    g, the cell averages gbar = (g_i + g_(i+1))/2, z = gbar^2 + eps^2 and,
-    at p != 2, the face weights rf^(N-1) a_eps(g^2); at p = 2 the weights
-    are the grid's read-only metric_faces.  The buffers are allocated
-    once, for states of shape shape + (M,).
+    fill(u) computes the face gradients g by face_gradient's formula, the
+    cell averages gbar = (g_i + g_(i+1))/2, z = gbar^2 + eps^2 and, at
+    p != 2, the face weights rf^(N-1) a_eps(g^2); at p = 2 the weights are
+    the grid's read-only metric_faces.  The buffers are allocated once,
+    for states of shape shape + (M,), together with the views fill and
+    the readers use (the faces left and right of each cell, the faces
+    off the symmetry face, cell 0), so a fill or a read slices nothing;
+    the symmetry face of g is zeroed once, and fill writes only the rest.
 
     absorption and source_rate each return their own buffer
     (origin_source_rate the first cell of source_rate's); discrete_rhs
@@ -200,6 +212,7 @@ class StepTerms:
         cells = tuple(shape) + (grid.M,)
         # per-run constants, each with the expression of its use
         q = problem.q
+        self._dr = grid.dr
         self._eps2 = reg.eps * reg.eps
         self._half_q = q / 2.0
         self._half_q_less_1 = q / 2.0 - 1.0
@@ -208,7 +221,7 @@ class StepTerms:
         # absorption is then exactly zero
         self._eps_q = (np.power(np.full(1, self._eps2), self._half_q).item()
                        if reg.counterterm else None)
-        self.g = np.empty(faces)
+        self.g = np.zeros(faces)
         self.gbar = np.empty(cells)
         self.z = np.empty(cells)
         # at N = 1 and p = 2 every face weight is exactly 1.0 (r^0, unit
@@ -227,9 +240,13 @@ class StepTerms:
         self._source = np.empty(cells)
         self._rate = np.empty(cells)
         self._power = np.empty(cells)
+        # one state's bound reads cell 0 as scalars (origin_source_rate_max)
+        self._single = not shape
         # the symmetry cell's gbar, z and source_rate buffers, as views
         self._origin = tuple(a[..., :1] for a in (self.gbar, self.z, self._rate, self._power))
-        # the left and right faces of every cell, as views
+        # the faces off the symmetry face, and the left and right faces of
+        # every cell, as views
+        self._g_inner, self._g_outer = self.g[..., 1:-1], self.g[..., -1:]
         self._g_left, self._g_right = self.g[..., :-1], self.g[..., 1:]
         self._flux_left = self.face_scratch[..., :-1]
         self._flux_right = self.face_scratch[..., 1:]
@@ -242,14 +259,15 @@ class StepTerms:
         return cls(grid, problem, reg, u.shape[:-1]).fill(u)
 
     def fill(self, u: np.ndarray) -> "StepTerms":
-        g = face_gradient(self.grid, u, out=self.g)
+        # g[..., 0], the symmetry face, stays at the zero it was made with
+        _face_differences(u, self._g_inner, self._g_outer, self._dr)
         gbar = np.add(self._g_left, self._g_right, out=self.gbar)
         gbar *= 0.5
         z = np.multiply(gbar, gbar, out=self.z)
         z += self._eps2
         p = self.problem.p
         if p != 2.0:
-            w = np.multiply(g, g, out=self.weights)
+            w = np.multiply(self.g, self.g, out=self.weights)
             w += self._eps2
             np.power(w, (p - 2.0) / 2.0, out=w)
             w *= self.grid.metric_faces
@@ -264,17 +282,35 @@ class StepTerms:
 
     def source_rate(self) -> np.ndarray:
         """q |gbar| (gbar^2+eps^2)^(q/2-1) / dr per cell; see source_rate."""
-        return self._source_rate(self.gbar, self.z, self._rate, self._power)
+        return self._source_rate(np.abs(self.gbar, out=self._rate),
+                                 np.power(self.z, self._half_q_less_1, out=self._power))
 
     def origin_source_rate(self) -> np.ndarray:
         """source_rate at the symmetry cell alone, shape shape + (1,)."""
-        return self._source_rate(*self._origin)
+        gbar, z, rate, power = self._origin
+        return self._source_rate(np.abs(gbar, out=rate),
+                                 np.power(z, self._half_q_less_1, out=power))
 
-    def _source_rate(self, gbar, z, rate, power) -> np.ndarray:
-        np.abs(gbar, out=rate)
+    def origin_source_rate_max(self) -> float:
+        """The largest origin_source_rate over the states, as a float.
+
+        One state's comes from cell 0's gbar and power as Python floats;
+        the power stays numpy's, on the one-cell view, since math.pow
+        rounds differently from numpy's vectorized power.
+        """
+        if not self._single:
+            return float(self.origin_source_rate().max())
+        _, z, _, power = self._origin
+        np.power(z, self._half_q_less_1, out=power)
+        return self._source_rate(abs(self.gbar.item(0)), power.item(0))
+
+    def _source_rate(self, rate, power):
+        """The source rate's expression, from rate = |gbar| and power =
+        (gbar^2+eps^2)^(q/2-1); in place on arrays, and the same operations
+        in the same order on floats."""
         rate *= self.problem.q
-        rate *= np.power(z, self._half_q_less_1, out=power)
-        rate /= self.grid.dr
+        rate *= power
+        rate /= self._dr
         return rate
 
 
@@ -333,7 +369,8 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
       hold u_i, except at the symmetry cell, where g_0 = 0 makes gbar_0 =
       (u_1 - u_0) / (2 dr).  There the source adds q |gbar_0|
       (gbar_0^2+eps^2)^(q/2-1) / (2 dr), half of cell 0's source_rate,
-      which StepTerms.origin_source_rate evaluates on that cell alone.
+      which StepTerms.origin_source_rate evaluates on that cell alone (at
+      p = 2, origin_source_rate_max, from one state's cell-0 floats).
 
     The derivatives in the neighbors, dt (rf^(N-1) a / (r_i^(N-1) dr^2)
     -+ q gbar (gbar^2+eps^2)^(q/2-1) / (2 dr)), carry dt only as a
@@ -346,11 +383,11 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     if terms is None:
         terms = StepTerms.of(grid, problem, reg, u)
     # cell 0's source rate: half of it is the source's own-cell derivative
-    source = terms.origin_source_rate()
     if problem.p == 2.0:            # at p = 2 the mobility is exactly 1
         row_0, row_max = terms._unit_rows
-        own = max(row_max, row_0 + 0.5 * float(source.max()))
+        own = max(row_max, row_0 + 0.5 * terms.origin_source_rate_max())
     else:
+        source = terms.origin_source_rate()
         w = terms.weights
         rows = np.add(w[..., 1:], w[..., :-1], out=terms._power)
         rows /= terms._cell_dr

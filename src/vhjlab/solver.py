@@ -35,9 +35,11 @@ The series records t and sup of every series_stride-th state and of the
 last one.  Each recorded state is copied into a block of K = max(1,
 RECORD_BLOCK_CELLS // M) rows; when the block is full, and once when the
 run ends, one pass over the block measures its support radius, mass and,
-if asked for, gradient column (one face_gradient call).  Each row equals
-the per-state formula to the last bit: the mass is a row-wise pairwise
-sum, as np.sum of one state is.
+if asked for, gradient column (one face_gradient call, over the columns
+up to the block's last cell above series_gradient_floor and one more:
+the faces beyond are masked anyway).  Each row equals the per-state
+formula to the last bit: the mass is a row-wise pairwise sum, as np.sum
+of one state is, and the gradient maximum loses only masked zeros.
 """
 
 from __future__ import annotations
@@ -373,7 +375,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     # the columns grow as packed doubles, 8 bytes a value
     ser_t, ser_sup, ser_rad, ser_mass, ser_grad = (array("d") for _ in range(5))
     snap_t, snap_u = [0.0], [u.copy()]
-    gp = cfg.series_gradient_power
+    gp, floor = cfg.series_gradient_power, cfg.series_gradient_floor
     # recorded states wait in a block of K rows and are measured a block
     # at a time; a buffer holds K M cells, at most RECORD_BLOCK_CELLS (the
     # gradient's face buffers K (M + 1))
@@ -394,17 +396,24 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         ser_mass.extend(np.add.reduce(
             np.multiply(rows, metric, out=scratch[:filled]), axis=-1))
         if gp is not None:
-            v = np.power(rows, gp, out=scratch[:filled])
-            g = face_gradient(grid, v, out=g_block[:filled])
-            np.abs(g, out=g)
             # only faces between solidly positive cells: the steepness of
             # the state's interior, not of tolerance-level fringe; lo is
-            # the smaller of the two cells beside each face (zero ghost)
-            lo = lo_block[:filled]
+            # the smaller of the two cells beside each face (zero ghost).
+            # No face past the block's last column with a cell above the
+            # floor passes, so the columns stop there; the face just past
+            # it takes its lo from the next column, and the zero ghost's
+            # difference, which it masks
+            above = np.flatnonzero((rows > floor).any(axis=0))
+            cut = int(above[-1]) + 1 if above.size else 1
+            v = np.power(rows[:, :cut], gp, out=scratch[:filled, :cut])
+            g = face_gradient(grid, v, out=g_block[:filled, :cut + 1])
+            np.abs(g, out=g)
+            lo = lo_block[:filled, :cut + 1]
             lo[:, 0] = rows[:, 0]
-            np.minimum(rows[:, :-1], rows[:, 1:], out=lo[:, 1:-1])
-            np.minimum(rows[:, -1:], 0.0, out=lo[:, -1:])
-            g[~(lo > cfg.series_gradient_floor)] = 0.0
+            np.minimum(rows[:, :cut - 1], rows[:, 1:cut], out=lo[:, 1:-1])
+            np.minimum(rows[:, cut - 1:cut], rows[:, cut:cut + 1] if cut < grid.M else 0.0,
+                       out=lo[:, -1:])
+            g[~(lo > floor)] = 0.0
             ser_grad.extend(g.max(axis=-1))
         filled = 0
 

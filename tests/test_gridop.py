@@ -258,6 +258,25 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
         assert own.min() >= 1.0 - SAFETY - 1e-6
 
 
+@pytest.mark.parametrize("prm", [P_A, ProblemParams(2, 2.0, 0.5), PROBLEM_B],
+                         ids=["N1_p2", "N2_p2", "B"])
+def test_stable_dt_of_one_state_equals_that_of_a_stack_of_copies(prm):
+    # one state's bound reads cell 0 as floats, a stack's reads it as
+    # arrays: both must give the same dt to the bit, over enough states
+    # that a power rounding differently in a few percent of inputs shows.
+    # Cell 0's gradients sit near eps, where its source rate outweighs
+    # the diffusion rows and a one-ulp change in it moves dt
+    rng = np.random.default_rng(41)
+    grid = RadialGrid(prm.N, 4.0, 64)
+    reg = Regularization(eps=1e-7)
+    states = rng.random((300, grid.M))
+    states[:, 1] = states[:, 0] + (2.0 * grid.dr * reg.eps) * 10.0 ** rng.uniform(-1, 1, 300)
+    for u in states:
+        one = stable_dt(grid, prm, reg, u)
+        for n in (1, 3):
+            assert stable_dt(grid, prm, reg, np.repeat(u[None], n, axis=0)) == one
+
+
 @pytest.mark.parametrize("p", [2.0, 1.8])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_precomputed_gradient_gives_identical_results(N, p):

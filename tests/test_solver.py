@@ -223,12 +223,13 @@ def test_reference_bump_trajectories_are_pinned():
                                            ("semi_implicit", "source_rate")])
 def test_each_step_calls_its_bound_once_and_one_face_gradient(monkeypatch, scheme, bound):
     # the benchmark's step clock ticks on the solver's own stable_dt and
-    # source_rate bindings and counts face_gradient calls per step
+    # source_rate bindings and counts face_gradient calls per step; the
+    # gradient formula itself, _face_differences, runs once a step
     import vhjlab.gridop as gridop
     import vhjlab.solver as solver
     per_step = ("stable_dt", "source_rate", "discrete_rhs",
                 "_semi_implicit_matrix", "solve_banded")
-    calls = dict.fromkeys(per_step + ("face_gradient",), 0)
+    calls = dict.fromkeys(per_step + ("face_gradient", "_face_differences"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -241,6 +242,8 @@ def test_each_step_calls_its_bound_once_and_one_face_gradient(monkeypatch, schem
     fg = counted("face_gradient", gridop.face_gradient)
     monkeypatch.setattr(gridop, "face_gradient", fg)
     monkeypatch.setattr(solver, "face_gradient", fg)
+    monkeypatch.setattr(gridop, "_face_differences",
+                        counted("_face_differences", gridop._face_differences))
     prm, t_end = (P_A, 0.05) if scheme == "explicit" else (P_B, 2.0)
     res = run(prm, RadialGrid(prm.N, 4.0, 64), Regularization(eps=1e-3),
               Bump(prm, m=1 / 96, R0=1.0),
@@ -254,10 +257,13 @@ def test_each_step_calls_its_bound_once_and_one_face_gradient(monkeypatch, schem
     explicit = res.n_steps if scheme == "explicit" else 0
     assert calls["discrete_rhs"] == explicit
     assert calls["_semi_implicit_matrix"] == calls["solve_banded"] == res.n_steps - explicit
-    # one gradient per step, and one per block of recorded states with a
+    # one gradient per step, by the workspace's fill on views it made
+    # once, and one face_gradient call per block of recorded states with a
     # gradient column (K states a block, the last one partly filled)
     K = max(1, solver.RECORD_BLOCK_CELLS // 64)
-    assert calls["face_gradient"] == res.n_steps + math.ceil(len(res.series["t"]) / K)
+    blocks = math.ceil(len(res.series["t"]) / K)
+    assert calls["face_gradient"] == blocks
+    assert calls["_face_differences"] == res.n_steps + blocks
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
@@ -443,12 +449,14 @@ def _reference_series(prm, grid, reg, ic, cfg):
 
 @pytest.mark.parametrize("gp", [None, 0.5], ids=["plain", "gradient"])
 @pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("case", ["explicit", "semi_implicit", "zero", "diverged"])
+@pytest.mark.parametrize("case", ["explicit", "semi_implicit", "zero", "diverged", "lifted"])
 def test_block_recorded_series_equals_the_per_state_formulas(monkeypatch, case, stride, gp):
     # run measures its recorded states a block at a time; every column
     # must equal the per-state formulas bit for bit, across block edges
     # (M = 64: blocks of 128 states; M = 1024: of 8) and in a last, partly
-    # filled block
+    # filled block.  The gradient column stops at a block's last column
+    # with a cell above the floor; a lift keeps the last cell above it,
+    # so there that column is the grid's last
     import vhjlab.solver as solver
     grid, reg = RadialGrid(P_A.N, 4.0, 64), Regularization(eps=1e-3)
     prm, ic = P_A, Bump(P_A, m=1 / 96, R0=1.0)
@@ -462,6 +470,8 @@ def test_block_recorded_series_equals_the_per_state_formulas(monkeypatch, case, 
         kw.update(tol_ext=2.0 * ic.sup())
     elif case == "diverged":
         overstep(monkeypatch, "explicit")
+    elif case == "lifted":
+        kw.update(lift=1e-3)
     cfg = SolverConfig(**kw)
     res = run(prm, grid, reg, ic, cfg)
     n, rows = _reference_series(prm, grid, reg, ic, cfg)
