@@ -240,8 +240,6 @@ class StepTerms:
         self._source = np.empty(cells)
         self._rate = np.empty(cells)
         self._power = np.empty(cells)
-        # one state's bound reads cell 0 as scalars (origin_source_rate_max)
-        self._single = not shape
         # the symmetry cell's gbar, z and source_rate buffers, as views
         self._origin = tuple(a[..., :1] for a in (self.gbar, self.z, self._rate, self._power))
         # the faces off the symmetry face, and the left and right faces of
@@ -298,7 +296,7 @@ class StepTerms:
         the power stays numpy's, on the one-cell view, since math.pow
         rounds differently from numpy's vectorized power.
         """
-        if not self._single:
+        if self.gbar.ndim > 1:
             return float(self.origin_source_rate().max())
         _, z, _, power = self._origin
         np.power(z, self._half_q_less_1, out=power)

@@ -399,10 +399,9 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
             # only faces between solidly positive cells: the steepness of
             # the state's interior, not of tolerance-level fringe; lo is
             # the smaller of the two cells beside each face (zero ghost).
-            # No face past the block's last column with a cell above the
-            # floor passes, so the columns stop there; the face just past
-            # it takes its lo from the next column, and the zero ghost's
-            # difference, which it masks
+            # No face past the block's last column above the floor passes,
+            # so the columns stop there; the face just past it gets its lo
+            # from the next column, which masks its ghost difference
             above = np.flatnonzero((rows > floor).any(axis=0))
             cut = int(above[-1]) + 1 if above.size else 1
             v = np.power(rows[:, :cut], gp, out=scratch[:filled, :cut])
