@@ -165,7 +165,9 @@ def face_gradient(grid: RadialGrid, u: np.ndarray,
     """Gradients on the M+1 faces; zero at the origin by symmetry.
 
     The outer face differences against a zero ghost cell: the state is
-    held at zero beyond r_max.  out, if given, receives the result.
+    held at zero beyond r_max.  out, if given, receives the result; a
+    state cut to its first n columns, with out of n + 1 faces, gets the
+    faces of those columns, the ghost following the last.
     """
     u = np.asarray(u, dtype=float)
     g = np.empty(u.shape[:-1] + (grid.M + 1,)) if out is None else out
