@@ -58,8 +58,10 @@ PROBLEM_C = ProblemParams(2, 1.8, 0.85)
 EPS_REFERENCE = 1e-7
 # Runs built on the singular diffusion (p < 2) go through the
 # semi-implicit scheme, whose step size is limited by the absorption
-# slope ~ eps^(q-1); 1e-6 keeps those runs fast while staying far below
-# every feature the criteria measure.
+# slope ~ eps^(q-1); 1e-6 keeps those runs fast.  Their extinction time
+# belongs to the regularization at this eps, not to the flow: bump_b's
+# T_e reads 0.5946, 0.1454 and 0.0848 at eps = 1e-6, 1e-7 and 1e-8
+# (M = 1024).  No criterion bars the T_e of a p < 2 run.
 EPS_SINGULAR = 1e-6
 
 BUMP_M = 1.0 / 96.0
@@ -396,7 +398,7 @@ class Battery:
         in_band = 1.4 <= fit.exponent <= 2.1
         drift = abs(res4.T_e_est - res2.T_e_est) / res2.T_e_est if extinct else np.inf
         passed = extinct and in_band and drift <= 0.03
-        return passed, {"outcome": res2.outcome.value, "T_e": res2.T_e_est,
+        return passed, {"outcome": res2.outcome, "T_e": res2.T_e_est,
                         "T_e_refined": res4.T_e_est, "T_e_drift": drift,
                         "T_e_drift_bar": 0.03, "sup_exponent": fit.exponent,
                         "exponent_band": (1.4, 2.1), "fit_points": fit.n_points}
@@ -505,7 +507,7 @@ class Battery:
         survived = res.outcome is Outcome.HORIZON_REACHED
         passed = (ordering >= 0.0 and dom.passed and final_min > 0.0
                   and survived)
-        return passed, {"outcome": res.outcome.value, "initial_ordering_margin": ordering,
+        return passed, {"outcome": res.outcome, "initial_ordering_margin": ordering,
                         "tail_offset": tail.a, "domination": dom,
                         "min_at_horizon_inner_half": final_min,
                         "floor_at_horizon_center": tail.value(1.0, np.array([1e-9]))[0]}
@@ -533,7 +535,7 @@ class Battery:
                     failures += 1
         passed = extinct and checked > 0 and failures == 0 and (
             first_min is not None and first_min > res.tol_pos)
-        return passed, {"outcome": res.outcome.value, "T_e": res.T_e_est,
+        return passed, {"outcome": res.outcome, "T_e": res.T_e_est,
                         "snapshots_checked": checked, "positivity_failures": failures,
                         "min_at_first_snapshot": first_min, "tol_pos": res.tol_pos}
 
@@ -602,7 +604,7 @@ class Battery:
         extinct = res.outcome is Outcome.EXTINCT
         bounded = extinct and res.T_e_est <= W.T
         passed = cert.passed and ordering >= 0.0 and dom.passed and bounded
-        return passed, {"outcome": res.outcome.value, "T_e": res.T_e_est,
+        return passed, {"outcome": res.outcome, "T_e": res.T_e_est,
                         "horizon": W.T, "initial_ordering_margin": ordering,
                         "certificate": cert, "domination": dom}
 

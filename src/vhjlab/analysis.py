@@ -80,7 +80,8 @@ def fit_exponent(t, y, T_e: float) -> FitResult:
     n = int(keep.sum())
     if n < 8:
         raise InsufficientPoints(
-            f"{n} usable samples in [{lo}, {T_e}) with floor 0.0; need 8")
+            f"{n} usable samples in [{lo}, {T_e}) without the final 5 and "
+            "the nonpositive ones; need 8")
     x = np.log(T_e - t[keep])
     z = np.log(y[keep])
     slope, intercept = np.polyfit(x, z, 1)

@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -70,6 +71,9 @@ def _fmt(x: float) -> str:
     return _CELL.format(float(x))
 
 
+# RunResult fields that summary.json leaves to the csv files and to
+# resolved-config.json
+_UNSUMMARIZED = ("series", "snapshots", "problem", "grid")
 # what analyze reads of a run directory: summary.json keys and csv
 # columns (series.csv may add grad_pow_sup)
 _SUMMARY = (("outcome", _as_str), ("T_e_est", _check(Optional[float])),
@@ -96,13 +100,7 @@ def write_run_dir(out_dir: Path, exp: Experiment, result) -> None:
     (out_dir / "resolved-config.json").write_text(
         json.dumps(exp.resolved, sort_keys=True, indent=2) + "\n")
 
-    ser = result.series
-    header = list(_SERIES)
-    cols = [ser[name] for name in _SERIES]
-    if "grad_pow_sup" in ser:
-        header.append("grad_pow_sup")
-        cols.append(ser["grad_pow_sup"])
-    _write_csv(out_dir / "series.csv", header, cols)
+    _write_csv(out_dir / "series.csv", list(result.series), list(result.series.values()))
 
     snap_dir = out_dir / "snapshots"
     snap_dir.mkdir(exist_ok=True)
@@ -113,21 +111,12 @@ def write_run_dir(out_dir: Path, exp: Experiment, result) -> None:
         _write_csv(snap_dir / f"snap-{k:04d}.csv", list(_SNAPSHOT),
                    [result.grid.r_cells, u])
 
-    summary = {
-        "outcome": result.outcome.value,
-        "T_e_est": result.T_e_est,
-        "t_final": result.t_final,
-        "n_steps": result.n_steps,
-        "sup0": result.sup0,
-        "tol_ext": result.tol_ext,
-        "tol_pos": result.tol_pos,
-        "scheme": result.info["scheme"],
-        "ic": result.info["ic"],
-        "n_series": int(len(ser["t"])),
-        "n_snapshots": int(len(times)),
-    }
+    summary = {f.name: getattr(result, f.name) for f in fields(result)
+               if f.name not in _UNSUMMARIZED}
+    summary.update(scheme=exp.cfg.scheme, ic=exp.resolved["ic"],
+                   n_series=len(result.series["t"]), n_snapshots=len(times))
     (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        json.dumps(jsonable(summary), sort_keys=True, indent=2) + "\n")
 
 
 def _read_csv(path: Path, columns: tuple, n_rows: int, expected: str) -> dict:

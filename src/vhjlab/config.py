@@ -7,7 +7,8 @@ their full path, and type errors name the offending key the same way
 (``grid.M: expected an integer ...``).
 
 Config keys, their types and their defaults are those of the library's
-signatures, read once at import: a parameter's name is the key, its type
+signatures, read once at import, and the same schemas write the resolved
+document from the objects built: a parameter's name is the key, its type
 hint picks the check (int, float, bool, str, a float list for tuple,
 null allowed for Optional, one of its values for Literal; numbers must be
 finite) and its default is the key's default; a parameter without one is
@@ -16,7 +17,8 @@ a required key.  By section:
 problem         N, p, q of ProblemParams, checked by validate_params
 ic              kind (bump, fast_decay, fat_tail) and the parameters of
                 Bump, FastDecay or FatTail; a bump also accepts the
-                flat_certified and amplitude_bound its description adds
+                notes flat_certified and amplitude_bound, which
+                resolved-config.json writes and the reader ignores
 grid            r_max, M of RadialGrid (N is the problem's)
 regularization  eps, counterterm of Regularization; eps absent or null
                 is default_eps of the grid
@@ -42,6 +44,7 @@ import inspect
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
+from enum import Enum
 from typing import (Callable, Literal, NamedTuple, Optional, get_args, get_origin,
                     get_type_hints)
 
@@ -144,7 +147,7 @@ class _Key(NamedTuple):
     default: object
 
 
-def _keys(fn, names=None, skip=(), prefix="") -> tuple:
+def _keys(fn, names=None, skip=()) -> tuple:
     """Config keys of fn's parameters: name, type check and default.
 
     names picks and orders the parameters, skip leaves some out.  The
@@ -153,7 +156,7 @@ def _keys(fn, names=None, skip=(), prefix="") -> tuple:
     """
     hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
     params = inspect.signature(fn).parameters
-    return tuple(_Key(prefix + name, _check(hints[name]), params[name].default)
+    return tuple(_Key(name, _check(hints[name]), params[name].default)
                  for name in names or params if name not in skip)
 
 
@@ -168,6 +171,12 @@ def _read(sec: dict, path: str, keys) -> dict:
     if sec:
         raise ConfigError(f"{_label(path, sorted(sec)[0])}: unknown key")
     return out
+
+
+def _written(obj, keys) -> dict:
+    """The values obj holds under the names of keys: what _read would
+    give back for them, every default resolved."""
+    return {key.name: getattr(obj, key.name) for key in keys}
 
 
 @contextmanager
@@ -215,10 +224,13 @@ def with_overrides(doc: dict, overrides: dict) -> dict:
 
 
 def jsonable(x):
-    """x with dataclasses expanded to dicts of their fields, tuples and
-    arrays turned into lists and numpy scalars into Python numbers."""
+    """x with dataclasses expanded to dicts of their fields, enums
+    replaced by their values, tuples and arrays turned into lists and
+    numpy scalars into Python numbers."""
     if is_dataclass(x) and not isinstance(x, type):
         return jsonable(asdict(x))
+    if isinstance(x, Enum):
+        return x.value
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -236,6 +248,9 @@ _REG = (Regularization, _keys(Regularization))
 _SOLVER = (SolverConfig, _keys(SolverConfig))
 _IC = {cls.kind: (cls, _keys(cls, skip=_CONTEXT))
        for cls in (Bump, FastDecay, FatTail)}
+# attributes that resolved-config.json writes beside an ic's keys; the
+# reader drops them, since construction recomputes them
+_IC_NOTES = {"bump": ("flat_certified", "amplitude_bound")}
 _PROFILES = {kind: (make, _keys(make, skip=_CONTEXT))
              for kind, make in (("barrier", Barrier),
                                 ("shrink_envelope", make_shrink_super),
@@ -268,10 +283,8 @@ def _build_ic(sec: dict, problem: ProblemParams):
     if kind not in _IC:
         raise ConfigError(f"ic.kind: unknown kind {kind!r}; expected "
                           "bump, fast_decay or fat_tail")
-    if kind == "bump":
-        # describe() annotations; recomputed on construction
-        sec.pop("flat_certified", None)
-        sec.pop("amplitude_bound", None)
+    for note in _IC_NOTES.get(kind, ()):
+        sec.pop(note, None)
     return _build(*_IC[kind], sec, "ic", problem)
 
 
@@ -325,20 +338,19 @@ def resolve_experiment(doc: dict) -> Experiment:
     domination = an_sec.pop("domination", [])
     analysis = {**_read(an_sec, "analysis", _ANALYSIS), "domination": domination}
     domination_checks(problem, grid, domination)
-    out_dir = _read(_section(doc, "output", required=False), "output",
-                    _OUTPUT)["dir"]
+    output = _read(_section(doc, "output", required=False), "output", _OUTPUT)
     _read(doc, "", ())              # a key left at the top level is unknown
 
     tol_ext, tol_pos = cfg.resolve_tols(problem, reg)
-    resolved = {
-        "problem": {"N": problem.N, "p": problem.p, "q": problem.q},
-        "ic": ic.describe(),
-        "grid": {"r_max": grid.r_max, "M": grid.M},
-        "regularization": {"eps": reg.eps, "counterterm": reg.counterterm},
-        "solver": {**asdict(cfg), "tol_ext": tol_ext, "tol_pos": tol_pos,
-                   "snapshot_times": list(cfg.snapshot_times)},
+    resolved = jsonable({
+        "problem": _written(problem, _PROBLEM[1]),
+        "ic": {"kind": ic.kind, **_written(ic, _IC[ic.kind][1]),
+               **{note: getattr(ic, note) for note in _IC_NOTES.get(ic.kind, ())}},
+        "grid": _written(grid, _GRID[1]),
+        "regularization": _written(reg, _REG[1]),
+        "solver": {**_written(cfg, _SOLVER[1]), "tol_ext": tol_ext, "tol_pos": tol_pos},
         "analysis": analysis,
-        "output": {"dir": out_dir},
-    }
+        "output": output,
+    })
     return Experiment(problem=problem, grid=grid, reg=reg, ic=ic, cfg=cfg,
-                      analysis=analysis, out_dir=out_dir, resolved=resolved)
+                      analysis=analysis, out_dir=output["dir"], resolved=resolved)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -137,11 +137,6 @@ class Bump:
     def sup(self) -> float:
         return self.m * self.R0 ** (2.0 * self.power)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "m": self.m, "R0": self.R0, "power": self.power,
-                "flat_certified": self.flat_certified,
-                "amplitude_bound": self.amplitude_bound}
-
 
 class FastDecay:
     """Algebraic tail C (1 + r^2)^(-theta/2) with theta at or above q/(1-q).
@@ -171,9 +166,6 @@ class FastDecay:
     def sup(self) -> float:
         return self.C
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "C": self.C, "theta": self.theta}
-
 
 class FatTail:
     """Algebraic tail C (1 + r^2)^(-rho/2) with rho strictly below q/(1-q):
@@ -199,9 +191,6 @@ class FatTail:
 
     def sup(self) -> float:
         return self.C
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "C": self.C, "rho": self.rho}
 
 
 # --------------------------------------------------------------------------
@@ -266,7 +255,6 @@ class RunResult:
     snapshots: dict                # {"t": [...], "u": [arrays]}
     problem: ProblemParams
     grid: RadialGrid
-    info: dict = field(default_factory=dict)
 
 
 def detect_extinction(t1: float, s1: float, t2: float, s2: float, tol: float) -> float:
@@ -473,7 +461,4 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     return RunResult(
         outcome=outcome, T_e_est=T_e, t_final=t, n_steps=n, sup0=sup0,
         tol_ext=tol_ext, tol_pos=tol_pos, series=series,
-        snapshots={"t": np.asarray(snap_t), "u": snap_u},
-        problem=problem, grid=grid,
-        info={"scheme": cfg.scheme, "ic": ic.describe()},
-    )
+        snapshots={"t": np.asarray(snap_t), "u": snap_u}, problem=problem, grid=grid)

@@ -50,10 +50,12 @@ def test_fit_tolerates_mild_noise():
 def test_fit_raises_when_window_is_starved():
     t = np.linspace(0.0, 0.5, 200)
     y = (1.0 - t) ** 2
-    with pytest.raises(InsufficientPoints):
+    dropped = r"without the final 5 and the nonpositive ones; need 8"
+    with pytest.raises(InsufficientPoints, match=r"^0 usable samples in \[0\.6, 1\.0\) "
+                       + dropped):
         fit_exponent(t, y, 1.0)          # all samples far from T_e
     t2 = np.linspace(0.9, 0.999, 10)
-    with pytest.raises(InsufficientPoints):
+    with pytest.raises(InsufficientPoints, match=r"^0 usable samples .* " + dropped):
         fit_exponent(t2, np.zeros_like(t2), 1.0)   # no logarithm to fit
 
 

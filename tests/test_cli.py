@@ -89,9 +89,76 @@ def test_simulate_writes_run_directory(tmp_path, capsys):
     assert (run / "summary.json").exists()
     assert (run / "snapshots" / "index.csv").exists()
     summary = json.loads((run / "summary.json").read_text())
+    assert sorted(summary) == sorted([
+        "outcome", "T_e_est", "t_final", "n_steps", "sup0", "tol_ext", "tol_pos",
+        "scheme", "ic", "n_series", "n_snapshots"])
     assert summary["outcome"] == "extinct"
+    resolved = json.loads((run / "resolved-config.json").read_text())
+    assert summary["ic"] == resolved["ic"]
     header = (run / "series.csv").read_text().splitlines()[0]
     assert header.split(",")[:3] == ["t", "sup", "support_radius"]
+
+
+# a fast_decay experiment with eps, both tolerances and the snapshot times
+# given, so no value of its resolved config comes from a power
+GOLDEN_DOC = {
+    "problem": {"N": 1, "p": 2.0, "q": 0.5},
+    "ic": {"kind": "fast_decay", "C": 0.5, "theta": 2.0},
+    "grid": {"r_max": 8.0, "M": 16},
+    "regularization": {"eps": 1e-7},
+    "solver": {"t_end": 0.01, "tol_ext": 1e-9, "tol_pos": 1e-5,
+               "snapshot_times": [0.0025, 0.005]},
+    "output": {"dir": "run"},
+}
+GOLDEN_RESOLVED = """\
+{
+  "analysis": {
+    "domination": [],
+    "j_R0": null
+  },
+  "grid": {
+    "M": 16,
+    "r_max": 8.0
+  },
+  "ic": {
+    "C": 0.5,
+    "kind": "fast_decay",
+    "theta": 2.0
+  },
+  "output": {
+    "dir": "run"
+  },
+  "problem": {
+    "N": 1,
+    "p": 2.0,
+    "q": 0.5
+  },
+  "regularization": {
+    "counterterm": true,
+    "eps": 1e-07
+  },
+  "solver": {
+    "lift": 0.0,
+    "scheme": "explicit",
+    "series_gradient_floor": 0.0,
+    "series_gradient_power": null,
+    "series_stride": 8,
+    "snapshot_times": [
+      0.0025,
+      0.005
+    ],
+    "t_end": 0.01,
+    "tol_ext": 1e-09,
+    "tol_pos": 1e-05
+  }
+}
+"""
+
+
+def test_resolved_config_text_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", write_config(tmp_path, GOLDEN_DOC)]) == 0
+    assert (tmp_path / "run" / "resolved-config.json").read_text() == GOLDEN_RESOLVED
 
 
 def test_simulate_exits_3_on_a_diverged_run(tmp_path, capsys, monkeypatch):
