@@ -9,6 +9,10 @@ diffusion term is the conservative flux difference
 
 with face gradients g_j = (u_j - u_{j-1})/dr, mobility a_eps(z) =
 (z + eps^2)^((p-2)/2), and a Dirichlet-zero ghost beyond the outer face.
+The symmetry face j = 0 carries no flux, so its weight rf_0^(N-1) is
+taken as zero at every N (at N = 1 too, where r^0 would be 1): it adds
+nothing to cell 0's diffusion row, and at N = 1 that row is 1/dr^2, half
+of every other row.
 The gradient source uses cell-averaged face gradients and b_eps(z) =
 (z + eps^2)^(q/2); with the counterterm enabled the constant b_eps(0) =
 eps^q is subtracted, computed by the same array power as the absorption,
@@ -77,6 +81,7 @@ class RadialGrid:
         r_faces = np.arange(self.M + 1) * dr
         metric_cells = r_cells ** (self.N - 1) * dr
         metric_faces = r_faces ** (self.N - 1)
+        metric_faces[0] = 0.0       # no flux crosses the symmetry face
         geometry = {"_r_cells": r_cells, "_r_faces": r_faces,
                     "_metric_cells": metric_cells, "_metric_faces": metric_faces,
                     "_unit_mobility_rows": (metric_faces[1:] + metric_faces[:-1])
@@ -108,12 +113,15 @@ class RadialGrid:
 
     @property
     def metric_faces(self) -> np.ndarray:
+        """Face weights rf_j^(N-1), zero at the symmetry face (no flux)."""
         return self._metric_faces
 
     @property
     def unit_mobility_rows(self) -> np.ndarray:
         """Diffusion row sums (rf_{i+1}^(N-1) + rf_i^(N-1)) / (r_i^(N-1) dr^2)
-        of the step bound at unit mobility (p = 2)."""
+        of the step bound at unit mobility (p = 2), from metric_faces: the
+        symmetry face has no weight, so at N = 1 row 0 is 1/dr^2 and every
+        other row 2/dr^2."""
         return self._unit_mobility_rows
 
 
@@ -200,7 +208,8 @@ class StepTerms:
     absorption and source_rate each return their own buffer
     (origin_source_rate the first cell of source_rate's); discrete_rhs
     writes its fluxes into face_scratch (at N = 1 and p = 2, where every
-    weight is 1.0, it differences g itself) and returns cell_scratch.  Those
+    weight off the symmetry face is 1.0, it differences g itself) and
+    returns cell_scratch.  Those
     two are free for a caller's own use otherwise: the semi-implicit
     matrix borrows both while it builds its three bands, shape (3, M), in
     bands, whose corners stay zero.  A result stays valid until the buffer
@@ -226,8 +235,9 @@ class StepTerms:
         self.g = np.zeros(faces)
         self.gbar = np.empty(cells)
         self.z = np.empty(cells)
-        # at N = 1 and p = 2 every face weight is exactly 1.0 (r^0, unit
-        # mobility), so the flux is g itself: x * 1.0 == x to the bit
+        # at N = 1 and p = 2 every face weight off the symmetry face is
+        # exactly 1.0 (r^0, unit mobility), and g is 0 on it, so the flux is
+        # g itself: x * 1.0 == x and 0.0 * 0.0 == 0.0 to the bit
         self.unit_weights = problem.p == 2.0 and grid.N == 1
         if problem.p == 2.0:        # the mobility is exactly 1
             self.weights = grid.metric_faces
@@ -364,7 +374,9 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
       dr^2), the mobilities frozen at the current gradients.  At p < 2
       the true flux derivative is a + 2 a' g^2 = a (1 + (p-2) g^2 /
       (g^2 + eps^2)), between (p-1) a and a, so the frozen row bounds it;
-      at p = 2 the rows are the grid's unit_mobility_rows.
+      at p = 2 the rows are the grid's unit_mobility_rows.  The symmetry
+      face carries no flux and has no weight (metric_faces), so cell 0's
+      row holds its outer face alone: at N = 1 it is half of the others.
     - gradient source: gbar_i = (u_(i+1) - u_(i-1)) / (2 dr) does not
       hold u_i, except at the symmetry cell, where g_0 = 0 makes gbar_0 =
       (u_1 - u_0) / (2 dr).  There the source adds q |gbar_0|

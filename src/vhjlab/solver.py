@@ -274,8 +274,8 @@ def _semi_implicit_matrix(grid: RadialGrid, terms: StepTerms, dt: float) -> np.n
     The bands are terms.bands, rebuilt in full; c and the lower couplings
     borrow terms.face_scratch and terms.cell_scratch on the way.
     """
+    # the symmetry face's weight is zero: no flux crosses it
     c = np.divide(terms.weights, grid.dr, out=terms.face_scratch)
-    c[0] = 0.0                      # symmetry face carries no flux
     m = grid.metric_cells
     ab = terms.bands
     lower = np.divide(c[:-1], m, out=terms.cell_scratch)  # coupling to u_{i-1}

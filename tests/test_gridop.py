@@ -233,8 +233,14 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
     # d u_i^new / d u_i of the pre-clamp explicit update, by a forward
     # difference in each u_i: the bound keeps it at least 1 - SAFETY (the
     # frozen rows bound the true own-cell rate), so nonnegative, in every
-    # cell of every state of a stack.  At N = 2 and p = 2 every diffusion
-    # row is 2/dr^2, so the source's term at the symmetry cell sets dt
+    # cell of every state of a stack.  At p = 2 the rows are exact and the
+    # smallest coefficient is 1 - SAFETY: at N = 1 cell 0's row holds only
+    # its outer face, and the other rows, 2/dr^2, set dt; at N = 2 every
+    # diffusion row is 2/dr^2, and the source's term at the symmetry cell
+    # sets dt.  That term counts |gbar_0|, which is the source's own-cell
+    # rate where the state falls at the origin (u_1 <= u_0); where it
+    # rises, the term lowers the true rate, so at N = 2 the bound is
+    # attained only on the falling copies
     rng = np.random.default_rng(31)
     grid = RadialGrid(prm.N, 4.0, 256)
     reg = Regularization(eps=default_eps(grid))
@@ -245,17 +251,22 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
         n = int(np.prod(shape))
         u = np.array([np.interp(grid.r_cells, knots, rng.random(9) * (1.0 - knots / 4.0))
                       for _ in range(n)]).reshape(shape + (grid.M,))
-        dt = stable_dt(grid, prm, reg, u)
+        falling = u.copy()
+        falling[..., :2] = np.sort(u[..., :2])[..., ::-1]
+        for v, attained in ((u, prm.N == 1), (falling, True)):
+            dt = stable_dt(grid, prm, reg, v)
 
-        def update(v):
-            return v + dt * discrete_rhs(grid, prm, reg, v)
+            def update(w):
+                return w + dt * discrete_rhs(grid, prm, reg, w)
 
-        # one perturbed copy of the state per cell
-        bumped = np.repeat(u[..., None, :], grid.M, axis=-2)
-        bumped[..., cells, cells] += h
-        own = (update(bumped)[..., cells, cells] - update(u)) / h
-        assert own.shape == u.shape
-        assert own.min() >= 1.0 - SAFETY - 1e-6
+            # one perturbed copy of the state per cell
+            bumped = np.repeat(v[..., None, :], grid.M, axis=-2)
+            bumped[..., cells, cells] += h
+            own = (update(bumped)[..., cells, cells] - update(v)) / h
+            assert own.shape == v.shape
+            assert own.min() >= 1.0 - SAFETY - 1e-6
+            if prm.p == 2.0 and attained:
+                assert abs(own.min() - (1.0 - SAFETY)) <= 1e-6
 
 
 @pytest.mark.parametrize("prm", [P_A, ProblemParams(2, 2.0, 0.5), PROBLEM_B],
