@@ -23,8 +23,12 @@ A grid computes its geometry (dr, cell and face radii, metric weights,
 and the p = 2 diffusion row sums of the step bound) once, at construction,
 and hands out the same read-only arrays on every access; at p = 2 the
 operator skips the unit mobility, and the step bound, whose diffusion
-rows are then the grid's, reads the state only at the symmetry cell: for
-one state, as two Python floats (gbar_0 and the power of z_0).
+rows are then the grid's, reads the state only at the symmetry cell.
+For one state it first bounds cell 0's source term from Python floats,
+with libm's power; only when that bound does not fit in the slack below
+the largest row does it evaluate the term exactly, with numpy's power, so
+dt is the same to the bit either way.  A one-state step makes no
+one-cell numpy call: the outer ghost face is a float division too.
 
 The gradient terms of a state -- face gradients g, cell averages gbar,
 z = gbar^2 + eps^2 and, at p != 2, the face weights rf^(N-1) a_eps(g^2)
@@ -42,6 +46,7 @@ rhs of shape (..., M), so parameter sweeps can run as one array program.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +58,10 @@ from .exponents import ExponentOutOfRange, ProblemParams
 # fraction of the explicit step bound a step takes; the monotonicity of
 # the explicit step needs a fraction of at most 1
 SAFETY = 0.5
+# relative margin of the float bound on one state's cell-0 source rate:
+# libm's power and numpy's vectorized one differ by an ulp or two on some
+# inputs, far below it
+POWER_MARGIN = 1e-9
 
 
 class GridMismatch(ValueError):
@@ -187,10 +196,14 @@ def face_gradient(grid: RadialGrid, u: np.ndarray,
 def _face_differences(u: np.ndarray, inner: np.ndarray, outer: np.ndarray, dr: float):
     """face_gradient's formula off the symmetry face: (u_j - u_(j-1))/dr
     into inner, the faces between cells, and -u_(M-1)/dr, the difference
-    against the zero ghost, into outer."""
+    against the zero ghost, into outer (for one state, by the same IEEE
+    division on a Python float)."""
     np.subtract(u[..., 1:], u[..., :-1], out=inner)
     inner /= dr
-    np.divide(u[..., -1:], -dr, out=outer)
+    if u.ndim == 1:
+        outer[0] = u.item(-1) / -dr
+    else:
+        np.divide(u[..., -1:], -dr, out=outer)
 
 
 class StepTerms:
@@ -209,10 +222,9 @@ class StepTerms:
     (origin_source_rate the first cell of source_rate's); discrete_rhs
     writes its fluxes into face_scratch (at N = 1 and p = 2, where every
     weight off the symmetry face is 1.0, it differences g itself) and
-    returns cell_scratch.  Those
-    two are free for a caller's own use otherwise: the semi-implicit
-    matrix borrows both while it builds its three bands, shape (3, M), in
-    bands, whose corners stay zero.  A result stays valid until the buffer
+    returns cell_scratch.  Those two are free for a caller's own use
+    otherwise: the semi-implicit matrix borrows both while it builds its
+    three bands, shape (3, M), in bands, whose corners stay zero.  A result stays valid until the buffer
     is written again.
     """
 
@@ -239,6 +251,7 @@ class StepTerms:
         # exactly 1.0 (r^0, unit mobility), and g is 0 on it, so the flux is
         # g itself: x * 1.0 == x and 0.0 * 0.0 == 0.0 to the bit
         self.unit_weights = problem.p == 2.0 and grid.N == 1
+        self._metric_cells = grid.metric_cells
         if problem.p == 2.0:        # the mobility is exactly 1
             self.weights = grid.metric_faces
             rows = grid.unit_mobility_rows
@@ -314,6 +327,20 @@ class StepTerms:
         np.power(z, self._half_q_less_1, out=power)
         return self._source_rate(abs(self.gbar.item(0)), power.item(0))
 
+    def origin_source_rate_bound(self) -> float:
+        """An upper bound of one state's origin_source_rate, from floats.
+
+        The power is libm's math.pow, which may round an ulp or two away
+        from numpy's; the float expression enlarged by POWER_MARGIN bounds
+        origin_source_rate_max.  A power that overflows or has no value
+        gives inf, and a NaN state NaN, which no row bound passes.
+        """
+        try:
+            power = math.pow(self.z.item(0), self._half_q_less_1)
+        except (OverflowError, ValueError):
+            return math.inf
+        return self._source_rate(abs(self.gbar.item(0)), power) * (1.0 + POWER_MARGIN)
+
     def _source_rate(self, rate, power):
         """The source rate's expression, from rate = |gbar| and power =
         (gbar^2+eps^2)^(q/2-1); in place on arrays, and the same operations
@@ -340,7 +367,7 @@ def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     else:
         np.multiply(terms.weights, terms.g, out=terms.face_scratch)
         div = np.subtract(terms._flux_right, terms._flux_left, out=terms.cell_scratch)
-    div /= grid.metric_cells
+    div /= terms._metric_cells
     div -= terms.absorption()
     return div
 
@@ -384,6 +411,15 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
       which StepTerms.origin_source_rate evaluates on that cell alone (at
       p = 2, origin_source_rate_max, from one state's cell-0 floats).
 
+    At p = 2, one state's cell-0 term is first bounded from floats
+    (StepTerms.origin_source_rate_bound, libm's power enlarged by
+    POWER_MARGIN).  If row_0 plus that bound stays at or below the
+    largest row, as it does at N = 1 unless cell 0's gradient is small
+    enough, near eps, for its term to outweigh 1/dr^2, the largest row
+    sets dt and the term is never evaluated exactly.  Otherwise, and for
+    stacks and non-finite values, the exact term, by numpy's power,
+    enters the maximum.  dt is the same to the bit on both paths.
+
     The derivatives in the neighbors, dt (rf^(N-1) a / (r_i^(N-1) dr^2)
     -+ q gbar (gbar^2+eps^2)^(q/2-1) / (2 dr)), carry dt only as a
     factor: their sign does not depend on dt, and the eps = dr^(2/3) tie
@@ -397,6 +433,11 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     # cell 0's source rate: half of it is the source's own-cell derivative
     if problem.p == 2.0:            # at p = 2 the mobility is exactly 1
         row_0, row_max = terms._unit_rows
+        # one state's cell-0 term, bounded from floats, that stays below the
+        # largest row leaves that row to set dt, as the exact term would
+        if (terms.gbar.ndim == 1
+                and row_0 + 0.5 * terms.origin_source_rate_bound() <= row_max):
+            return SAFETY / row_max
         own = max(row_max, row_0 + 0.5 * terms.origin_source_rate_max())
     else:
         source = terms.origin_source_rate()

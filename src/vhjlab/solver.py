@@ -416,7 +416,11 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
             flush()
 
     record(0.0, u, sup0)
-    pending = sorted(t for t in cfg.snapshot_times if 0.0 < t <= cfg.t_end)
+    t_end, stride = cfg.t_end, cfg.series_stride
+    # a time within slack of an event has reached it
+    slack = 1e-12 * t_end
+    horizon, sup_cap = t_end - slack, DIVERGENCE_FACTOR * sup0
+    pending = sorted(t for t in cfg.snapshot_times if 0.0 < t <= t_end)
     t, n = 0.0, 0
     sup_prev, t_prev = sup0, 0.0
     # data already below tol_ext is extinct at time zero and takes no step
@@ -427,27 +431,27 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
             raise RuntimeError(f"step budget {MAX_STEPS} exhausted at t = {t}")
         terms.fill(u)
         dt = bound(grid, problem, reg, u, terms)
-        t_next_event = pending[0] if pending else cfg.t_end
-        dt = min(dt, t_next_event - t, cfg.t_end - t)
+        t_next_event = pending[0] if pending else t_end
+        dt = min(dt, t_next_event - t, t_end - t)
         # the explicit step updates u, this run's own array, in place
         u = step(grid, problem, reg, u, dt, terms)
         t += dt
         n += 1
 
         sup = float(u.max())
-        if not math.isfinite(sup) or sup > DIVERGENCE_FACTOR * sup0:
+        if not math.isfinite(sup) or sup > sup_cap:
             outcome = Outcome.DIVERGED
         else:
-            while pending and t >= pending[0] - 1e-12 * cfg.t_end:
+            while pending and t >= pending[0] - slack:
                 pending.pop(0)
                 snap_t.append(t)
                 snap_u.append(u.copy())
             if sup <= tol_ext:
                 outcome = Outcome.EXTINCT
                 T_e = detect_extinction(t_prev, sup_prev, t, sup, tol_ext)
-            elif t >= cfg.t_end - 1e-12 * cfg.t_end:
+            elif t >= horizon:
                 outcome = Outcome.HORIZON_REACHED
-        if outcome is not None or n % cfg.series_stride == 0:
+        if outcome is not None or n % stride == 0:
             record(t, u, sup)
         sup_prev, t_prev = sup, t
 

@@ -269,23 +269,64 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
                 assert abs(own.min() - (1.0 - SAFETY)) <= 1e-6
 
 
-@pytest.mark.parametrize("prm", [P_A, ProblemParams(2, 2.0, 0.5), PROBLEM_B],
-                         ids=["N1_p2", "N2_p2", "B"])
+def _straddling_states(grid, prm, reg, rng):
+    """N = 1, p = 2 states whose cell-0 term sits within 1e-12 relative of
+    the slack row_max - row_0, on both sides: u_0 = 0 and u_1 around the
+    value at which the exact term, a stack's, fills the slack."""
+    rows = grid.unit_mobility_rows
+    row_max = float(rows.max())
+
+    def state(x):
+        u = rng.random(grid.M)
+        u[:2] = 0.0, x
+        return u
+
+    def cell_0_limits(x):
+        return stable_dt(grid, prm, reg, state(x)[None]) < SAFETY / row_max
+
+    # the term falls as gbar_0^(q-1) here, far above eps: bracket its root
+    slack = row_max - float(rows[0])
+    x = 2.0 * grid.dr * (2.0 * grid.dr * slack / prm.q) ** (1.0 / (prm.q - 1.0))
+    lo, hi = 0.5 * x, 2.0 * x
+    assert cell_0_limits(lo) and not cell_0_limits(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if cell_0_limits(mid) else (lo, mid)
+    xs = lo * (1.0 + 1e-13 * np.arange(-8, 9))
+    sides = {cell_0_limits(x) for x in xs}
+    assert sides == {True, False}
+    return np.array([state(x) for x in xs])
+
+
+@pytest.mark.parametrize("prm", [P_A, ProblemParams(2, 2.0, 0.5), PROBLEM_B,
+                                 ProblemParams(1, 2.0, 6.0)],
+                         ids=["N1_p2", "N2_p2", "B", "N1_p2_q6"])
 def test_stable_dt_of_one_state_equals_that_of_a_stack_of_copies(prm):
     # one state's bound reads cell 0 as floats, a stack's reads it as
     # arrays: both must give the same dt to the bit, over enough states
     # that a power rounding differently in a few percent of inputs shows.
     # Cell 0's gradients sit near eps, where its source rate outweighs
-    # the diffusion rows and a one-ulp change in it moves dt
+    # the diffusion rows and a one-ulp change in it moves dt.  At p = 2,
+    # one state's float bound of that term, from libm's power, must defer
+    # to the exact term wherever the two could disagree: at N = 1 on states
+    # whose term straddles the slack below the largest row, and on huge
+    # and non-finite cell-0 gradients (at q = 6, libm's power overflows)
     rng = np.random.default_rng(41)
     grid = RadialGrid(prm.N, 4.0, 64)
     reg = Regularization(eps=1e-7)
     states = rng.random((300, grid.M))
     states[:, 1] = states[:, 0] + (2.0 * grid.dr * reg.eps) * 10.0 ** rng.uniform(-1, 1, 300)
-    for u in states:
-        one = stable_dt(grid, prm, reg, u)
-        for n in (1, 3):
-            assert stable_dt(grid, prm, reg, np.repeat(u[None], n, axis=0)) == one
+    if prm.p == 2.0:
+        hostile = np.repeat(rng.random((1, grid.M)), 4, axis=0)
+        hostile[:, 1] = 1e100, 1e300, np.inf, np.nan
+        states = np.concatenate([states, hostile])
+    if prm.N == 1 and prm.p == 2.0 and prm.q < 1.0:
+        states = np.concatenate([states, _straddling_states(grid, prm, reg, rng)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in states:
+            one = stable_dt(grid, prm, reg, u)
+            for n in (1, 3):
+                assert stable_dt(grid, prm, reg, np.repeat(u[None], n, axis=0)) == one
 
 
 @pytest.mark.parametrize("p", [2.0, 1.8])
