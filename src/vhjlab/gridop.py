@@ -24,10 +24,10 @@ and the p = 2 diffusion row sums of the step bound) once, at construction,
 and hands out the same read-only arrays on every access; at p = 2 the
 operator skips the unit mobility, and the step bound, whose diffusion
 rows are then the grid's, reads the state only at the symmetry cell.
-For one state it first bounds cell 0's source term from Python floats,
-with libm's power; only when that bound does not fit in the slack below
-the largest row does it evaluate the term exactly, with numpy's power, so
-dt is the same to the bit either way.  A one-state step makes no
+For one state at N = 1 it first bounds cell 0's source term from Python
+floats, with libm's power; only when that bound does not fit in the
+slack below the largest row does it evaluate the term exactly, with
+numpy's power, so dt is the same to the bit either way.  A one-state step makes no
 one-cell numpy call: the outer ghost face is a float division too.
 
 The gradient terms of a state -- face gradients g, cell averages gbar,
@@ -413,12 +413,13 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
 
     At p = 2, one state's cell-0 term is first bounded from floats
     (StepTerms.origin_source_rate_bound, libm's power enlarged by
-    POWER_MARGIN).  If row_0 plus that bound stays at or below the
-    largest row, as it does at N = 1 unless cell 0's gradient is small
-    enough, near eps, for its term to outweigh 1/dr^2, the largest row
-    sets dt and the term is never evaluated exactly.  Otherwise, and for
-    stacks and non-finite values, the exact term, by numpy's power,
-    enters the maximum.  dt is the same to the bit on both paths.
+    POWER_MARGIN) where row 0 lies below the largest row, which is at
+    N = 1 only.  If row_0 plus that bound stays at or below the largest
+    row, as it does unless cell 0's gradient is small enough, near eps,
+    for its term to outweigh 1/dr^2, the largest row sets dt and the term
+    is never evaluated exactly.  Otherwise, at N >= 2, and for stacks and
+    non-finite values, the exact term, by numpy's power, enters the
+    maximum.  dt is the same to the bit on both paths.
 
     The derivatives in the neighbors, dt (rf^(N-1) a / (r_i^(N-1) dr^2)
     -+ q gbar (gbar^2+eps^2)^(q/2-1) / (2 dr)), carry dt only as a
@@ -433,9 +434,11 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     # cell 0's source rate: half of it is the source's own-cell derivative
     if problem.p == 2.0:            # at p = 2 the mobility is exactly 1
         row_0, row_max = terms._unit_rows
-        # one state's cell-0 term, bounded from floats, that stays below the
-        # largest row leaves that row to set dt, as the exact term would
-        if (terms.gbar.ndim == 1
+        # one state's cell-0 term, bounded from floats, that fits in the
+        # slack below the largest row leaves that row to set dt, as the
+        # exact term would; only N = 1 has that slack (at N >= 2 row 0 is
+        # the largest row)
+        if (row_0 < row_max and terms.gbar.ndim == 1
                 and row_0 + 0.5 * terms.origin_source_rate_bound() <= row_max):
             return SAFETY / row_max
         own = max(row_max, row_0 + 0.5 * terms.origin_source_rate_max())
