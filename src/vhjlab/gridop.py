@@ -27,8 +27,9 @@ rows are then the grid's, reads the state only at the symmetry cell.
 For one state at N = 1 it first bounds cell 0's source term from Python
 floats, with libm's power; only when that bound does not fit in the
 slack below the largest row does it evaluate the term exactly, with
-numpy's power, so dt is the same to the bit either way.  A one-state step makes no
-one-cell numpy call: the outer ghost face is a float division too.
+numpy's power, so dt is the same to the bit either way.  Such a step
+makes no one-cell numpy call: the outer ghost face of one state is a
+float division too.
 
 The gradient terms of a state -- face gradients g, cell averages gbar,
 z = gbar^2 + eps^2 and, at p != 2, the face weights rf^(N-1) a_eps(g^2)
