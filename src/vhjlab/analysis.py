@@ -15,7 +15,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .exponents import ProblemParams, RegimeMismatch, derive_constants
+from .exponents import ProblemParams, RegimeMismatch, single_point_constants
 from .gridop import RadialGrid, Regularization, default_gamma_lift, face_gradient
 
 
@@ -47,9 +47,7 @@ def localization_radius(problem: ProblemParams, sup_u0: float, R0: float) -> flo
     support of the evolution for all time: beyond this radius every cone
     translate lies above the data and stays above the flow.
     """
-    c = derive_constants(problem)
-    if c.kappa is None:
-        raise RegimeMismatch("localization bound needs the single-point regime")
+    c = single_point_constants(problem, "localization bound")
     return R0 + (sup_u0 / c.kappa) ** (1.0 / c.omega)
 
 
@@ -205,9 +203,7 @@ def flux_balance(grid: RadialGrid, problem: ProblemParams, u: np.ndarray,
     calibrated power of the state: the structure that pins extinction to
     the origin.  lambda and beta are the matched homogeneity exponents.
     """
-    c = derive_constants(problem)
-    if c.lambda_j is None:
-        raise RegimeMismatch("flux balance needs the single-point regime")
+    c = single_point_constants(problem, "flux balance")
     p, N = problem.p, problem.N
     u = np.asarray(u, dtype=float)
     g = face_gradient(grid, u)
@@ -244,7 +240,7 @@ def j_diagnostic(grid: RadialGrid, problem: ProblemParams, snap_t, snap_u,
     the magnitudes of J's two parts.  Raises EmptySupport when no
     snapshot has an admitted cell.
     """
-    c = derive_constants(problem)
+    c = single_point_constants(problem, "J diagnostic")
     u_floor = 10.0 * tol_pos
     r_window = (2.0 * grid.dr, R0)
     ts, deltas, counts = [], [], []

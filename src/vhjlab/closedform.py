@@ -28,7 +28,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .exponents import ProblemParams, RegimeMismatch, derive_constants
+from .exponents import ProblemParams, single_point_constants
 
 
 class DecayTooSlow(ValueError):
@@ -57,9 +57,7 @@ class Barrier:
 
     def __init__(self, problem: ProblemParams, r0: float = 0.0,
                  amplitude: Optional[float] = None):
-        c = derive_constants(problem)
-        if c.kappa is None:
-            raise RegimeMismatch("barrier needs the single-point regime (q < p-1)")
+        c = single_point_constants(problem, "barrier")
         self.problem = problem
         self.r0 = float(r0)
         self.kappa = float(amplitude) if amplitude is not None else c.kappa
@@ -98,9 +96,7 @@ class ShrinkSuper:
     family = "shrink_super"
 
     def __init__(self, problem: ProblemParams, A: float, alpha: float, R: float = 1.0):
-        c = derive_constants(problem)
-        if c.gamma_sigma is None:
-            raise RegimeMismatch("shrinking envelope needs the single-point regime")
+        c = single_point_constants(problem, "shrinking envelope")
         q = problem.q
         self.problem = problem
         self.A = float(A)
@@ -176,9 +172,7 @@ class TailSub:
     family = "tail_sub"
 
     def __init__(self, problem: ProblemParams, a: float, b: float, T: float):
-        c = derive_constants(problem)
-        if c.theta_sub is None:
-            raise RegimeMismatch("tail subsolution needs the single-point regime")
+        c = single_point_constants(problem, "tail subsolution")
         self.problem = problem
         self.a = float(a)
         self.b = float(b)
@@ -222,9 +216,7 @@ class SelfSimSuper:
     family = "selfsim_super"
 
     def __init__(self, problem: ProblemParams, A: float, T: float):
-        c = derive_constants(problem)
-        if c.alpha_ss is None or c.gamma_super is None:
-            raise RegimeMismatch("self-similar bound needs an extinction regime")
+        c = single_point_constants(problem, "self-similar bound")
         if problem.p >= 2.0:
             raise NotApplicable("self-similar upper bound is a p < 2 construction")
         self.problem = problem
@@ -403,9 +395,7 @@ def make_shrink_super(problem: ProblemParams, decay_C: float, decay_theta: float
     Returns a ShrinkSuper whose R, A satisfy the construction inequalities
     with margins recorded in .achieved.
     """
-    c = derive_constants(problem)
-    if c.gamma_sigma is None:
-        raise RegimeMismatch("shrinking envelope needs the single-point regime")
+    c = single_point_constants(problem, "shrinking envelope")
     p, q = problem.p, problem.q
     g = c.gamma_sigma
     thr = c.decay_threshold
@@ -450,9 +440,7 @@ def tail_sub_min_a(problem: ProblemParams, b: float, T: float) -> float:
       (gamma*theta*b)^(p-1) T^((p-1-q)/(1-q)) a^((2-p)gamma - p + 1)
            * ((1+gamma) p + N - 1)  <  1 / (2 (1-q)).
     """
-    c = derive_constants(problem)
-    if c.theta_sub is None:
-        raise RegimeMismatch("tail subsolution needs the single-point regime")
+    c = single_point_constants(problem, "tail subsolution")
     p, q, N = problem.p, problem.q, problem.N
     g, th = c.gamma_sub, c.theta_sub
     if not 0.0 < b < c.b0_sub:
@@ -480,10 +468,7 @@ def make_tail_sub(problem: ProblemParams, T: float, b: Optional[float] = None,
                   a: Optional[float] = None) -> TailSub:
     """TailSub with certified defaults: b = b0/2 and a = twice the threshold."""
     if b is None:
-        b0 = derive_constants(problem).b0_sub
-        if b0 is None:
-            raise RegimeMismatch("tail subsolution needs the single-point regime")
-        b = 0.5 * b0
+        b = 0.5 * single_point_constants(problem, "tail subsolution").b0_sub
     a_min = tail_sub_min_a(problem, b, T)
     if a is None:
         a = 2.0 * a_min
@@ -510,12 +495,10 @@ def selfsim_certificates(problem: ProblemParams, A: float) -> dict:
     near field (diffusion controlled by the time term) from the far field
     (diffusion controlled by half the absorption).
     """
-    c = derive_constants(problem)
+    c = single_point_constants(problem, "self-similar bound")
     p, q = problem.p, problem.q
     if p >= 2.0:
         raise NotApplicable("self-similar upper bound is a p < 2 construction")
-    if c.gamma_super is None or c.alpha_ss is None:
-        raise RegimeMismatch("needs the single-point regime")
     a, b, g = c.alpha_ss, c.beta_ss, c.gamma_super
     y0 = (4.0 * (g + 1.0)) ** -0.5
     tg = 2.0 * g

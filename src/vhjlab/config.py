@@ -23,7 +23,7 @@ grid            r_max, M of RadialGrid (N is the problem's)
 regularization  eps, counterterm of Regularization; eps absent or null
                 is default_eps of the grid
 solver          every field of SolverConfig
-analysis        j_R0 (R0 of j_diagnostic; null skips the diagnostic),
+analysis        j_R0 (R0 of j_diagnostic, needs q < p-1; null skips it),
                 domination: a list of {profile, sense, tol, r_window}
                 for check_domination
 output          dir (null: the config's path without its suffix)
@@ -53,7 +53,7 @@ import numpy as np
 from .analysis import check_domination, window_cells
 from .closedform import Barrier, certify_sign, make_selfsim_super, \
     make_shrink_super, make_tail_sub
-from .exponents import ProblemParams, validate_params
+from .exponents import ProblemParams, single_point_constants, validate_params
 from .gridop import RadialGrid, Regularization, default_eps, default_gamma_lift
 from .solver import Bump, FastDecay, FatTail, SolverConfig
 
@@ -337,6 +337,9 @@ def resolve_experiment(doc: dict) -> Experiment:
     an_sec = _section(doc, "analysis", required=False)
     domination = an_sec.pop("domination", [])
     analysis = {**_read(an_sec, "analysis", _ANALYSIS), "domination": domination}
+    if analysis["j_R0"] is not None:
+        with _config_errors("analysis.j_R0"):
+            single_point_constants(problem, "J diagnostic")
     domination_checks(problem, grid, domination)
     output = _read(_section(doc, "output", required=False), "output", _OUTPUT)
     _read(doc, "", ())              # a key left at the top level is unknown

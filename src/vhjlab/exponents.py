@@ -17,7 +17,9 @@ out_of_scope        p <= p_c or invalid
 
 The flatness constant kappa and barrier exponent omega make
 kappa*|x - x0|^omega an exact stationary solution; they exist only in the
-single_point regime (they need q < p - 1).
+single_point regime (they need q < p - 1), as does everything built on
+them.  single_point_constants, the one place that decides that regime,
+hands their constants out and refuses other triples by RegimeMismatch.
 """
 
 from __future__ import annotations
@@ -151,11 +153,6 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     if regime not in (Regime.SINGLE_POINT, Regime.COMPLETE_EXTINCTION):
         raise RegimeMismatch(f"no derived constants for regime {regime.value} (N={N}, p={p}, q={q})")
 
-    if q >= 1.0:
-        # q < p/2 <= 1 in both extinction regimes, so this is unreachable
-        # for validated params; guard anyway for raw dataclass instances.
-        raise RegimeMismatch(f"extinction constants need q < 1, got q = {q}")
-
     decay_threshold = q / (1.0 - q)
     alpha_ss = (p - q) / (p - 2.0 * q)
     beta_ss = (q - p + 1.0) / (p - 2.0 * q)
@@ -207,3 +204,17 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
         lambda_j=lambda_j,
         beta_j=beta_j,
     )
+
+
+def single_point_constants(problem: ProblemParams, what: str) -> DerivedConstants:
+    """derive_constants(problem) in the single-point regime q < p-1.
+
+    Anywhere else raises RegimeMismatch naming what needs the regime and
+    the regime the triple is in.
+    """
+    N, p, q = problem.N, problem.p, problem.q
+    regime = classify_regime(N, p, q)
+    if regime is not Regime.SINGLE_POINT:
+        raise RegimeMismatch(f"{what} needs the single-point regime (q < p-1); "
+                             f"N={N}, p={p}, q={q} is {regime.value}")
+    return derive_constants(problem)

@@ -42,7 +42,8 @@ has one home and the result is the same to the last bit either way.  A
 solver run fills one workspace per step and hands it to each.
 
 Everything broadcasts over leading axes: u with shape (..., M) yields an
-rhs of shape (..., M), so parameter sweeps can run as one array program.
+rhs of shape (..., M).  A stack shares one (grid, problem, reg), so stacks
+of states step together, as criterion 4's comparison pairs do.
 """
 
 from __future__ import annotations
@@ -225,12 +226,15 @@ class StepTerms:
     weight off the symmetry face is 1.0, it differences g itself) and
     returns cell_scratch.  Those two are free for a caller's own use
     otherwise: the semi-implicit matrix borrows both while it builds its
-    three bands, shape (3, M), in bands, whose corners stay zero.  A result stays valid until the buffer
-    is written again.
+    three bands, shape (3, M), in bands, whose corners stay zero.  A
+    result stays valid until the buffer is written again.  A problem
+    whose dimension is not the grid's is a GridMismatch.
     """
 
     def __init__(self, grid: RadialGrid, problem: ProblemParams,
                  reg: Regularization, shape: tuple = ()):
+        if problem.N != grid.N:
+            raise GridMismatch(f"problem dimension {problem.N} vs grid dimension {grid.N}")
         self.grid, self.problem, self.reg = grid, problem, reg
         faces = tuple(shape) + (grid.M + 1,)
         cells = tuple(shape) + (grid.M,)
@@ -310,10 +314,11 @@ class StepTerms:
                                  np.power(self.z, self._half_q_less_1, out=self._power))
 
     def origin_source_rate(self) -> np.ndarray:
-        """source_rate at the symmetry cell alone, shape shape + (1,)."""
+        """source_rate at the symmetry cell alone, of max(-gbar_0, 0) in
+        place of |gbar_0| (see stable_dt), shape shape + (1,)."""
         gbar, z, rate, power = self._origin
-        return self._source_rate(np.abs(gbar, out=rate),
-                                 np.power(z, self._half_q_less_1, out=power))
+        falling = np.maximum(np.negative(gbar, out=rate), 0.0, out=rate)
+        return self._source_rate(falling, np.power(z, self._half_q_less_1, out=power))
 
     def origin_source_rate_max(self) -> float:
         """The largest origin_source_rate over the states, as a float.
@@ -326,7 +331,8 @@ class StepTerms:
             return float(self.origin_source_rate().max())
         _, z, _, power = self._origin
         np.power(z, self._half_q_less_1, out=power)
-        return self._source_rate(abs(self.gbar.item(0)), power.item(0))
+        g = self.gbar.item(0)
+        return self._source_rate(0.0 if g >= 0.0 else -g, power.item(0))
 
     def origin_source_rate_bound(self) -> float:
         """An upper bound of one state's origin_source_rate, from floats.
@@ -340,12 +346,13 @@ class StepTerms:
             power = math.pow(self.z.item(0), self._half_q_less_1)
         except (OverflowError, ValueError):
             return math.inf
-        return self._source_rate(abs(self.gbar.item(0)), power) * (1.0 + POWER_MARGIN)
+        g = self.gbar.item(0)
+        return self._source_rate(0.0 if g >= 0.0 else -g, power) * (1.0 + POWER_MARGIN)
 
     def _source_rate(self, rate, power):
-        """The source rate's expression, from rate = |gbar| and power =
-        (gbar^2+eps^2)^(q/2-1); in place on arrays, and the same operations
-        in the same order on floats."""
+        """The source rate's expression, from rate = |gbar| (or max(-gbar_0,
+        0)) and power = (gbar^2+eps^2)^(q/2-1); in place on arrays, and the
+        same operations in the same order on floats."""
         rate *= self.problem.q
         rate *= power
         rate /= self._dr
@@ -359,8 +366,6 @@ def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     terms, if given, is a StepTerms of (grid, problem, reg) filled from u;
     the result then lives in its cell_scratch.
     """
-    if problem.N != grid.N:
-        raise GridMismatch(f"problem dimension {problem.N} vs grid dimension {grid.N}")
     if terms is None:
         terms = StepTerms.of(grid, problem, reg, u)
     if terms.unit_weights:
@@ -407,10 +412,12 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
       row holds its outer face alone: at N = 1 it is half of the others.
     - gradient source: gbar_i = (u_(i+1) - u_(i-1)) / (2 dr) does not
       hold u_i, except at the symmetry cell, where g_0 = 0 makes gbar_0 =
-      (u_1 - u_0) / (2 dr).  There the source adds q |gbar_0|
-      (gbar_0^2+eps^2)^(q/2-1) / (2 dr), half of cell 0's source_rate,
-      which StepTerms.origin_source_rate evaluates on that cell alone (at
-      p = 2, origin_source_rate_max, from one state's cell-0 floats).
+      (u_1 - u_0) / (2 dr).  Where the state falls there (gbar_0 < 0),
+      the source adds q |gbar_0| (gbar_0^2+eps^2)^(q/2-1) / (2 dr), half
+      of cell 0's source_rate; a rising origin raises cell 0's own
+      coefficient and adds nothing.  StepTerms.origin_source_rate counts
+      max(-gbar_0, 0) on that cell alone (at p = 2,
+      origin_source_rate_max, from one state's cell-0 floats).
 
     At p = 2, one state's cell-0 term is first bounded from floats
     (StepTerms.origin_source_rate_bound, libm's power enlarged by

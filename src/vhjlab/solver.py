@@ -213,7 +213,8 @@ class SolverConfig:
     series, snapshots are taken at the listed times (plus start and final
     state).
     lift adds a constant floor to the data (for diagnostics on strictly
-    positive states).
+    positive states).  The tolerances, lift and series_gradient_floor
+    must be nonnegative.
     """
 
     t_end: float
@@ -233,8 +234,11 @@ class SolverConfig:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.series_stride < 1:
             raise ValueError("series_stride must be >= 1")
-        if not self.lift >= 0:
-            raise ValueError(f"lift must be nonnegative, got {self.lift}")
+        # a zero tolerance asks for exact extinction or the exact support
+        for name in ("tol_ext", "tol_pos", "lift", "series_gradient_floor"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
     def resolve_tols(self, problem: ProblemParams, reg: Regularization) -> tuple:
         te = self.tol_ext if self.tol_ext is not None else default_domination_tol(problem, reg)
@@ -349,15 +353,13 @@ SCHEMES = {"explicit": (_explicit_bound, explicit_step),
 def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         ic, cfg: SolverConfig) -> RunResult:
     """Integrate from ic until extinction, divergence, or the horizon."""
-    if problem.N != grid.N:
-        raise RegimeMismatch(f"problem dimension {problem.N} vs grid dimension {grid.N}")
+    terms = StepTerms(grid, problem, reg)
     tol_ext, tol_pos = cfg.resolve_tols(problem, reg)
     u = np.asarray(ic.sample(grid.r_cells), dtype=float) + cfg.lift
     if np.any(u < 0) or not np.all(np.isfinite(u)):
         raise DataShapeError("initial data must be finite and nonnegative")
     sup0 = float(u.max())
     metric = grid.metric_cells
-    terms = StepTerms(grid, problem, reg)
     bound, step = SCHEMES[cfg.scheme]
 
     # the columns grow as packed doubles, 8 bytes a value
@@ -370,7 +372,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     K = max(1, RECORD_BLOCK_CELLS // grid.M)
     block, scratch = np.empty((K, grid.M)), np.empty((K, grid.M))
     if gp is not None:
-        g_block, lo_block = np.empty((K, grid.M + 1)), np.empty((K, grid.M + 1))
+        g_block = np.empty((K, grid.M + 1))
     filled = 0
 
     def flush():
@@ -384,23 +386,19 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         ser_mass.extend(np.add.reduce(
             np.multiply(rows, metric, out=scratch[:filled]), axis=-1))
         if gp is not None:
-            # only faces between solidly positive cells: the steepness of
-            # the state's interior, not of tolerance-level fringe; lo is
-            # the smaller of the two cells beside each face (zero ghost).
-            # No face past the block's last column above the floor passes,
-            # so the columns stop there; the face just past it gets its lo
-            # from the next column, which masks its ghost difference
-            above = np.flatnonzero((rows > floor).any(axis=0))
-            cut = int(above[-1]) + 1 if above.size else 1
+            # only faces between two cells above the floor: the steepness
+            # of the state's interior, not of tolerance-level fringe.  No
+            # face past the block's last column above the floor passes, so
+            # the columns stop there; the face at the cut, against the
+            # next column or the zero ghost (floor >= 0), passes in no row
+            above = rows > floor
+            cols = np.flatnonzero(above.any(axis=0))
+            cut = int(cols[-1]) + 1 if cols.size else 1
             v = np.power(rows[:, :cut], gp, out=scratch[:filled, :cut])
             g = face_gradient(grid, v, out=g_block[:filled, :cut + 1])
             np.abs(g, out=g)
-            lo = lo_block[:filled, :cut + 1]
-            lo[:, 0] = rows[:, 0]
-            np.minimum(rows[:, :cut - 1], rows[:, 1:cut], out=lo[:, 1:-1])
-            np.minimum(rows[:, cut - 1:cut], rows[:, cut:cut + 1] if cut < grid.M else 0.0,
-                       out=lo[:, -1:])
-            g[~(lo > floor)] = 0.0
+            g[:, 1:cut][~(above[:, :cut - 1] & above[:, 1:cut])] = 0.0
+            g[:, cut] = 0.0
             ser_grad.extend(g.max(axis=-1))
         filled = 0
 

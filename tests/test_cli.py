@@ -508,6 +508,9 @@ REMOVED_KEYS = ({("solver", key) for key in
     ("solver", "divergence_factor", 0.5),
     ("solver", "divergence_factor", 1.0),
     ("solver", "lift", -1.0),
+    ("solver", "tol_ext", -1e-7),
+    ("solver", "tol_pos", -1e-7),
+    ("solver", "series_gradient_floor", -1e-5),
     ("ic", "power", -1.0),
     ("ic", "power", 0.0),
 ])
@@ -525,6 +528,43 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, section, key, v
     else:
         assert f"config error: {section}: " in err and key in err
     assert not (tmp_path / "exp").exists()
+
+
+def test_a_negative_tolerance_is_a_config_error(tmp_path, capsys):
+    # zero asks for exact extinction; below it a run would never end
+    doc = json.loads(json.dumps(BASE))
+    doc["solver"]["tol_ext"] = -1e-7
+    assert main(["simulate", write_config(tmp_path, doc)]) == 2
+    assert ("config error: solver: tol_ext must be nonnegative, got -1e-07\n"
+            == capsys.readouterr().err)
+    assert not (tmp_path / "exp").exists()
+
+
+# N = 2, p = 1.8, q = 0.85: complete extinction, no single-point constructions
+COMPLETE = {"N": 2, "p": 1.8, "q": 0.85}
+NOT_SINGLE_POINT = ("needs the single-point regime (q < p-1); "
+                    "N=2, p=1.8, q=0.85 is complete_extinction\n")
+
+
+def test_simulate_refuses_a_j_diagnostic_outside_the_single_point_regime(
+        tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE))
+    doc["problem"] = COMPLETE
+    doc["ic"]["power"] = 2.0
+    doc["analysis"] = {"j_R0": 1.0}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 2
+    assert (f"config error: analysis.j_R0: J diagnostic {NOT_SINGLE_POINT}"
+            == capsys.readouterr().err)
+    assert not (tmp_path / "exp").exists()
+
+
+def test_residual_names_the_self_similar_bound_outside_its_regime(tmp_path, capsys):
+    doc = {"problem": COMPLETE, "profile": {"kind": "decaying_envelope", "T": 1.0},
+           "box": [0.0, 0.5, 0.001, 10.0], "sense": "super"}
+    assert main(["residual", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: profile: self-similar bound {NOT_SINGLE_POINT}" == captured.err
 
 
 @pytest.mark.parametrize("q, ic, message", [

@@ -6,7 +6,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from vhjlab.exponents import ProblemParams, derive_constants
+from vhjlab.analysis import flux_balance, j_diagnostic, localization_radius
+from vhjlab.exponents import (ProblemParams, RegimeMismatch, classify_regime,
+                              derive_constants, single_point_constants)
+from vhjlab.gridop import RadialGrid
 from vhjlab.closedform import (
     Barrier,
     DecayTooSlow,
@@ -303,3 +306,42 @@ def test_certify_sense_validation():
     bar = Barrier(P_A)
     with pytest.raises(ValueError):
         certify_sign(bar, (0.0, 1.0, 0.1, 1.0), "upper")
+
+
+# --------------------------------------------------------------------------
+# the single-point gate
+# --------------------------------------------------------------------------
+
+SINGLE_POINT_ONLY = [     # (name, build from (problem, grid, state))
+    ("barrier", lambda prm, grid, u: Barrier(prm)),
+    ("shrinking envelope", lambda prm, grid, u: ShrinkSuper(prm, A=1.0, alpha=1.0)),
+    ("shrinking envelope", lambda prm, grid, u: make_shrink_super(
+        prm, decay_C=1.0, decay_theta=50.0, sup_u0=1.0)),
+    ("tail subsolution", lambda prm, grid, u: TailSub(prm, a=1.0, b=0.1, T=1.0)),
+    ("tail subsolution", lambda prm, grid, u: tail_sub_min_a(prm, b=0.1, T=1.0)),
+    ("tail subsolution", lambda prm, grid, u: make_tail_sub(prm, T=1.0)),
+    ("self-similar bound", lambda prm, grid, u: SelfSimSuper(prm, A=1.0, T=1.0)),
+    ("self-similar bound", lambda prm, grid, u: selfsim_certificates(prm, A=1.0)),
+    ("localization bound", lambda prm, grid, u: localization_radius(prm, 1.0, 1.0)),
+    ("flux balance", lambda prm, grid, u: flux_balance(grid, prm, u, 0.1)),
+    ("J diagnostic", lambda prm, grid, u: j_diagnostic(grid, prm, [0.0], [u], 1e-9, R0=1.0)),
+]
+
+
+@pytest.mark.parametrize("prm", [ProblemParams(2, 1.8, 0.85), ProblemParams(1, 2.0, 1.5)],
+                         ids=["complete_extinction", "no_extinction"])
+@pytest.mark.parametrize("name, build", SINGLE_POINT_ONLY,
+                         ids=[f"{i}-{name}" for i, (name, _) in enumerate(SINGLE_POINT_ONLY)])
+def test_single_point_constructions_refuse_other_regimes(prm, name, build):
+    # one gate decides, and its message names what asked and the regime found
+    regime = classify_regime(prm.N, prm.p, prm.q).value
+    grid = RadialGrid(prm.N, 4.0, 32)
+    with pytest.raises(RegimeMismatch) as info:
+        build(prm, grid, np.exp(-grid.r_cells ** 2))
+    assert str(info.value) == (f"{name} needs the single-point regime (q < p-1); "
+                               f"N={prm.N}, p={prm.p}, q={prm.q} is {regime}")
+
+
+def test_single_point_gate_passes_the_derived_constants():
+    for prm in (P_A, P_B):
+        assert single_point_constants(prm, "barrier") == derive_constants(prm)

@@ -219,9 +219,10 @@ def test_p2_shortcut_matches_mobility_reference(N):
         assert np.array_equal(discrete_rhs(grid, prm, reg, u), div - source)
         wa = grid.metric_faces * a
         own = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
-        # the source's own-cell derivative, at the symmetry cell only
+        # the source's own-cell derivative, at the symmetry cell only and
+        # only where the state falls there
         gbar0 = gbar[..., 0]
-        rate0 = prm.q * np.abs(gbar0) * absorption_law(gbar0 * gbar0, prm.q - 2.0,
+        rate0 = prm.q * np.maximum(-gbar0, 0.0) * absorption_law(gbar0 * gbar0, prm.q - 2.0,
                                                         reg.eps) / grid.dr
         own[..., 0] += 0.5 * rate0
         assert stable_dt(grid, prm, reg, u) == SAFETY / float(np.max(own))
@@ -237,10 +238,10 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
     # smallest coefficient is 1 - SAFETY: at N = 1 cell 0's row holds only
     # its outer face, and the other rows, 2/dr^2, set dt; at N = 2 every
     # diffusion row is 2/dr^2, and the source's term at the symmetry cell
-    # sets dt.  That term counts |gbar_0|, which is the source's own-cell
-    # rate where the state falls at the origin (u_1 <= u_0); where it
-    # rises, the term lowers the true rate, so at N = 2 the bound is
-    # attained only on the falling copies
+    # sets dt.  That term counts max(-gbar_0, 0), the source's own-cell
+    # rate: where the state rises at the origin (u_1 > u_0) the source
+    # lowers the true rate and the term is zero, so the bound is attained
+    # on the rising copies as on the falling ones
     rng = np.random.default_rng(31)
     grid = RadialGrid(prm.N, 4.0, 256)
     reg = Regularization(eps=default_eps(grid))
@@ -253,7 +254,7 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
                       for _ in range(n)]).reshape(shape + (grid.M,))
         falling = u.copy()
         falling[..., :2] = np.sort(u[..., :2])[..., ::-1]
-        for v, attained in ((u, prm.N == 1), (falling, True)):
+        for v in (u, falling):
             dt = stable_dt(grid, prm, reg, v)
 
             def update(w):
@@ -265,20 +266,21 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
             own = (update(bumped)[..., cells, cells] - update(v)) / h
             assert own.shape == v.shape
             assert own.min() >= 1.0 - SAFETY - 1e-6
-            if prm.p == 2.0 and attained:
+            if prm.p == 2.0:
                 assert abs(own.min() - (1.0 - SAFETY)) <= 1e-6
 
 
 def _straddling_states(grid, prm, reg, rng):
     """N = 1, p = 2 states whose cell-0 term sits within 1e-12 relative of
-    the slack row_max - row_0, on both sides: u_0 = 0 and u_1 around the
-    value at which the exact term, a stack's, fills the slack."""
+    the slack row_max - row_0, on both sides: u_1 = 0 and u_0 around the
+    value at which the exact term, a stack's, fills the slack (only a
+    falling origin has the term)."""
     rows = grid.unit_mobility_rows
     row_max = float(rows.max())
 
     def state(x):
         u = rng.random(grid.M)
-        u[:2] = 0.0, x
+        u[:2] = x, 0.0
         return u
 
     def cell_0_limits(x):

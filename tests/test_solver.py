@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vhjlab.exponents import ProblemParams, RegimeMismatch
-from vhjlab.gridop import RadialGrid, Regularization, StepTerms, stable_dt
+from vhjlab.gridop import GridMismatch, RadialGrid, Regularization, StepTerms, stable_dt
 from vhjlab.solver import (
     SCHEMES,
     Bump,
@@ -192,7 +192,7 @@ def test_data_validation():
 
     with pytest.raises(DataShapeError, match="finite and nonnegative"):
         run(P_A, grid, Regularization(eps=1e-3), NaNData(), SolverConfig(t_end=0.1))
-    with pytest.raises(RegimeMismatch):
+    with pytest.raises(GridMismatch, match="problem dimension 2 vs grid dimension 1"):
         run(P_B, grid, Regularization(eps=1e-3),
             Bump(P_B, m=1e-7, R0=1.0), SolverConfig(t_end=0.1))
 
