@@ -34,6 +34,7 @@ from .gridop import (
     GridMismatch,
     RadialGrid,
     Regularization,
+    StepTerms,
     default_eps,
     default_gamma_lift,
     discrete_rhs,
@@ -114,6 +115,7 @@ __all__ = [
     "SelfSimSuper",
     "ShrinkSuper",
     "SolverConfig",
+    "StepTerms",
     "TailSub",
     "certify_sign",
     "check_domination",

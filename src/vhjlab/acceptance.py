@@ -41,7 +41,7 @@ from .closedform import (
 )
 from .config import jsonable, resolve_experiment, with_overrides
 from .exponents import ProblemParams, derive_constants
-from .gridop import RadialGrid, Regularization, default_eps, stable_dt
+from .gridop import RadialGrid, Regularization, StepTerms, default_eps, stable_dt
 from .solver import Bump, Outcome, explicit_step
 
 PROBLEM_A = ProblemParams(1, 2.0, 0.5)
@@ -340,13 +340,14 @@ class Battery:
             grid = RadialGrid(problem.N, 4.0, 256)
             reg = Regularization(eps=default_eps(grid))
             n = trials_per_config
+            terms_of = functools.partial(StepTerms.of, grid, problem, reg)
 
             # ordered fields stay ordered
             u = self._smooth_states(rng, grid, n)
             v = u + self._smooth_states(rng, grid, n)
-            dt = stable_dt(grid, problem, reg, np.vstack((u, v)))
-            u1 = explicit_step(grid, problem, reg, u.copy(), dt)
-            v1 = explicit_step(grid, problem, reg, v.copy(), dt)
+            dt = stable_dt(terms_of(np.vstack((u, v))))
+            u1 = explicit_step(terms_of(u), u.copy(), dt)
+            v1 = explicit_step(terms_of(v), v.copy(), dt)
             scale = np.maximum(1.0, v.max(axis=1, keepdims=True))
             stats["comparison"] = max(stats["comparison"],
                                       float(((u1 - v1) / scale).max()))
@@ -354,8 +355,9 @@ class Battery:
             # bounds: nonnegative, and the sup can only creep by the
             # counterterm's eps^q dt
             w = self._smooth_states(rng, grid, n)
-            dtw = stable_dt(grid, problem, reg, w)
-            w1 = explicit_step(grid, problem, reg, w.copy(), dtw)
+            terms = terms_of(w)
+            dtw = stable_dt(terms)
+            w1 = explicit_step(terms, w.copy(), dtw)
             allowance = reg.eps ** problem.q * dtw
             over = (w1.max(axis=1) - w.max(axis=1) - allowance) / np.maximum(
                 1.0, w.max(axis=1))
@@ -365,8 +367,9 @@ class Battery:
 
             # radially decreasing data stays decreasing
             s = np.sort(self._smooth_states(rng, grid, n), axis=1)[:, ::-1]
-            dts = stable_dt(grid, problem, reg, s)
-            s1 = explicit_step(grid, problem, reg, s.copy(), dts)
+            terms = terms_of(s)
+            dts = stable_dt(terms)
+            s1 = explicit_step(terms, s.copy(), dts)
             scale = np.maximum(1.0, s.max(axis=1, keepdims=True))
             stats["radial_monotone"] = max(stats["radial_monotone"],
                                            float((np.diff(s1, axis=1) / scale).max()))
@@ -376,9 +379,9 @@ class Battery:
             b = a.copy()
             cols = rng.integers(0, grid.M, size=n)
             b[np.arange(n), cols] += rng.uniform(0.01, 0.5, size=n)
-            dtab = stable_dt(grid, problem, reg, np.vstack((a, b)))
-            a1 = explicit_step(grid, problem, reg, a.copy(), dtab)
-            b1 = explicit_step(grid, problem, reg, b.copy(), dtab)
+            dtab = stable_dt(terms_of(np.vstack((a, b))))
+            a1 = explicit_step(terms_of(a), a.copy(), dtab)
+            b1 = explicit_step(terms_of(b), b.copy(), dtab)
             scale = np.maximum(1.0, b.max(axis=1, keepdims=True))
             stats["single_cell_ordering"] = max(stats["single_cell_ordering"],
                                                 float(((a1 - b1) / scale).max()))

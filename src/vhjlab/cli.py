@@ -96,14 +96,17 @@ def _write_csv(path: Path, header: list, columns: list):
 
 
 def write_run_dir(out_dir: Path, exp: Experiment, result) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write result's run directory, first removing the snapshots and the
+    analysis report an earlier run into out_dir left; other files stay."""
+    snap_dir = out_dir / "snapshots"
+    snap_dir.mkdir(parents=True, exist_ok=True)
+    for stale in [*snap_dir.glob("snap-*.csv"), out_dir / "analysis-report.json"]:
+        stale.unlink(missing_ok=True)
     (out_dir / "resolved-config.json").write_text(
         json.dumps(exp.resolved, sort_keys=True, indent=2) + "\n")
 
     _write_csv(out_dir / "series.csv", list(result.series), list(result.series.values()))
 
-    snap_dir = out_dir / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
     times = result.snapshots["t"]
     _write_csv(snap_dir / "index.csv", list(_INDEX),
                [np.arange(len(times)), times])
@@ -188,15 +191,10 @@ def analyze_run_dir(run_dir: Path) -> dict:
     if T_e is not None:
         for quantity in ("sup", "support_radius"):
             try:
-                fit = fit_exponent(series["t"], series[quantity], T_e)
+                fit = jsonable(fit_exponent(series["t"], series[quantity], T_e))
             except InsufficientPoints as exc:
-                report["fits"].append({"quantity": quantity,
-                                       "error": str(exc)})
-                continue
-            report["fits"].append({
-                "quantity": quantity, "exponent": fit.exponent,
-                "window": list(fit.t_window), "n_points": fit.n_points,
-                "max_log_residual": fit.max_log_residual})
+                fit = {"error": str(exc)}
+            report["fits"].append({"quantity": quantity, **fit})
 
     if "grad_pow_sup" in series:
         _, quot = gradient_quotient(series["t"], series["grad_pow_sup"],

@@ -36,10 +36,10 @@ z = gbar^2 + eps^2 and, at p != 2, the face weights rf^(N-1) a_eps(g^2)
 -- live in a StepTerms workspace: its buffers, and the views of them that
 its fill and readers use, are made once, and fill refills them from each
 new state by face_gradient's formula on those views.  discrete_rhs,
-stable_dt and source_rate read them from an optional terms argument;
-without one, each builds a one-shot workspace from u, so every formula
-has one home and the result is the same to the last bit either way.  A
-solver run fills one workspace per step and hands it to each.
+stable_dt and source_rate take a filled workspace as their only input,
+grid, problem and regularization included: a solver run fills one per
+step and hands it to each, and a one-shot caller passes
+StepTerms.of(grid, problem, reg, u).
 
 Everything broadcasts over leading axes: u with shape (..., M) yields an
 rhs of shape (..., M).  A stack shares one (grid, problem, reg), so stacks
@@ -220,11 +220,11 @@ class StepTerms:
     off the symmetry face, cell 0), so a fill or a read slices nothing;
     the symmetry face of g is zeroed once, and fill writes only the rest.
 
-    absorption and source_rate each return their own buffer
-    (origin_source_rate the first cell of source_rate's); discrete_rhs
-    writes its fluxes into face_scratch (at N = 1 and p = 2, where every
-    weight off the symmetry face is 1.0, it differences g itself) and
-    returns cell_scratch.  Those two are free for a caller's own use
+    absorption returns its own buffer, and source_rate(terms) another,
+    whose first cell origin_source_rate also writes; discrete_rhs writes
+    its fluxes into face_scratch (at N = 1 and p = 2, where every weight
+    off the symmetry face is 1.0, it differences g itself) and returns
+    cell_scratch.  Those two are free for a caller's own use
     otherwise: the semi-implicit matrix borrows both while it builds its
     three bands, shape (3, M), in bands, whose corners stay zero.  A
     result stays valid until the buffer is written again.  A problem
@@ -308,11 +308,6 @@ class StepTerms:
             source -= self._eps_q
         return source
 
-    def source_rate(self) -> np.ndarray:
-        """q |gbar| (gbar^2+eps^2)^(q/2-1) / dr per cell; see source_rate."""
-        return self._source_rate(np.abs(self.gbar, out=self._rate),
-                                 np.power(self.z, self._half_q_less_1, out=self._power))
-
     def origin_source_rate(self) -> np.ndarray:
         """source_rate at the symmetry cell alone, of max(-gbar_0, 0) in
         place of |gbar_0| (see stable_dt), shape shape + (1,)."""
@@ -320,27 +315,13 @@ class StepTerms:
         falling = np.maximum(np.negative(gbar, out=rate), 0.0, out=rate)
         return self._source_rate(falling, np.power(z, self._half_q_less_1, out=power))
 
-    def origin_source_rate_max(self) -> float:
-        """The largest origin_source_rate over the states, as a float.
-
-        One state's comes from cell 0's gbar and power as Python floats;
-        the power stays numpy's, on the one-cell view, since math.pow
-        rounds differently from numpy's vectorized power.
-        """
-        if self.gbar.ndim > 1:
-            return float(self.origin_source_rate().max())
-        _, z, _, power = self._origin
-        np.power(z, self._half_q_less_1, out=power)
-        g = self.gbar.item(0)
-        return self._source_rate(0.0 if g >= 0.0 else -g, power.item(0))
-
     def origin_source_rate_bound(self) -> float:
         """An upper bound of one state's origin_source_rate, from floats.
 
         The power is libm's math.pow, which may round an ulp or two away
         from numpy's; the float expression enlarged by POWER_MARGIN bounds
-        origin_source_rate_max.  A power that overflows or has no value
-        gives inf, and a NaN state NaN, which no row bound passes.
+        origin_source_rate.  A power that overflows or has no value gives
+        inf, and a NaN state NaN, which no row bound passes.
         """
         try:
             power = math.pow(self.z.item(0), self._half_q_less_1)
@@ -359,15 +340,9 @@ class StepTerms:
         return rate
 
 
-def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-                 u: np.ndarray, terms: Optional[StepTerms] = None) -> np.ndarray:
-    """du/dt of the semi-discrete scheme: flux divergence minus gradient source.
-
-    terms, if given, is a StepTerms of (grid, problem, reg) filled from u;
-    the result then lives in its cell_scratch.
-    """
-    if terms is None:
-        terms = StepTerms.of(grid, problem, reg, u)
+def discrete_rhs(terms: StepTerms) -> np.ndarray:
+    """du/dt of the semi-discrete scheme, flux divergence minus gradient
+    source, at the state terms is filled from, in terms.cell_scratch."""
     if terms.unit_weights:
         div = np.subtract(terms._g_right, terms._g_left, out=terms.cell_scratch)
     else:
@@ -378,23 +353,19 @@ def discrete_rhs(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     return div
 
 
-def source_rate(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-                u: np.ndarray, terms: Optional[StepTerms] = None) -> np.ndarray:
+def source_rate(terms: StepTerms) -> np.ndarray:
     """Per-cell Lipschitz bound of the explicit gradient source.
 
     d b_eps(gbar^2)/d u_(i+-1) = q gbar (gbar^2+eps^2)^(q/2-1) * (+-1/(2 dr));
     the two neighbor couplings sum to q |gbar| (gbar^2+eps^2)^(q/2-1) / dr.
     This vanishes on flat faces, so small eps only penalizes cells whose
-    gradient actually sits near eps.  terms, if given, is a StepTerms of
-    (grid, problem, reg) filled from u.
+    gradient actually sits near eps.
     """
-    if terms is None:
-        terms = StepTerms.of(grid, problem, reg, u)
-    return terms.source_rate()
+    return terms._source_rate(np.abs(terms.gbar, out=terms._rate),
+                              np.power(terms.z, terms._half_q_less_1, out=terms._power))
 
 
-def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-              u: np.ndarray, terms: Optional[StepTerms] = None) -> float:
+def stable_dt(terms: StepTerms) -> float:
     """Explicit-Euler step bound: each cell's own coefficient stays
     nonnegative.
 
@@ -416,8 +387,7 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
       the source adds q |gbar_0| (gbar_0^2+eps^2)^(q/2-1) / (2 dr), half
       of cell 0's source_rate; a rising origin raises cell 0's own
       coefficient and adds nothing.  StepTerms.origin_source_rate counts
-      max(-gbar_0, 0) on that cell alone (at p = 2,
-      origin_source_rate_max, from one state's cell-0 floats).
+      max(-gbar_0, 0) on that cell alone.
 
     At p = 2, one state's cell-0 term is first bounded from floats
     (StepTerms.origin_source_rate_bound, libm's power enlarged by
@@ -434,13 +404,10 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
     factor: their sign does not depend on dt, and the eps = dr^(2/3) tie
     of default_eps keeps them nonnegative.  So dt = SAFETY / max_i row_i
     keeps every own-cell coefficient at least 1 - SAFETY, over all cells
-    and all states of a stack.  terms, if given, is a StepTerms of (grid,
-    problem, reg) filled from u.
+    and all states of a stack.
     """
-    if terms is None:
-        terms = StepTerms.of(grid, problem, reg, u)
     # cell 0's source rate: half of it is the source's own-cell derivative
-    if problem.p == 2.0:            # at p = 2 the mobility is exactly 1
+    if terms.problem.p == 2.0:      # at p = 2 the mobility is exactly 1
         row_0, row_max = terms._unit_rows
         # one state's cell-0 term, bounded from floats, that fits in the
         # slack below the largest row leaves that row to set dt, as the
@@ -449,7 +416,7 @@ def stable_dt(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
         if (row_0 < row_max and terms.gbar.ndim == 1
                 and row_0 + 0.5 * terms.origin_source_rate_bound() <= row_max):
             return SAFETY / row_max
-        own = max(row_max, row_0 + 0.5 * terms.origin_source_rate_max())
+        own = max(row_max, row_0 + 0.5 * float(terms.origin_source_rate().max()))
     else:
         source = terms.origin_source_rate()
         w = terms.weights

@@ -1,21 +1,23 @@
 """Time integration of the regularized radial flow.
 
-Each scheme is one row of the table SCHEMES: a step bound, giving the
-largest safe dt for the current state, and a step function, advancing
-the state by dt and clamping it at zero.  Both take the run's StepTerms
-workspace, filled once per step from the current state.
+Each scheme is one row of the table SCHEMES: a step bound, bound(terms),
+giving the largest safe dt, and a step function, step(terms, u, dt),
+advancing the state u by dt and clamping it at zero.  terms is the run's
+StepTerms workspace, filled once per step from u; grid, problem and
+regularization come from it.
 
-explicit       stable_dt: SAFETY over the largest own-cell rate of the
-               update, the diffusion row sum in every cell plus the
-               gradient source's own-cell derivative at the symmetry
+explicit       stable_dt(terms): SAFETY over the largest own-cell rate
+               of the update, the diffusion row sum in every cell plus
+               the gradient source's own-cell derivative at the symmetry
                cell; then forward Euler in place (explicit_step).
                Monotone under the default eps = dr^(2/3) tie, cheapest
                at p = 2, where the diffusion rows are the grid's.
-semi_implicit  SAFETY / max source_rate, capped at dr, then backward
-               Euler on the diffusion with mobilities frozen at the
-               current gradients and the gradient source kept explicit,
-               one tridiagonal solve per step by LAPACK's dgtsv, its
-               inputs checked finite first (semi_implicit_step).
+semi_implicit  SAFETY / max source_rate(terms), capped at dr, then
+               backward Euler on the diffusion with mobilities frozen at
+               the current gradients and the gradient source kept
+               explicit, one tridiagonal solve per step by LAPACK's
+               dgtsv, its inputs checked finite first
+               (semi_implicit_step).
                Removes the eps^(p-2) diffusion restriction that
                strangles explicit stepping at p < 2 with small eps.
 
@@ -272,15 +274,15 @@ def detect_extinction(t1: float, s1: float, t2: float, s2: float, tol: float) ->
     return t1 + f * (t2 - t1)
 
 
-def _semi_implicit_matrix(grid: RadialGrid, terms: StepTerms, dt: float) -> np.ndarray:
+def _semi_implicit_matrix(terms: StepTerms, dt: float) -> np.ndarray:
     """Banded (I - dt D) with mobilities frozen at the state terms holds.
 
     The bands are terms.bands, rebuilt in full; c and the lower couplings
     borrow terms.face_scratch and terms.cell_scratch on the way.
     """
     # the symmetry face's weight is zero: no flux crosses it
-    c = np.divide(terms.weights, grid.dr, out=terms.face_scratch)
-    m = grid.metric_cells
+    c = np.divide(terms.weights, terms.grid.dr, out=terms.face_scratch)
+    m = terms.grid.metric_cells
     ab = terms.bands
     lower = np.divide(c[:-1], m, out=terms.cell_scratch)  # coupling to u_{i-1}
     upper = np.divide(c[1:], m, out=ab[1])  # to u_{i+1} (ghost for the last cell)
@@ -310,34 +312,34 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _explicit_bound(grid, problem, reg, u, terms) -> float:
-    return stable_dt(grid, problem, reg, u, terms=terms)
+def _explicit_bound(terms: StepTerms) -> float:
+    return stable_dt(terms)
 
 
-def _semi_implicit_bound(grid, problem, reg, u, terms) -> float:
-    rate = float(source_rate(grid, problem, reg, u, terms=terms).max())
+def _semi_implicit_bound(terms: StepTerms) -> float:
+    rate = float(source_rate(terms).max())
     # even with implicit diffusion, do not outrun the state's own
     # relaxation scale by more than a factor of the grid
-    return min(SAFETY / rate if rate > 0 else np.inf, grid.dr)
+    return min(SAFETY / rate if rate > 0 else np.inf, terms.grid.dr)
 
 
-def explicit_step(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-                  u: np.ndarray, dt: float, terms: Optional[StepTerms] = None) -> np.ndarray:
-    """Forward Euler in place on u (one state or a stack), clamped at zero."""
-    rhs = discrete_rhs(grid, problem, reg, u, terms=terms)
+def explicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
+    """Forward Euler in place on u (one state or a stack), clamped at
+    zero; terms is filled from u."""
+    rhs = discrete_rhs(terms)
     rhs *= dt
     u += rhs
     return np.maximum(u, 0.0, out=u)
 
 
-def semi_implicit_step(grid: RadialGrid, problem: ProblemParams, reg: Regularization,
-                       u: np.ndarray, dt: float, terms: StepTerms) -> np.ndarray:
-    """Backward Euler on the diffusion, clamped at zero, into a new array."""
+def semi_implicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
+    """Backward Euler on the diffusion, clamped at zero, into a new array;
+    terms is filled from u."""
     rhs = u.copy()
     src = terms.absorption()
     src *= dt
     rhs -= src
-    ab = _semi_implicit_matrix(grid, terms, dt)
+    ab = _semi_implicit_matrix(terms, dt)
     # dgtsv overwrites the bands, rebuilt each step, and solves into rhs,
     # new each step; a non-finite system is an error
     u = solve_banded(ab, rhs)
@@ -427,12 +429,11 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     while outcome is None:
         if n >= MAX_STEPS:
             raise RuntimeError(f"step budget {MAX_STEPS} exhausted at t = {t}")
-        terms.fill(u)
-        dt = bound(grid, problem, reg, u, terms)
+        dt = bound(terms.fill(u))
         t_next_event = pending[0] if pending else t_end
         dt = min(dt, t_next_event - t, t_end - t)
         # the explicit step updates u, this run's own array, in place
-        u = step(grid, problem, reg, u, dt, terms)
+        u = step(terms, u, dt)
         t += dt
         n += 1
 

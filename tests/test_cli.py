@@ -222,9 +222,36 @@ def test_analyze_reports_fits_on_a_run(tmp_path, capsys):
     quantities = {f["quantity"] for f in report["fits"]}
     assert quantities == {"sup", "support_radius"}
     sup_fit = next(f for f in report["fits"] if f["quantity"] == "sup")
+    # the quantity and FitResult's fields
+    assert set(sup_fit) == {"quantity", "exponent", "intercept", "n_points",
+                            "t_window", "max_log_residual"}
     assert 1.0 < sup_fit["exponent"] < 2.5
     assert report["j_diagnostic"]["passed"] is True
     assert (tmp_path / "run" / "analysis-report.json").exists()
+
+
+def test_simulate_into_a_used_run_directory_leaves_no_stale_artifacts(tmp_path, capsys):
+    # a second run into the same directory, with fewer snapshots and
+    # another lifetime: the first run's extra snapshots and its analysis
+    # report go, files the run directory does not own stay
+    run_dir = tmp_path / "run"
+    doc = json.loads(json.dumps(BASE))
+    doc["solver"]["snapshot_times"] = [0.02, 0.05, 0.09]
+    doc["output"] = {"dir": str(run_dir)}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 0
+    assert main(["analyze", str(run_dir)]) == 0
+    (run_dir / "notes.txt").write_text("kept\n")
+    doc["ic"]["m"] = 1.0 / 192.0
+    doc["solver"]["snapshot_times"] = []
+    assert main(["simulate", write_config(tmp_path, doc)]) == 0
+    assert sorted(path.name for path in (run_dir / "snapshots").iterdir()) == [
+        "index.csv", "snap-0000.csv", "snap-0001.csv"]
+    assert not (run_dir / "analysis-report.json").exists()
+    assert (run_dir / "notes.txt").read_text() == "kept\n"
+    capsys.readouterr()
+    assert main(["analyze", str(run_dir)]) == 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert json.loads(capsys.readouterr().out)["T_e_est"] == summary["T_e_est"]
 
 
 def test_analyze_reports_the_gradient_envelope(tmp_path, capsys):

@@ -57,7 +57,7 @@ def test_rhs_consistency_on_exact_solution():
     for M in (128, 256, 512):
         grid = RadialGrid(1, 4.0, M)
         u = prof.value(0.0, grid.r_cells)
-        rhs = discrete_rhs(grid, P_A, reg, u)
+        rhs = discrete_rhs(StepTerms.of(grid, P_A, reg, u))
         sel = (grid.r_cells > 0.5) & (grid.r_cells < 3.0)
         errs.append(np.max(np.abs(rhs[sel])))
     assert errs[0] / errs[1] > 3.2
@@ -71,7 +71,7 @@ def test_stable_dt_zero_field_arithmetic():
     grid = RadialGrid(1, 1.0, 64)
     prm = ProblemParams(1, 1.5, 0.5)
     reg = Regularization(eps=1e-2)
-    dt = stable_dt(grid, prm, reg, np.zeros(grid.M))
+    dt = stable_dt(StepTerms.of(grid, prm, reg, np.zeros(grid.M)))
     expect = 0.5 * grid.dr ** 2 / 20.0
     assert abs(dt - expect) <= 1e-15 * expect
 
@@ -85,7 +85,8 @@ def test_diffusion_conserves_mass():
         prm = ProblemParams(N, 1.8, 0.3)
         reg = Regularization(eps=1e-3)
         u = np.exp(-grid.r_cells ** 2) * (1.0 + 0.1 * rng.random(grid.M))
-        rhs = discrete_rhs(grid, prm, reg, u) + StepTerms.of(grid, prm, reg, u).absorption()
+        terms = StepTerms.of(grid, prm, reg, u)
+        rhs = discrete_rhs(terms) + terms.absorption()
         drift = float(np.sum(rhs * grid.metric_cells))
         g = face_gradient(grid, u)
         outflow = grid.metric_faces[-1] * mobility(g[-1] ** 2, prm.p, reg.eps) * g[-1]
@@ -99,7 +100,7 @@ def test_constant_state_is_steady_inside():
     reg = Regularization(eps=1e-2, counterterm=True)
     u = np.full(grid.M, 0.7)
     # absorbing boundary: only the last cell sees the ghost
-    rhs = discrete_rhs(grid, prm, reg, u)
+    rhs = discrete_rhs(StepTerms.of(grid, prm, reg, u))
     assert np.max(np.abs(rhs[:-1])) == 0.0
     assert rhs[-1] < 0.0
 
@@ -114,9 +115,9 @@ def test_uniform_states_are_exactly_steady_with_the_counterterm(N, p, eps, q):
     grid = RadialGrid(N, 4.0, 64)
     prm = ProblemParams(N, p, q)
     u = np.full(grid.M, 0.3)
-    on = discrete_rhs(grid, prm, Regularization(eps=eps), u)
+    on = discrete_rhs(StepTerms.of(grid, prm, Regularization(eps=eps), u))
     assert np.all(on[:-1] == 0.0)
-    off = discrete_rhs(grid, prm, Regularization(eps=eps, counterterm=False), u)
+    off = discrete_rhs(StepTerms.of(grid, prm, Regularization(eps=eps, counterterm=False), u))
     assert np.all(off[:-1] == -absorption_law(np.zeros(grid.M - 1), q, eps))
 
 
@@ -125,8 +126,8 @@ def test_counterterm_sign():
     reg_on = Regularization(eps=1e-2, counterterm=True)
     reg_off = Regularization(eps=1e-2, counterterm=False)
     u = np.exp(-grid.r_cells)
-    on = discrete_rhs(grid, P_A, reg_on, u)
-    off = discrete_rhs(grid, P_A, reg_off, u)
+    on = discrete_rhs(StepTerms.of(grid, P_A, reg_on, u))
+    off = discrete_rhs(StepTerms.of(grid, P_A, reg_off, u))
     diff = on - off
     assert np.all(diff >= 0.0)
     assert np.max(np.abs(diff - reg_on.eps ** P_A.q)) <= 1e-15
@@ -142,9 +143,10 @@ def test_explicit_step_is_monotone_under_default_tie():
         bump = np.interp(grid.r_cells, np.linspace(0, 4, 9), rng.random(9))
         u = base
         v = base + 0.5 * bump
-        dt = min(stable_dt(grid, P_A, reg, u), stable_dt(grid, P_A, reg, v))
-        un = u + dt * discrete_rhs(grid, P_A, reg, u)
-        vn = v + dt * discrete_rhs(grid, P_A, reg, v)
+        tu, tv = StepTerms.of(grid, P_A, reg, u), StepTerms.of(grid, P_A, reg, v)
+        dt = min(stable_dt(tu), stable_dt(tv))
+        un = u + dt * discrete_rhs(tu)
+        vn = v + dt * discrete_rhs(tv)
         assert np.all(vn - un >= -1e-12)
 
 
@@ -154,10 +156,10 @@ def test_rhs_broadcasts_over_batches():
     prm = ProblemParams(2, 1.8, 0.6)
     reg = Regularization(eps=1e-3)
     U = rng.random((7, grid.M))
-    R = discrete_rhs(grid, prm, reg, U)
+    R = discrete_rhs(StepTerms.of(grid, prm, reg, U))
     assert R.shape == U.shape
     for k in range(7):
-        rk = discrete_rhs(grid, prm, reg, U[k])
+        rk = discrete_rhs(StepTerms.of(grid, prm, reg, U[k]))
         assert np.array_equal(R[k], rk)
 
 
@@ -166,7 +168,7 @@ def test_grid_mass_and_validation():
     # sum of r_i dr over the uniform cell centers telescopes to r_max^2 / 2
     assert abs(grid.metric_cells.sum() - 8.0) <= 1e-12
     with pytest.raises(GridMismatch):
-        discrete_rhs(grid, P_A, Regularization(eps=1e-3), np.ones(grid.M))
+        StepTerms.of(grid, P_A, Regularization(eps=1e-3), np.ones(grid.M))
     with pytest.raises(GridMismatch):
         RadialGrid(1, -1.0, 64)
 
@@ -216,7 +218,8 @@ def test_p2_shortcut_matches_mobility_reference(N):
         div = np.diff(flux, axis=-1) / grid.metric_cells
         gbar = 0.5 * (g[..., :-1] + g[..., 1:])
         source = absorption_law(gbar * gbar, prm.q, reg.eps) - reg.eps ** prm.q
-        assert np.array_equal(discrete_rhs(grid, prm, reg, u), div - source)
+        terms = StepTerms.of(grid, prm, reg, u)
+        assert np.array_equal(discrete_rhs(terms), div - source)
         wa = grid.metric_faces * a
         own = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
         # the source's own-cell derivative, at the symmetry cell only and
@@ -225,7 +228,7 @@ def test_p2_shortcut_matches_mobility_reference(N):
         rate0 = prm.q * np.maximum(-gbar0, 0.0) * absorption_law(gbar0 * gbar0, prm.q - 2.0,
                                                         reg.eps) / grid.dr
         own[..., 0] += 0.5 * rate0
-        assert stable_dt(grid, prm, reg, u) == SAFETY / float(np.max(own))
+        assert stable_dt(terms) == SAFETY / float(np.max(own))
 
 
 @pytest.mark.parametrize("prm", [PROBLEM_A, PROBLEM_B, ProblemParams(2, 2.0, 0.5)],
@@ -255,10 +258,10 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
         falling = u.copy()
         falling[..., :2] = np.sort(u[..., :2])[..., ::-1]
         for v in (u, falling):
-            dt = stable_dt(grid, prm, reg, v)
+            dt = stable_dt(StepTerms.of(grid, prm, reg, v))
 
             def update(w):
-                return w + dt * discrete_rhs(grid, prm, reg, w)
+                return w + dt * discrete_rhs(StepTerms.of(grid, prm, reg, w))
 
             # one perturbed copy of the state per cell
             bumped = np.repeat(v[..., None, :], grid.M, axis=-2)
@@ -284,7 +287,7 @@ def _straddling_states(grid, prm, reg, rng):
         return u
 
     def cell_0_limits(x):
-        return stable_dt(grid, prm, reg, state(x)[None]) < SAFETY / row_max
+        return stable_dt(StepTerms.of(grid, prm, reg, state(x)[None])) < SAFETY / row_max
 
     # the term falls as gbar_0^(q-1) here, far above eps: bracket its root
     slack = row_max - float(rows[0])
@@ -326,9 +329,10 @@ def test_stable_dt_of_one_state_equals_that_of_a_stack_of_copies(prm):
         states = np.concatenate([states, _straddling_states(grid, prm, reg, rng)])
     with np.errstate(over="ignore", invalid="ignore"):
         for u in states:
-            one = stable_dt(grid, prm, reg, u)
+            one = stable_dt(StepTerms.of(grid, prm, reg, u))
             for n in (1, 3):
-                assert stable_dt(grid, prm, reg, np.repeat(u[None], n, axis=0)) == one
+                stack = np.repeat(u[None], n, axis=0)
+                assert stable_dt(StepTerms.of(grid, prm, reg, stack)) == one
 
 
 @pytest.mark.parametrize("p", [2.0, 1.8])
@@ -347,8 +351,7 @@ def test_precomputed_gradient_gives_identical_results(N, p):
             u = rng.random(shape + (grid.M,))
             terms.fill(u)
             assert np.array_equal(terms.g, face_gradient(grid, u))
-            assert stable_dt(grid, prm, reg, u, terms=terms) == stable_dt(grid, prm, reg, u)
-            assert np.array_equal(source_rate(grid, prm, reg, u, terms=terms),
-                                  source_rate(grid, prm, reg, u))
-            assert np.array_equal(discrete_rhs(grid, prm, reg, u, terms=terms),
-                                  discrete_rhs(grid, prm, reg, u))
+            fresh = StepTerms.of(grid, prm, reg, u)
+            assert stable_dt(terms) == stable_dt(fresh)
+            assert np.array_equal(source_rate(terms), source_rate(fresh))
+            assert np.array_equal(discrete_rhs(terms), discrete_rhs(fresh))
