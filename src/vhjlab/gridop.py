@@ -225,8 +225,9 @@ class StepTerms:
     its fluxes into face_scratch (at N = 1 and p = 2, where every weight
     off the symmetry face is 1.0, it differences g itself) and returns
     cell_scratch.  Those two are free for a caller's own use
-    otherwise: the semi-implicit matrix borrows both while it builds its
-    three bands, shape (3, M), in bands, whose corners stay zero.  A
+    otherwise: the semi-implicit matrix borrows face_scratch for its two
+    bands, shape (2, M), in bands (bands[0, 0] stays zero), and reads
+    metric_cells, the grid's cell measures, as discrete_rhs does.  A
     result stays valid until the buffer is written again.  A problem
     whose dimension is not the grid's is a GridMismatch.
     """
@@ -256,7 +257,7 @@ class StepTerms:
         # exactly 1.0 (r^0, unit mobility), and g is 0 on it, so the flux is
         # g itself: x * 1.0 == x and 0.0 * 0.0 == 0.0 to the bit
         self.unit_weights = problem.p == 2.0 and grid.N == 1
-        self._metric_cells = grid.metric_cells
+        self.metric_cells = grid.metric_cells
         if problem.p == 2.0:        # the mobility is exactly 1
             self.weights = grid.metric_faces
             rows = grid.unit_mobility_rows
@@ -266,7 +267,7 @@ class StepTerms:
             self._cell_dr = grid.metric_cells * grid.dr
         self.face_scratch = np.empty(faces)
         self.cell_scratch = np.empty(cells)
-        self.bands = np.zeros((3, grid.M))
+        self.bands = np.zeros((2, grid.M))
         self._source = np.empty(cells)
         self._rate = np.empty(cells)
         self._power = np.empty(cells)
@@ -348,7 +349,7 @@ def discrete_rhs(terms: StepTerms) -> np.ndarray:
     else:
         np.multiply(terms.weights, terms.g, out=terms.face_scratch)
         div = np.subtract(terms._flux_right, terms._flux_left, out=terms.cell_scratch)
-    div /= terms._metric_cells
+    div /= terms.metric_cells
     div -= terms.absorption()
     return div
 

@@ -15,9 +15,9 @@ explicit       stable_dt(terms): SAFETY over the largest own-cell rate
 semi_implicit  SAFETY / max source_rate(terms), capped at dr, then
                backward Euler on the diffusion with mobilities frozen at
                the current gradients and the gradient source kept
-               explicit, one tridiagonal solve per step by LAPACK's
-               dgtsv, its inputs checked finite first
-               (semi_implicit_step).
+               explicit; each row times its cell measure, so LAPACK's
+               dptsv solves a symmetric positive definite system, its
+               inputs checked finite first (semi_implicit_step).
                Removes the eps^(p-2) diffusion restriction that
                strangles explicit stepping at p < 2 with small eps.
 
@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .exponents import (
     ProblemParams,
@@ -275,40 +275,38 @@ def detect_extinction(t1: float, s1: float, t2: float, s2: float, tol: float) ->
 
 
 def _semi_implicit_matrix(terms: StepTerms, dt: float) -> np.ndarray:
-    """Banded (I - dt D) with mobilities frozen at the state terms holds.
+    """m (I - dt D), m the cell measures, with mobilities frozen at the
+    state terms holds, rebuilt in terms.bands in solveh_banded's layout.
 
-    The bands are terms.bands, rebuilt in full; c and the lower couplings
-    borrow terms.face_scratch and terms.cell_scratch on the way.
+    With c = weights / dr (in terms.face_scratch), row i is m_i + dt (c_i
+    + c_(i+1)) on the diagonal and -dt c_(i+1) off it: symmetric, and
+    positive definite as every m_i > 0 and every c >= 0.
     """
-    # the symmetry face's weight is zero: no flux crosses it
+    # c_0 = 0: no flux crosses the symmetry face; c_M meets the zero ghost
     c = np.divide(terms.weights, terms.grid.dr, out=terms.face_scratch)
-    m = terms.grid.metric_cells
     ab = terms.bands
-    lower = np.divide(c[:-1], m, out=terms.cell_scratch)  # coupling to u_{i-1}
-    upper = np.divide(c[1:], m, out=ab[1])  # to u_{i+1} (ghost for the last cell)
-    np.multiply(upper[:-1], -dt, out=ab[0, 1:])
-    np.multiply(lower[1:], -dt, out=ab[2, :-1])
-    diagonal = np.add(upper, lower, out=ab[1])
+    np.multiply(c[1:-1], -dt, out=ab[0, 1:])
+    diagonal = np.add(c[:-1], c[1:], out=ab[1])
     diagonal *= dt
-    diagonal += 1.0
+    diagonal += terms.metric_cells
     return ab
 
 
 def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system held in ab's three bands for b.
+    """Solve the symmetric positive definite tridiagonal system in ab for b.
 
-    ab is laid out as for scipy.linalg.solve_banded((1, 1), ...), whose x
-    this is to the last bit: LAPACK's dgtsv, called directly, overwrites
-    the bands of a float64 ab and solves in place into a float64 b.  It
-    never reads the corners ab[0, 0] and ab[2, -1].  A non-finite entry
-    anywhere in ab or b is a ValueError, as with scipy's check_finite; a
-    singular system is a LinAlgError.
+    ab is laid out as for scipy.linalg.solveh_banded(ab, b), whose x this
+    is to the last bit: LAPACK's dptsv, called directly, factors the
+    bands of a float64 ab as L D L^T in place, without pivoting, and
+    solves in place into a float64 b; it never reads the corner ab[0, 0].
+    A non-finite entry anywhere in ab or b is a ValueError, as with
+    scipy's check_finite; a LinAlgError says ab is not positive definite.
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)
+    *_, x, info = dptsv(ab[1], ab[0, 1:], b, 1, 1, 1)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise LinAlgError("matrix not positive definite")
     return x
 
 
@@ -333,14 +331,14 @@ def explicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
 
 
 def semi_implicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
-    """Backward Euler on the diffusion, clamped at zero, into a new array;
-    terms is filled from u."""
-    rhs = u.copy()
+    """Backward Euler on the diffusion, each row times its cell measure,
+    clamped at zero, into a new array; terms is filled from u."""
     src = terms.absorption()
     src *= dt
-    rhs -= src
+    rhs = np.subtract(u, src)
+    rhs *= terms.metric_cells
     ab = _semi_implicit_matrix(terms, dt)
-    # dgtsv overwrites the bands, rebuilt each step, and solves into rhs,
+    # dptsv overwrites the bands, rebuilt each step, and solves into rhs,
     # new each step; a non-finite system is an error
     u = solve_banded(ab, rhs)
     return np.maximum(u, 0.0, out=u)

@@ -215,7 +215,10 @@ def test_reference_bump_trajectories_are_pinned():
     res_a = b.run("bump_a", **{"grid.M": 128})
     assert (res_a.n_steps, res_a.T_e_est) == (396, 0.0964137908239406)
     res_b = b.run("bump_b", **{"grid.M": 128})
-    assert (res_b.n_steps, res_b.T_e_est) == (737, 0.6048912776846821)
+    assert (res_b.n_steps, res_b.T_e_est) == (737, 0.6048912776846861)
+    # the pin of the unscaled semi-implicit system: scaling each row by its
+    # cell measure moves T_e by roundoff only
+    assert abs(res_b.T_e_est - 0.6048912776846821) <= 1e-12 * 0.6048912776846821
 
 
 
@@ -322,13 +325,19 @@ def _pinned_path(name):
                             series_gradient_floor=1e-4))
 
 
+# T_e of the semi-implicit pins on the unscaled system (I - dt D): scaling
+# each row by its cell measure moves them by roundoff only
+UNSCALED_T_E = {"semi_implicit_p2": 0.09680687400538615,
+                "N3_semi_implicit": 0.5491518221848275}
+
+
 @pytest.mark.parametrize("name, outcome, n_steps, T_e, digest", [
     ("lifted", "horizon_reached", 360, None, "a842dd88ed73bf64"),
     ("N1_singular_explicit", "extinct", 12717, 0.7835959825520723, "a33c73824073e46b"),
-    ("semi_implicit_p2", "extinct", 567, 0.09680687400538615, "a4fd84d78043c83e"),
+    ("semi_implicit_p2", "extinct", 567, 0.09680687400538608, "3323d213186f31dc"),
     ("N2_explicit", "horizon_reached", 8219, None, "67fd41df0f686f91"),
     ("N3_explicit", "extinct", 9206, 1.1217743218005896, "b30b781894f6f349"),
-    ("N3_semi_implicit", "extinct", 41, 0.5491518221848275, "7b92a3f7e08ef7c5"),
+    ("N3_semi_implicit", "extinct", 41, 0.549151822184825, "ac5113a5a9dd15db"),
 ])
 def test_remaining_paths_are_pinned(name, outcome, n_steps, T_e, digest):
     # the paths the reference pins miss, each exact to the last bit: no
@@ -337,6 +346,8 @@ def test_remaining_paths_are_pinned(name, outcome, n_steps, T_e, digest):
     res = _pinned_path(name)
     assert (res.outcome.value, res.n_steps, res.T_e_est) == (outcome, n_steps, T_e)
     assert _series_digest(res) == digest
+    if name in UNSCALED_T_E:
+        assert abs(T_e - UNSCALED_T_E[name]) <= 1e-12 * UNSCALED_T_E[name]
 
 
 def test_singular_explicit_trajectory_is_pinned():
@@ -366,40 +377,51 @@ def test_default_tolerance_is_the_domination_slack():
     assert SolverConfig(t_end=1.0, tol_ext=1e-6).resolve_tols(q_high, reg) == (1e-6, 1e-6)
 
 
-def _tridiagonal(seed, M, pivot):
-    # random bands in solve_banded's (1, 1) layout, corners included: a
-    # dominant diagonal, or a tiny one that makes gtsv swap rows
+def _tridiagonal(seed, M, kind):
+    # random symmetric positive definite bands in solve_banded's layout,
+    # the unused corner ab[0, 0] included: diagonally dominant with
+    # nonpositive couplings, as the scheme's, or L D L^T of a random unit
+    # bidiagonal L (|l| < 1, so the factors are well conditioned) and
+    # positive D, not dominant in some rows
     rng = np.random.default_rng(seed)
-    ab = rng.uniform(-1.0, 1.0, (3, M))
-    ab[1] = 1e-3 * ab[1] if pivot else 2.5 + rng.random(M)
+    ab = rng.uniform(-1.0, 1.0, (2, M))
+    if kind == "dominant":
+        ab[0] = -rng.random(M)
+        ab[1] = 2.0 + rng.random(M)
+    else:
+        d, l = rng.uniform(0.1, 1.0, M), rng.uniform(-0.95, 0.95, M - 1)
+        ab[1] = d
+        ab[1, 1:] += l * l * d[:-1]
+        ab[0, 1:] = l * d[:-1]
     return ab, rng.uniform(-1.0, 1.0, M)
 
 
-@pytest.mark.parametrize("pivot", [False, True], ids=["dominant", "pivoting"])
+@pytest.mark.parametrize("kind", ["dominant", "factored"])
 @pytest.mark.parametrize("M", [4, 97, 4096])
-def test_solve_banded_matches_scipy_to_the_bit(M, pivot):
-    from scipy.linalg import lapack, solve_banded as scipy_solve_banded
+def test_solve_banded_matches_scipy_to_the_bit(M, kind):
+    from scipy.linalg import solveh_banded
     from vhjlab.solver import solve_banded
+    dominant = []
     for seed in range(5):
-        ab, b = _tridiagonal(seed, M, pivot)
-        # gtsv leaves the fill-in of its row swaps in du2[:-1], zero without
-        du2 = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[0]
-        assert du2[:-1].any() == pivot
-        expected = scipy_solve_banded((1, 1), ab, b)
+        ab, b = _tridiagonal(seed, M, kind)
+        off = np.abs(ab[0, 1:])
+        dominant.append(ab[1] >= np.append(off, 0.0) + np.insert(off, 0, 0.0))
+        expected = solveh_banded(ab, b)
         x = solve_banded(ab.copy(), b.copy())
         assert x.shape == (M,)
         assert x.tobytes() == expected.tobytes()
+    assert np.concatenate(dominant).all() == (kind == "dominant")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["upper", "diagonal", "lower", "rhs"])
+@pytest.mark.parametrize("where", ["upper", "diagonal", "rhs"])
 def test_solve_banded_rejects_non_finite_input(where, value):
     from vhjlab.solver import solve_banded
-    ab, b = _tridiagonal(0, 16, False)
+    ab, b = _tridiagonal(0, 16, "dominant")
     if where == "rhs":
         b[7] = value
     else:
-        ab[("upper", "diagonal", "lower").index(where), 7] = value
+        ab[("upper", "diagonal").index(where), 7] = value
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         solve_banded(ab, b)
 
@@ -409,12 +431,58 @@ def test_solve_banded_reports_a_singular_system(M):
     from scipy.linalg import LinAlgError
     from vhjlab.solver import solve_banded
     # M = 5: tridiag(1, 1, 1), whose determinant vanishes at sizes 2, 5,
-    # 8, ...; M = 64: a zero first column
-    ab = np.ones((3, M))
+    # 8, ...; M = 64: a zero first row and column
+    ab = np.ones((2, M))
     if M == 64:
-        ab[1, 0] = ab[2, 0] = 0.0
-    with pytest.raises(LinAlgError, match="singular matrix"):
+        ab[1, 0] = ab[0, 1] = 0.0
+    with pytest.raises(LinAlgError, match="not positive definite"):
         solve_banded(ab, np.ones(M))
+
+
+@pytest.mark.parametrize("M", [4, 97])
+def test_solve_banded_reports_an_indefinite_system(M):
+    from scipy.linalg import LinAlgError
+    from vhjlab.solver import solve_banded
+    # a dominant matrix with one negative diagonal entry: invertible, and
+    # indefinite, so no L D L^T with positive D exists
+    ab, b = _tridiagonal(1, M, "dominant")
+    ab[1, M // 2] = -3.0
+    assert np.linalg.eigvalsh(np.diag(ab[1]) + np.diag(ab[0, 1:], 1)
+                              + np.diag(ab[0, 1:], -1)).min() < 0
+    with pytest.raises(LinAlgError, match="not positive definite"):
+        solve_banded(ab, b)
+
+
+@pytest.mark.parametrize("p, q", [(1.8, 0.6), (2.0, 0.5)], ids=["p1.8", "p2"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_semi_implicit_step_solves_the_unscaled_system(N, p, q):
+    # the step solves m (I - dt D) x = m (u - dt h), each row scaled by its
+    # cell measure m; x is the solution of the unscaled system to roundoff
+    from scipy.linalg import solve_banded as scipy_solve_banded
+    import vhjlab.solver as solver
+    prm, grid = ProblemParams(N, p, q), RadialGrid(N, 4.0, 64)
+    rng = np.random.default_rng(10 * N + int(p == 2.0))
+    for _ in range(5):
+        u = rng.random(grid.M) * (rng.random(grid.M) < 0.8)
+        terms = StepTerms(grid, prm, Regularization(eps=1e-3)).fill(u)
+        dt = solver._semi_implicit_bound(terms)
+        # (I - dt D) in scipy.linalg.solve_banded's (1, 1) layout, from the
+        # flux couplings c = weights / dr, divided by the cell measures
+        c, m = terms.weights / grid.dr, grid.metric_cells
+        ab = np.zeros((3, grid.M))
+        ab[0, 1:] = -dt * c[1:-1] / m[:-1]
+        ab[1] = 1.0 + dt * (c[:-1] + c[1:]) / m
+        ab[2, :-1] = -dt * c[1:-1] / m[1:]
+        x = scipy_solve_banded((1, 1), ab, u - dt * terms.absorption())
+        expected = np.maximum(x, 0.0)
+        new = solver.semi_implicit_step(terms, u, dt)
+        np.testing.assert_allclose(new, expected, rtol=1e-12, atol=0.0)
+        # the scaled matrix is an M-matrix: a nonnegative right-hand side
+        # gives a nonnegative solution, at any dt, here 100 times the bound
+        ab = solver._semi_implicit_matrix(terms, 100.0 * dt)
+        assert (ab[0, 1:] <= 0.0).all() and (ab[1] > 0.0).all()
+        b = rng.random(grid.M) * (rng.random(grid.M) < 0.5)
+        assert (solver.solve_banded(ab, b) >= 0.0).all()
 
 
 def _reference_series(prm, grid, reg, ic, cfg):
