@@ -32,14 +32,14 @@ makes no one-cell numpy call: the outer ghost face of one state is a
 float division too.
 
 The gradient terms of a state -- face gradients g, cell averages gbar,
-z = gbar^2 + eps^2 and, at p != 2, the face weights rf^(N-1) a_eps(g^2)
--- live in a StepTerms workspace: its buffers, and the views of them that
-its fill and readers use, are made once, and fill refills them from each
-new state by face_gradient's formula on those views.  discrete_rhs,
-stable_dt and source_rate take a filled workspace as their only input,
-grid, problem and regularization included: a solver run fills one per
-step and hands it to each, and a one-shot caller passes
-StepTerms.of(grid, problem, reg, u).
+z = gbar^2 + eps^2, Z = z^(q/2) and, at p != 2, the face weights
+rf^(N-1) a_eps(g^2) -- live in a StepTerms workspace: its buffers, and
+the views of them that its fill and readers use, are made once, and fill
+refills them from each new state by face_gradient's formula on those
+views.  discrete_rhs, stable_dt and source_rate take a filled workspace
+as their only input, grid, problem and regularization included: a solver
+run fills one per step and hands it to each, and a one-shot caller
+passes StepTerms.of(grid, problem, reg, u).
 
 Everything broadcasts over leading axes: u with shape (..., M) yields an
 rhs of shape (..., M).  A stack shares one (grid, problem, reg), so stacks
@@ -81,8 +81,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.N < 1 or self.N != int(self.N):
             raise GridMismatch(f"dimension must be a positive integer, got {self.N}")
-        if not self.r_max > 0:
-            raise GridMismatch(f"r_max must be positive, got {self.r_max}")
+        if not 0 < self.r_max < math.inf:
+            raise GridMismatch(f"r_max must be positive and finite, got {self.r_max}")
         if self.M < 4:
             raise GridMismatch(f"need at least 4 cells, got {self.M}")
         # geometry is computed once and read-only; equality, hash and
@@ -162,8 +162,8 @@ class Regularization:
     counterterm: bool = True
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ExponentOutOfRange(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ExponentOutOfRange(f"eps must be positive and finite, got {self.eps}")
 
 
 def default_eps(grid: RadialGrid) -> float:
@@ -212,22 +212,23 @@ class StepTerms:
     """Workspace holding the gradient terms of one state.
 
     fill(u) computes the face gradients g by face_gradient's formula, the
-    cell averages gbar = (g_i + g_(i+1))/2, z = gbar^2 + eps^2 and, at
-    p != 2, the face weights rf^(N-1) a_eps(g^2); at p = 2 the weights are
-    the grid's read-only metric_faces.  The buffers are allocated once,
-    for states of shape shape + (M,), together with the views fill and
-    the readers use (the faces left and right of each cell, the faces
-    off the symmetry face, cell 0), so a fill or a read slices nothing;
-    the symmetry face of g is zeroed once, and fill writes only the rest.
+    cell averages gbar = (g_i + g_(i+1))/2, z = gbar^2 + eps^2, Z =
+    z^(q/2) and, at p != 2, the face weights rf^(N-1) a_eps(g^2); at p = 2
+    the weights are the grid's read-only metric_faces.  The buffers are
+    allocated once, for states of shape shape + (M,), together with the
+    views fill and the readers use (the faces left and right of each cell,
+    the faces off the symmetry face, cell 0), so a fill or a read slices
+    nothing; the symmetry face of g is zeroed once, and fill writes only
+    the rest.
 
-    absorption returns its own buffer, and source_rate(terms) another,
-    whose first cell origin_source_rate also writes; discrete_rhs writes
-    its fluxes into face_scratch (at N = 1 and p = 2, where every weight
-    off the symmetry face is 1.0, it differences g itself) and returns
-    cell_scratch.  Those two are free for a caller's own use
-    otherwise: the semi-implicit matrix borrows face_scratch for its two
-    bands, shape (2, M), in bands (bands[0, 0] stays zero), and reads
-    metric_cells, the grid's cell measures, as discrete_rhs does.  A
+    absorption returns Z less the counterterm in its own buffer, and
+    source_rate(terms) another, of power Z / z, whose first cell
+    origin_source_rate also writes; discrete_rhs writes its fluxes into
+    face_scratch (at N = 1 and p = 2, where every weight off the symmetry
+    face is 1.0, it differences g itself) and returns cell_scratch, both
+    free for a caller's own use otherwise.  The semi-implicit matrix
+    writes its two bands, shape (2, M), into bands (bands[0, 0] stays
+    zero) from the weights and metric_cells, the grid's cell measures.  A
     result stays valid until the buffer is written again.  A problem
     whose dimension is not the grid's is a GridMismatch.
     """
@@ -246,13 +247,14 @@ class StepTerms:
         self._half_q = q / 2.0
         self._half_q_less_1 = q / 2.0 - 1.0
         # the counterterm is b_eps at zero gradient, (eps^2)^(q/2), taken by
-        # the same array power absorption applies: a flat state's
-        # absorption is then exactly zero
+        # the same array power as Z: a flat state's absorption is then
+        # exactly zero; without it, Z - 0.0 is Z to the bit
         self._eps_q = (np.power(np.full(1, self._eps2), self._half_q).item()
-                       if reg.counterterm else None)
+                       if reg.counterterm else 0.0)
         self.g = np.zeros(faces)
         self.gbar = np.empty(cells)
         self.z = np.empty(cells)
+        self.Z = np.empty(cells)
         # at N = 1 and p = 2 every face weight off the symmetry face is
         # exactly 1.0 (r^0, unit mobility), and g is 0 on it, so the flux is
         # g itself: x * 1.0 == x and 0.0 * 0.0 == 0.0 to the bit
@@ -300,14 +302,12 @@ class StepTerms:
             w += self._eps2
             np.power(w, (p - 2.0) / 2.0, out=w)
             w *= self.grid.metric_faces
+        np.power(z, self._half_q, out=self.Z)
         return self
 
     def absorption(self) -> np.ndarray:
-        """b_eps(gbar^2) per cell, less b_eps(0) with the counterterm."""
-        source = np.power(self.z, self._half_q, out=self._source)
-        if self._eps_q is not None:
-            source -= self._eps_q
-        return source
+        """b_eps(gbar^2) = Z per cell, less b_eps(0) with the counterterm."""
+        return np.subtract(self.Z, self._eps_q, out=self._source)
 
     def origin_source_rate(self) -> np.ndarray:
         """source_rate at the symmetry cell alone, of max(-gbar_0, 0) in
@@ -333,8 +333,8 @@ class StepTerms:
 
     def _source_rate(self, rate, power):
         """The source rate's expression, from rate = |gbar| (or max(-gbar_0,
-        0)) and power = (gbar^2+eps^2)^(q/2-1); in place on arrays, and the
-        same operations in the same order on floats."""
+        0)) and power = (gbar^2+eps^2)^(q/2-1), or Z / z; in place on
+        arrays, and the same operations in the same order on floats."""
         rate *= self.problem.q
         rate *= power
         rate /= self._dr
@@ -360,10 +360,10 @@ def source_rate(terms: StepTerms) -> np.ndarray:
     d b_eps(gbar^2)/d u_(i+-1) = q gbar (gbar^2+eps^2)^(q/2-1) * (+-1/(2 dr));
     the two neighbor couplings sum to q |gbar| (gbar^2+eps^2)^(q/2-1) / dr.
     This vanishes on flat faces, so small eps only penalizes cells whose
-    gradient actually sits near eps.
+    gradient actually sits near eps.  The power is the fill's Z over z.
     """
     return terms._source_rate(np.abs(terms.gbar, out=terms._rate),
-                              np.power(terms.z, terms._half_q_less_1, out=terms._power))
+                              np.divide(terms.Z, terms.z, out=terms._power))
 
 
 def stable_dt(terms: StepTerms) -> float:

@@ -15,9 +15,10 @@ explicit       stable_dt(terms): SAFETY over the largest own-cell rate
 semi_implicit  SAFETY / max source_rate(terms), capped at dr, then
                backward Euler on the diffusion with mobilities frozen at
                the current gradients and the gradient source kept
-               explicit; each row times its cell measure, so LAPACK's
-               dptsv solves a symmetric positive definite system, its
-               inputs checked finite first (semi_implicit_step).
+               explicit; each row times its cell measure, the couplings
+               the face weights times dt/dr, so LAPACK's dptsv solves a
+               symmetric positive definite system in place, its inputs
+               checked finite first (semi_implicit_step).
                Removes the eps^(p-2) diffusion restriction that
                strangles explicit stepping at p < 2 with small eps.
 
@@ -278,16 +279,15 @@ def _semi_implicit_matrix(terms: StepTerms, dt: float) -> np.ndarray:
     """m (I - dt D), m the cell measures, with mobilities frozen at the
     state terms holds, rebuilt in terms.bands in solveh_banded's layout.
 
-    With c = weights / dr (in terms.face_scratch), row i is m_i + dt (c_i
-    + c_(i+1)) on the diagonal and -dt c_(i+1) off it: symmetric, and
-    positive definite as every m_i > 0 and every c >= 0.
+    With the face weights w and lambda = dt / dr, row i is m_i + lambda
+    (w_i + w_(i+1)) on the diagonal and -lambda w_(i+1) off it: symmetric,
+    and positive definite as every m_i > 0 and every w >= 0.
     """
-    # c_0 = 0: no flux crosses the symmetry face; c_M meets the zero ghost
-    c = np.divide(terms.weights, terms.grid.dr, out=terms.face_scratch)
-    ab = terms.bands
-    np.multiply(c[1:-1], -dt, out=ab[0, 1:])
-    diagonal = np.add(c[:-1], c[1:], out=ab[1])
-    diagonal *= dt
+    # w_0 = 0: no flux crosses the symmetry face; w_M meets the zero ghost
+    w, lam, ab = terms.weights, dt / terms.grid.dr, terms.bands
+    np.multiply(w[1:-1], -lam, out=ab[0, 1:])
+    diagonal = np.add(w[:-1], w[1:], out=ab[1])
+    diagonal *= lam
     diagonal += terms.metric_cells
     return ab
 
@@ -332,16 +332,15 @@ def explicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
 
 def semi_implicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
     """Backward Euler on the diffusion, each row times its cell measure,
-    clamped at zero, into a new array; terms is filled from u."""
+    in place on u (one state), clamped at zero; terms is filled from u."""
     src = terms.absorption()
     src *= dt
-    rhs = np.subtract(u, src)
-    rhs *= terms.metric_cells
-    ab = _semi_implicit_matrix(terms, dt)
-    # dptsv overwrites the bands, rebuilt each step, and solves into rhs,
-    # new each step; a non-finite system is an error
-    u = solve_banded(ab, rhs)
-    return np.maximum(u, 0.0, out=u)
+    u -= src
+    u *= terms.metric_cells
+    # dptsv overwrites the bands, rebuilt each step, and solves into u, the
+    # right-hand side; a non-finite system is an error
+    x = solve_banded(_semi_implicit_matrix(terms, dt), u)
+    return np.maximum(x, 0.0, out=u)
 
 
 # scheme -> (bound, step); both reach the gridop layers and the banded
@@ -430,7 +429,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         dt = bound(terms.fill(u))
         t_next_event = pending[0] if pending else t_end
         dt = min(dt, t_next_event - t, t_end - t)
-        # the explicit step updates u, this run's own array, in place
+        # each step updates u, this run's own array, in place
         u = step(terms, u, dt)
         t += dt
         n += 1

@@ -169,13 +169,16 @@ def test_grid_mass_and_validation():
     assert abs(grid.metric_cells.sum() - 8.0) <= 1e-12
     with pytest.raises(GridMismatch):
         StepTerms.of(grid, P_A, Regularization(eps=1e-3), np.ones(grid.M))
-    with pytest.raises(GridMismatch):
-        RadialGrid(1, -1.0, 64)
+    # an infinite domain would build NaN geometry behind a RuntimeWarning
+    for r_max in (-1.0, np.inf, np.nan):
+        with pytest.raises(GridMismatch, match="r_max must be positive and finite"):
+            RadialGrid(1, r_max, 64)
 
 
 def test_regularization_validation():
-    with pytest.raises(ExponentOutOfRange):
-        Regularization(eps=0.0)
+    for eps in (0.0, np.inf, np.nan):
+        with pytest.raises(ExponentOutOfRange, match="eps must be positive and finite"):
+            Regularization(eps=eps)
     assert abs(default_gamma_lift(P_A) - 0.2) <= 1e-15
     # the window (0, min(p/4, q/2, p-1, 1-q)) is empty unless q < 1
     for q in (1.0, 1.5):
@@ -355,3 +358,37 @@ def test_precomputed_gradient_gives_identical_results(N, p):
             assert stable_dt(terms) == stable_dt(fresh)
             assert np.array_equal(source_rate(terms), source_rate(fresh))
             assert np.array_equal(discrete_rhs(terms), discrete_rhs(fresh))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the reference power form needs x87 extended precision")
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["state", "stack"])
+@pytest.mark.parametrize("prm", [P_A, PROBLEM_B, ProblemParams(3, 1.8, 0.85)],
+                         ids=["N1_p2", "N2_p1.8", "N3_q0.85"])
+def test_source_rate_and_absorption_share_one_power(prm, shape):
+    # the fill takes Z = z^(q/2) once: absorption is Z less the counterterm,
+    # bit for bit, and source_rate's power is Z / z, within 4 ulp of the
+    # power form q |gbar| (gbar^2+eps^2)^(q/2-1) / dr, on gradients from
+    # 0.1 eps to 10 eps of either sign.  The power form is evaluated in
+    # extended precision: in doubles the exponent q/2 - 1 is itself rounded
+    # (q = 0.6), which alone moves the power by up to 8 ulp at these z
+    grid, eps = RadialGrid(prm.N, 4.0, 256), 1e-3
+    rng = np.random.default_rng(prm.N)
+    slopes = eps * 10.0 ** rng.uniform(-1.0, 1.0, shape + (grid.M - 1,))
+    slopes *= rng.choice([-1.0, 1.0], slopes.shape)
+    u = np.concatenate((np.zeros(shape + (1,)), np.cumsum(slopes * grid.dr, axis=-1)),
+                       axis=-1)
+    terms = StepTerms.of(grid, prm, Regularization(eps=eps), u)
+    inner = np.abs(terms.g[..., 1:-1])
+    assert inner.min() >= 0.099 * eps and inner.max() <= 10.01 * eps
+    half_q = prm.q / 2.0
+    eps_q = np.power(np.full(1, eps * eps), half_q).item()
+    expected = np.power(terms.z, half_q) - eps_q
+    assert terms.absorption().tobytes() == expected.tobytes()
+    L = np.longdouble
+    power_form = (L(prm.q) * np.abs(terms.gbar).astype(L)
+                  * np.power(terms.z.astype(L), L(prm.q) / 2 - 1) / L(grid.dr))
+    rate = source_rate(terms)
+    assert rate.shape == shape + (grid.M,)
+    ulp = np.spacing(power_form.astype(float)).astype(L)
+    assert (np.abs(rate.astype(L) - power_form) <= 4 * ulp).all()
