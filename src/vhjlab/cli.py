@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -86,13 +87,13 @@ _SNAPSHOT = ("r", "u")
 
 def _write_csv(path: Path, header: list, columns: list):
     """One line per row, each cell as _fmt writes it; columns are arrays,
-    turned into Python numbers 1024 rows at a time."""
-    row = ",".join([_CELL] * len(columns)).format
-    lines = [",".join(header)]
-    for i in range(0, len(columns[0]), 1024):
-        lines += [row(*cells) for cells in zip(*(col[i:i + 1024].tolist()
-                                                  for col in columns))]
-    path.write_text("\n".join(lines) + "\n")
+    turned into Python numbers and written 1024 rows at a time."""
+    row = (",".join([_CELL] * len(columns)) + "\n").format
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for i in range(0, len(columns[0]), 1024):
+            f.write("".join([row(*cells) for cells in zip(*(col[i:i + 1024].tolist()
+                                                             for col in columns))]))
 
 
 def write_run_dir(out_dir: Path, exp: Experiment, result) -> None:
@@ -122,17 +123,59 @@ def write_run_dir(out_dir: Path, exp: Experiment, result) -> None:
         json.dumps(jsonable(summary), sort_keys=True, indent=2) + "\n")
 
 
+def _column_names(path: Path, header: str, columns: tuple) -> list:
+    """header's column names, which must hold columns and name none twice."""
+    names = header.split(",")
+    missing = [name for name in columns if name not in names]
+    if missing:
+        raise ConfigError(f"{path}: missing column {missing[0]!r}")
+    twice = [name for i, name in enumerate(names) if name in names[:i]]
+    if twice:
+        raise ConfigError(f"{path}: column {twice[0]!r} appears twice in the header")
+    return names
+
+
 def _read_csv(path: Path, columns: tuple, n_rows: int, expected: str) -> dict:
     """The numeric columns of a csv file that must hold at least columns,
-    in n_rows rows below its header; expected says where n_rows comes from."""
+    in n_rows rows below its header; expected says where n_rows comes from.
+
+    numpy's C reader parses the rows from the open file, line by line.  It
+    skips blank lines and refuses some cells that float() reads (1_0,
+    full-width digits), so unless the header is bare and numpy reads
+    n_rows rows, one from each line, _read_csv_text reads the file again
+    and gives the verdict.
+    """
+    with path.open() as f:
+        header = f.readline().removesuffix("\n")
+        if header and header == header.strip():
+            names = _column_names(path, header, columns)
+            n_lines = 0
+
+            def lines():
+                nonlocal n_lines
+                for n_lines, line in enumerate(f, 1):
+                    yield line
+            try:
+                with warnings.catch_warnings():
+                    # numpy warns of a file without rows; n_lines judges it
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                data = None
+            if data is not None and data.shape == (n_lines, len(names)) and n_lines == n_rows:
+                return {name: data[:, j] for j, name in enumerate(names)}
+    return _read_csv_text(path, columns, n_rows, expected)
+
+
+def _read_csv_text(path: Path, columns: tuple, n_rows: int, expected: str) -> dict:
+    """_read_csv from the stripped text, split into rows of cells, each
+    read by float(): the reader of a file numpy's reader refuses or reads
+    short."""
     text = path.read_text().strip()
     if not text:
         raise ConfigError(f"{path}: empty file")
     lines = text.split("\n")
-    names = lines[0].split(",")
-    missing = [name for name in columns if name not in names]
-    if missing:
-        raise ConfigError(f"{path}: missing column {missing[0]!r}")
+    names = _column_names(path, lines[0], columns)
     rows = [ln.split(",") for ln in lines[1:]]
     if len(rows) != n_rows:
         raise ConfigError(f"{path}: {len(rows)} rows, {expected}")

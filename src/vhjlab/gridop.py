@@ -43,7 +43,8 @@ passes StepTerms.of(grid, problem, reg, u).
 
 Everything broadcasts over leading axes: u with shape (..., M) yields an
 rhs of shape (..., M).  A stack shares one (grid, problem, reg), so stacks
-of states step together, as criterion 4's comparison pairs do.
+of states take explicit steps together, as criterion 4's comparison pairs
+do; the semi-implicit step (solver.semi_implicit_step) takes one state.
 """
 
 from __future__ import annotations

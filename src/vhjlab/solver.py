@@ -18,7 +18,8 @@ semi_implicit  SAFETY / max source_rate(terms), capped at dr, then
                explicit; each row times its cell measure, the couplings
                the face weights times dt/dr, so LAPACK's dptsv solves a
                symmetric positive definite system in place, its inputs
-               checked finite first (semi_implicit_step).
+               checked finite first (semi_implicit_step).  It steps one
+               state; a stack is a ValueError.
                Removes the eps^(p-2) diffusion restriction that
                strangles explicit stepping at p < 2 with small eps.
 
@@ -332,7 +333,11 @@ def explicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
 
 def semi_implicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
     """Backward Euler on the diffusion, each row times its cell measure,
-    in place on u (one state), clamped at zero; terms is filled from u."""
+    in place on u, clamped at zero; terms is filled from u.  u is one
+    state: a stack, in u or in terms, is a ValueError."""
+    if u.ndim != 1 or terms.Z.ndim != 1:
+        raise ValueError(f"semi_implicit_step takes one state, not a stack: "
+                         f"u has shape {u.shape}, terms {terms.Z.shape}")
     src = terms.absorption()
     src *= dt
     u -= src

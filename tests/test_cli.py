@@ -295,6 +295,12 @@ def _drop_last_row(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
 
+def _replace_line(path, i, line):
+    lines = path.read_text().split("\n")
+    lines[i] = line
+    path.write_text("\n".join(lines))
+
+
 def _no_series(summary_path):
     # a consistent but empty series: n_series 0 and a header-only csv
     series = summary_path.parent / "series.csv"
@@ -335,11 +341,25 @@ def _no_series(summary_path):
      lambda p: p.write_text("\n".join(p.read_text().split("\n")[:30])),
      "29 rows, the grid has 128 cells"),
     ("summary.json", _no_series, "n_series is 0, but a run records at least"),
+    # numpy's reader skips a blank line and refuses 1_0, which float()
+    # reads as 10: the verdicts stay those of the row-by-row reader
+    ("series.csv", lambda p: _replace_line(p, 1, ""), "line 2 has 1 cells, the header 4"),
+    ("series.csv", lambda p: _replace_line(p, 3, "  \t"),
+     "line 4 has 1 cells, the header 4"),
+    ("snapshots/index.csv", lambda p: _damage(p, "\n1,", "\n1_0,"),
+     "row 1 has k = 10, not its own index 1"),
+    # a well-formed file but for a header that names sup twice, whose
+    # last column the reader once took silently
+    ("series.csv", lambda p: p.write_text(
+        p.read_text().replace("\n", ",7\n").replace("mass,7", "mass,sup", 1)),
+     "column 'sup' appears twice in the header"),
 ], ids=["summary-not-json", "summary-not-object", "summary-missing-key",
         "summary-bad-value", "series-empty", "series-missing-column",
         "series-non-numeric", "series-ragged", "series-truncated", "index-missing-k",
         "index-fractional-k", "index-overflowing-k", "index-repeated-k",
-        "index-truncated", "snapshot-ragged", "snapshot-short", "summary-no-series"])
+        "index-truncated", "snapshot-ragged", "snapshot-short", "summary-no-series",
+        "series-blank-line", "series-whitespace-line", "index-underscored-k",
+        "series-repeated-column"])
 def test_analyze_rejects_a_damaged_run_directory(tmp_path, capsys, name, damage, message):
     cfg = write_config(tmp_path, BASE)
     assert main(["simulate", cfg]) == 0
@@ -364,6 +384,63 @@ def test_csv_cells_are_written_as_fmt_writes_them(tmp_path):
     lines = ["k,x"] + [f"{_fmt(k)},{_fmt(x)}" for k, x in zip(index, values)]
     assert path.read_text() == "\n".join(lines) + "\n"
     assert path.read_text().splitlines()[1:4] == ["0,0", "1,-0", "2,4.9406564584124654e-324"]
+    # across the 1024-row chunks, and with no rows at all
+    rng = np.random.default_rng(2048)
+    for n in (2 * 1024 + 3, 0):
+        index, values = np.arange(n), rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        _write_csv(path, ["k", "x"], [index, values])
+        lines = ["k,x"] + [f"{_fmt(k)},{_fmt(x)}" for k, x in zip(index, values)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _series_columns(n):
+    import numpy as np
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.random(n)) * 1e-5
+    return [t - t[0], rng.random(n), 4.0 * rng.random(n), 1e-2 * rng.random(n)]
+
+
+def test_csv_files_are_streamed(tmp_path):
+    # the series of a 7 614-row job: neither side holds the file's text
+    # as Python objects (a list of rows of cells took 9x its size, a
+    # joined text 4x)
+    import tracemalloc
+    from vhjlab.cli import _SERIES, _read_csv, _write_csv
+    n, columns, path = 7614, _series_columns(7614), tmp_path / "series.csv"
+    _write_csv(path, list(_SERIES), columns)
+    size = path.stat().st_size
+
+    def peak(call):
+        # the most memory call holds at once, over the file's size
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return (tracemalloc.get_traced_memory()[1] - base) / size
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: _write_csv(path, list(_SERIES), columns)) <= 1.0
+    assert peak(lambda: _read_csv(path, _SERIES, n, "expected")) <= 1.5
+
+
+def test_csv_reader_keeps_the_row_by_row_readers_values(tmp_path):
+    # numpy's reader returns float()'s values; where it refuses a file
+    # float() reads, or skips lines, the row-by-row reader reads it
+    from vhjlab.cli import _SERIES, _read_csv, _read_csv_text, _write_csv
+    path = tmp_path / "series.csv"
+    _write_csv(path, list(_SERIES), _series_columns(3000))
+    text = path.read_text()
+    header, body = text.split("\n", 1)
+    for damaged in (text, text.replace("\n0,", "\n0_0,", 1), "\n" + text + "\n \n",
+                    text.replace("\n0,", "\n\uff10,", 1),
+                    header + "\n" + body.replace(",", " ,\t")):
+        path.write_text(damaged)
+        read, expected = (reader(path, _SERIES, 3000, "expected")
+                          for reader in (_read_csv, _read_csv_text))
+        assert list(read) == list(_SERIES)
+        for name in _SERIES:
+            assert read[name].tobytes() == expected[name].tobytes()
 
 
 def test_residual_pass_and_fail_exit_codes(tmp_path, capsys):

@@ -466,6 +466,20 @@ def test_solve_banded_reports_an_indefinite_system(M):
         solve_banded(ab, b)
 
 
+@pytest.mark.parametrize("shape", [(2,), ()], ids=["terms-stack", "u-stack"])
+def test_semi_implicit_step_refuses_a_stack(shape):
+    # one system per step: a stack of two states, in terms and u or in u
+    # alone, is refused by name before the step writes anything
+    import vhjlab.solver as solver
+    prm, grid = ProblemParams(1, 1.8, 0.6), RadialGrid(1, 4.0, 64)
+    u = np.random.default_rng(3).random((2, grid.M))
+    terms = StepTerms(grid, prm, Regularization(eps=1e-3), shape).fill(u if shape else u[0])
+    before, bands = u.copy(), terms.bands.copy()
+    with pytest.raises(ValueError, match="semi_implicit_step takes one state, not a stack"):
+        solver.semi_implicit_step(terms, u, 1e-4)
+    assert (u == before).all() and (terms.bands == bands).all()
+
+
 @pytest.mark.parametrize("p, q", [(1.8, 0.6), (2.0, 0.5)], ids=["p1.8", "p2"])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_semi_implicit_step_solves_the_unscaled_system(N, p, q):
