@@ -148,7 +148,8 @@ CRITERIA: dict = {}
 def _criterion(number: int, title: str):
     """Register a Battery method that returns (passed, details) as
     criterion number: calling it times the check and returns its
-    CriterionResult, the details in JSON form."""
+    CriterionResult, the details in JSON form.  A check that raises
+    fails, with details {"error": "<Type>: <message>"}."""
     if number in CRITERIA:
         raise ValueError(f"criterion {number} is registered twice")
     CRITERIA[number] = title
@@ -157,7 +158,10 @@ def _criterion(number: int, title: str):
         @functools.wraps(check)
         def timed(self) -> CriterionResult:
             t0 = time.time()
-            passed, details = check(self)
+            try:
+                passed, details = check(self)
+            except Exception as exc:    # one broken check must not cost the others
+                passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
             return CriterionResult(number, title, bool(passed), time.time() - t0,
                                    jsonable(details))
         return timed

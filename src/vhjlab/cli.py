@@ -366,7 +366,7 @@ def cmd_sweep(args) -> int:
         owner[out_dir] = combo
 
     results = []
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
         futures = [pool.submit(_sweep_one, base, combo, out_dir)
                    for combo, out_dir in jobs]
         for (combo, out_dir), fut in zip(jobs, futures):

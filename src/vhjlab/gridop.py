@@ -24,12 +24,11 @@ and the p = 2 diffusion row sums of the step bound) once, at construction,
 and hands out the same read-only arrays on every access; at p = 2 the
 operator skips the unit mobility, and the step bound, whose diffusion
 rows are then the grid's, reads the state only at the symmetry cell.
-For one state at N = 1 it first bounds cell 0's source term from Python
-floats, with libm's power; only when that bound does not fit in the
-slack below the largest row does it evaluate the term exactly, with
-numpy's power, so dt is the same to the bit either way.  Such a step
-makes no one-cell numpy call: the outer ghost face of one state is a
-float division too.
+Cell 0's source term there has the power Z / z of source_rate; one
+state takes it from Python floats, by the array's operations in the
+same order, so its dt is a stack's to the bit.  Such a step makes no
+one-cell numpy call: the outer ghost face of one state is a float
+division too.
 
 The gradient terms of a state -- face gradients g, cell averages gbar,
 z = gbar^2 + eps^2, Z = z^(q/2) and, at p != 2, the face weights
@@ -61,10 +60,6 @@ from .exponents import ExponentOutOfRange, ProblemParams
 # fraction of the explicit step bound a step takes; the monotonicity of
 # the explicit step needs a fraction of at most 1
 SAFETY = 0.5
-# relative margin of the float bound on one state's cell-0 source rate:
-# libm's power and numpy's vectorized one differ by an ulp or two on some
-# inputs, far below it
-POWER_MARGIN = 1e-9
 
 
 class GridMismatch(ValueError):
@@ -224,7 +219,8 @@ class StepTerms:
 
     absorption returns Z less the counterterm in its own buffer, and
     source_rate(terms) another, of power Z / z, whose first cell
-    origin_source_rate also writes; discrete_rhs writes its fluxes into
+    origin_source_rate writes by the same expression (stable_dt takes one
+    state's from floats); discrete_rhs writes its fluxes into
     face_scratch (at N = 1 and p = 2, where every weight off the symmetry
     face is 1.0, it differences g itself) and returns cell_scratch, both
     free for a caller's own use otherwise.  The semi-implicit matrix
@@ -246,7 +242,6 @@ class StepTerms:
         self._dr = grid.dr
         self._eps2 = reg.eps * reg.eps
         self._half_q = q / 2.0
-        self._half_q_less_1 = q / 2.0 - 1.0
         # the counterterm is b_eps at zero gradient, (eps^2)^(q/2), taken by
         # the same array power as Z: a flat state's absorption is then
         # exactly zero; without it, Z - 0.0 is Z to the bit
@@ -274,8 +269,9 @@ class StepTerms:
         self._source = np.empty(cells)
         self._rate = np.empty(cells)
         self._power = np.empty(cells)
-        # the symmetry cell's gbar, z and source_rate buffers, as views
-        self._origin = tuple(a[..., :1] for a in (self.gbar, self.z, self._rate, self._power))
+        # the symmetry cell's gbar, z, Z and source_rate buffers, as views
+        self._origin = tuple(a[..., :1] for a in
+                             (self.gbar, self.z, self.Z, self._rate, self._power))
         # the faces off the symmetry face, and the left and right faces of
         # every cell, as views
         self._g_inner, self._g_outer = self.g[..., 1:-1], self.g[..., -1:]
@@ -313,29 +309,14 @@ class StepTerms:
     def origin_source_rate(self) -> np.ndarray:
         """source_rate at the symmetry cell alone, of max(-gbar_0, 0) in
         place of |gbar_0| (see stable_dt), shape shape + (1,)."""
-        gbar, z, rate, power = self._origin
+        gbar, z, Z, rate, power = self._origin
         falling = np.maximum(np.negative(gbar, out=rate), 0.0, out=rate)
-        return self._source_rate(falling, np.power(z, self._half_q_less_1, out=power))
-
-    def origin_source_rate_bound(self) -> float:
-        """An upper bound of one state's origin_source_rate, from floats.
-
-        The power is libm's math.pow, which may round an ulp or two away
-        from numpy's; the float expression enlarged by POWER_MARGIN bounds
-        origin_source_rate.  A power that overflows or has no value gives
-        inf, and a NaN state NaN, which no row bound passes.
-        """
-        try:
-            power = math.pow(self.z.item(0), self._half_q_less_1)
-        except (OverflowError, ValueError):
-            return math.inf
-        g = self.gbar.item(0)
-        return self._source_rate(0.0 if g >= 0.0 else -g, power) * (1.0 + POWER_MARGIN)
+        return self._source_rate(falling, np.divide(Z, z, out=power))
 
     def _source_rate(self, rate, power):
         """The source rate's expression, from rate = |gbar| (or max(-gbar_0,
-        0)) and power = (gbar^2+eps^2)^(q/2-1), or Z / z; in place on
-        arrays, and the same operations in the same order on floats."""
+        0)) and power = Z / z; in place on arrays, and the same operations
+        in the same order on floats."""
         rate *= self.problem.q
         rate *= power
         rate /= self._dr
@@ -391,15 +372,11 @@ def stable_dt(terms: StepTerms) -> float:
       coefficient and adds nothing.  StepTerms.origin_source_rate counts
       max(-gbar_0, 0) on that cell alone.
 
-    At p = 2, one state's cell-0 term is first bounded from floats
-    (StepTerms.origin_source_rate_bound, libm's power enlarged by
-    POWER_MARGIN) where row 0 lies below the largest row, which is at
-    N = 1 only.  If row_0 plus that bound stays at or below the largest
-    row, as it does unless cell 0's gradient is small enough, near eps,
-    for its term to outweigh 1/dr^2, the largest row sets dt and the term
-    is never evaluated exactly.  Otherwise, at N >= 2, and for stacks and
-    non-finite values, the exact term, by numpy's power, enters the
-    maximum.  dt is the same to the bit on both paths.
+    At p = 2 the largest own-cell rate is max(row_max, row_0 + term / 2),
+    the term of power Z / z.  One state's term comes from Python floats
+    (gbar_0, then Z_0 / z_0 and source_rate's operations in the same
+    order), a stack's from origin_source_rate's array: dt is the same to
+    the bit either way, and a NaN term leaves row_max in charge on both.
 
     The derivatives in the neighbors, dt (rf^(N-1) a / (r_i^(N-1) dr^2)
     -+ q gbar (gbar^2+eps^2)^(q/2-1) / (2 dr)), carry dt only as a
@@ -411,14 +388,16 @@ def stable_dt(terms: StepTerms) -> float:
     # cell 0's source rate: half of it is the source's own-cell derivative
     if terms.problem.p == 2.0:      # at p = 2 the mobility is exactly 1
         row_0, row_max = terms._unit_rows
-        # one state's cell-0 term, bounded from floats, that fits in the
-        # slack below the largest row leaves that row to set dt, as the
-        # exact term would; only N = 1 has that slack (at N >= 2 row 0 is
-        # the largest row)
-        if (row_0 < row_max and terms.gbar.ndim == 1
-                and row_0 + 0.5 * terms.origin_source_rate_bound() <= row_max):
-            return SAFETY / row_max
-        own = max(row_max, row_0 + 0.5 * float(terms.origin_source_rate().max()))
+        if terms.gbar.ndim == 1:    # one state: the array's operations on floats
+            g = terms.gbar.item(0)
+            term = terms._source_rate(0.0 if g >= 0.0 else -g,
+                                      terms.Z.item(0) / terms.z.item(0))
+        else:
+            term = float(terms.origin_source_rate().max())
+        # max(row_max, own) without the builtin's call, a third of the bound's
+        # time on one state: a NaN term leaves row_max, as max would
+        own = row_0 + 0.5 * term
+        own = own if own > row_max else row_max
     else:
         source = terms.origin_source_rate()
         w = terms.weights

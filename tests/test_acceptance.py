@@ -11,10 +11,13 @@ minutes; the reference-resolution extinction run dominates.
 
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from vhjlab.acceptance import CRITERIA, SUITES, Battery, _criterion
+from vhjlab.solver import Outcome
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +50,21 @@ def test_every_criterion_is_registered_once_with_a_title():
         assert callable(getattr(Battery, f"criterion_{n}").__wrapped__)
     with pytest.raises(ValueError, match="criterion 1 is registered twice"):
         _criterion(1, "again")
+
+
+def test_a_criterion_that_raises_fails_and_the_next_one_runs(monkeypatch):
+    # criterion 5 fits its rate against T_e before it checks the outcome: a
+    # bump that no longer goes extinct makes that fit raise, which fails
+    # criterion 5 alone
+    t = np.linspace(0.0, 1.0, 50)
+    alive = SimpleNamespace(outcome=Outcome.HORIZON_REACHED, T_e_est=None,
+                            series={"t": t, "sup": 1.0 - 0.5 * t})
+    monkeypatch.setattr(Battery, "run", lambda self, name, **overrides: alive)
+    fifth, first = Battery(seed=17).run_criteria([5, 1])
+    assert (fifth.number, fifth.passed) == (5, False)
+    assert list(fifth.details) == ["error"]
+    assert fifth.details["error"].startswith("TypeError: unsupported operand type(s)")
+    assert (first.number, first.passed) == (1, True)
 
 
 def test_02_barrier_solves_operator_exactly(battery):

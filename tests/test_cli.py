@@ -2,10 +2,11 @@
 
 import json
 import math
+from concurrent.futures import Future
 
 import pytest
 
-from vhjlab import solver
+from vhjlab import cli, solver
 from vhjlab.cli import ConfigError, build_profile, main, resolve_experiment
 from vhjlab.exponents import ProblemParams
 
@@ -552,6 +553,44 @@ def test_sweep_runs_the_cartesian_product(tmp_path, capsys):
     assert all(row["outcome"] == "extinct" for row in summary)
     dirs = {row["dir"].rsplit("/", 1)[-1] for row in summary}
     assert dirs == {"M=96_q=0.5", "M=96_q=0.6", "M=128_q=0.5", "M=128_q=0.6"}
+
+
+class InlinePool:
+    """ProcessPoolExecutor's stand-in: records each max_workers it is made
+    with and runs every job in this process, at submit."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+
+def test_sweep_starts_no_more_workers_than_jobs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "made", [])
+    base = json.loads(json.dumps(BASE))
+    base["solver"].update(t_end=0.01, snapshot_times=[])
+    doc = {"base": base, "sweep": {"problem.q": [0.5, 0.6]}, "dir": str(tmp_path / "fan")}
+    path = write_config(tmp_path, doc)
+    for flags in (["--workers", "500"], [], ["--workers", "1"]):
+        assert main(["sweep", path] + flags) == 0
+    assert InlinePool.made == [2, 2, 1]
+    summary = json.loads((tmp_path / "fan" / "sweep-summary.json").read_text())
+    assert [row["status"] for row in summary] == ["ok", "ok"]
 
 
 @pytest.mark.parametrize("axes", [

@@ -306,28 +306,65 @@ def _straddling_states(grid, prm, reg, rng):
     return np.array([state(x) for x in xs])
 
 
-@pytest.mark.parametrize("prm", [P_A, ProblemParams(2, 2.0, 0.5), PROBLEM_B,
-                                 ProblemParams(1, 2.0, 6.0)],
-                         ids=["N1_p2", "N2_p2", "B", "N1_p2_q6"])
+def _cell_0_states(grid, rng, eps, n, hostile):
+    """n random states on grid with cell 0's gradient near eps, u_1 =
+    u_0 - 2 dr eps 10^U(-1, 1): a falling origin, whose source term
+    outweighs the diffusion rows at small eps; then n random states and,
+    if hostile, four copies of one with u_1 huge or non-finite."""
+    states = rng.random((2 * n, grid.M))
+    states[:n, 1] = states[:n, 0] - (2.0 * grid.dr * eps) * 10.0 ** rng.uniform(-1, 1, n)
+    if hostile:
+        rows = np.repeat(rng.random((1, grid.M)), 4, axis=0)
+        rows[:, 1] = 1e100, 1e300, np.inf, np.nan
+        states = np.concatenate([states, rows])
+    return states
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_one_states_p2_bound_is_the_cell_0_formula_on_floats(N, monkeypatch):
+    # at p = 2, dt = SAFETY / max(row_max, row_0 + q max(-gbar_0, 0)
+    # (Z_0 / z_0) / (2 dr)), the term's power being the fill's Z over z as
+    # in source_rate, to the bit; one state takes it from floats, never
+    # from the array path.  Python's max leaves row_max in charge of a NaN
+    # term
+    def array_path(terms):
+        raise AssertionError("one state's bound took the array path")
+
+    monkeypatch.setattr(StepTerms, "origin_source_rate", array_path)
+    rng = np.random.default_rng(53 + N)
+    grid = RadialGrid(N, 4.0, 64)
+    prm = ProblemParams(N, 2.0, 0.5)
+    reg = Regularization(eps=1e-7)
+    rows = grid.unit_mobility_rows
+    row_0, row_max = float(rows[0]), float(rows.max())
+    limits = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in _cell_0_states(grid, rng, reg.eps, 100, hostile=True):
+            terms = StepTerms.of(grid, prm, reg, u)
+            gbar, z, Z = terms.gbar.item(0), terms.z.item(0), terms.Z.item(0)
+            term = prm.q * max(-gbar, 0.0) * (Z / z) / grid.dr
+            own = max(row_max, row_0 + 0.5 * term)
+            assert stable_dt(terms) == SAFETY / own
+            limits.add(own > row_max)
+    assert limits == {True, False}
+
+
+@pytest.mark.parametrize("prm", [P_A, ProblemParams(2, 2.0, 0.5), ProblemParams(3, 2.0, 0.5),
+                                 PROBLEM_B, ProblemParams(1, 2.0, 6.0)],
+                         ids=["N1_p2", "N2_p2", "N3_p2", "B", "N1_p2_q6"])
 def test_stable_dt_of_one_state_equals_that_of_a_stack_of_copies(prm):
     # one state's bound reads cell 0 as floats, a stack's reads it as
     # arrays: both must give the same dt to the bit, over enough states
-    # that a power rounding differently in a few percent of inputs shows.
-    # Cell 0's gradients sit near eps, where its source rate outweighs
-    # the diffusion rows and a one-ulp change in it moves dt.  At p = 2,
-    # one state's float bound of that term, from libm's power, must defer
-    # to the exact term wherever the two could disagree: at N = 1 on states
-    # whose term straddles the slack below the largest row, and on huge
-    # and non-finite cell-0 gradients (at q = 6, libm's power overflows)
+    # that an operation rounding differently in a few percent of inputs
+    # shows.  Cell 0's gradients sit near eps, where its source rate
+    # outweighs the diffusion rows and a one-ulp change in it moves dt.
+    # At p = 2 the inputs also hold huge and non-finite cell-0 gradients
+    # (at q = 6, Z overflows), and at N = 1 states whose term straddles
+    # the slack below the largest row
     rng = np.random.default_rng(41)
     grid = RadialGrid(prm.N, 4.0, 64)
     reg = Regularization(eps=1e-7)
-    states = rng.random((300, grid.M))
-    states[:, 1] = states[:, 0] + (2.0 * grid.dr * reg.eps) * 10.0 ** rng.uniform(-1, 1, 300)
-    if prm.p == 2.0:
-        hostile = np.repeat(rng.random((1, grid.M)), 4, axis=0)
-        hostile[:, 1] = 1e100, 1e300, np.inf, np.nan
-        states = np.concatenate([states, hostile])
+    states = _cell_0_states(grid, rng, reg.eps, 300, hostile=prm.p == 2.0)
     if prm.N == 1 and prm.p == 2.0 and prm.q < 1.0:
         states = np.concatenate([states, _straddling_states(grid, prm, reg, rng)])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -348,7 +348,7 @@ EARLIER_T_E = {"semi_implicit_p2": (0.09680687400538615, 0.09680687400538608),
     ("lifted", "horizon_reached", 360, None, "a842dd88ed73bf64"),
     ("N1_singular_explicit", "extinct", 12717, 0.7835959825520723, "a33c73824073e46b"),
     ("semi_implicit_p2", "extinct", 567, 0.0968068740053861, "143780e91718a125"),
-    ("N2_explicit", "horizon_reached", 8219, None, "67fd41df0f686f91"),
+    ("N2_explicit", "horizon_reached", 8219, None, "1b42d633d64f414f"),
     ("N3_explicit", "extinct", 9206, 1.1217743218005896, "b30b781894f6f349"),
     ("N3_semi_implicit", "extinct", 41, 0.549151822184823, "d1fb91cce63fdfd4"),
 ])
