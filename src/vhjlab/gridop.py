@@ -19,31 +19,25 @@ eps^q is subtracted, computed by the same array power as the absorption,
 so flat states have exactly zero absorption and the regularized flow
 stays above the unregularized one.
 
-A grid computes its geometry (dr, cell and face radii, metric weights,
-and the p = 2 diffusion row sums of the step bound) once, at construction,
-and hands out the same read-only arrays on every access; at p = 2 the
-operator skips the unit mobility, and the step bound, whose diffusion
-rows are then the grid's, reads the state only at the symmetry cell.
-Cell 0's source term there has the power Z / z of source_rate; one
-state takes it from Python floats, by the array's operations in the
-same order, so its dt is a stack's to the bit.  Such a step makes no
-one-cell numpy call: the outer ghost face of one state is a float
-division too.
+A grid computes its geometry (dr, cell and face radii, metric weights)
+once, at construction, and hands out the same read-only arrays on every
+access.  At p = 2 the operator skips the unit mobility, and the step
+bound reads the state only at the symmetry cell, as Python floats (see
+stable_dt); such a step makes no one-cell numpy call, the outer ghost
+face being a float division too.
 
-The gradient terms of a state -- face gradients g, cell averages gbar,
-z = gbar^2 + eps^2, Z = z^(q/2) and, at p != 2, the face weights
-rf^(N-1) a_eps(g^2) -- live in a StepTerms workspace: its buffers, and
-the views of them that its fill and readers use, are made once, and fill
-refills them from each new state by face_gradient's formula on those
-views.  discrete_rhs, stable_dt and source_rate take a filled workspace
-as their only input, grid, problem and regularization included: a solver
-run fills one per step and hands it to each, and a one-shot caller
-passes StepTerms.of(grid, problem, reg, u).
-
-Everything broadcasts over leading axes: u with shape (..., M) yields an
-rhs of shape (..., M).  A stack shares one (grid, problem, reg), so stacks
-of states take explicit steps together, as criterion 4's comparison pairs
-do; the semi-implicit step (solver.semi_implicit_step) takes one state.
+The gradient terms of one state, shape (M,) -- face gradients g, cell
+averages gbar, z = gbar^2 + eps^2, Z = z^(q/2) and, at p != 2, the face
+weights rf^(N-1) a_eps(g^2) -- live in a StepTerms workspace: its
+buffers, and the views of them that its fill and readers use, are made
+once, and fill refills them from each new state by face_gradient's
+formula on those views.  discrete_rhs, stable_dt and source_rate take a
+filled workspace as their only input, grid, problem and regularization
+included: a solver run fills one per step and hands it to each, a caller
+with many states fills one workspace from each in turn, and a one-shot
+caller passes StepTerms.of(grid, problem, reg, u).  face_gradient alone
+also takes a stack of states, shape (..., M), as the series' record
+blocks do.
 """
 
 from __future__ import annotations
@@ -79,6 +73,8 @@ class RadialGrid:
             raise GridMismatch(f"dimension must be a positive integer, got {self.N}")
         if not 0 < self.r_max < math.inf:
             raise GridMismatch(f"r_max must be positive and finite, got {self.r_max}")
+        if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
+            raise GridMismatch(f"cell count must be an integer, got {self.M!r}")
         if self.M < 4:
             raise GridMismatch(f"need at least 4 cells, got {self.M}")
         # geometry is computed once and read-only; equality, hash and
@@ -90,9 +86,7 @@ class RadialGrid:
         metric_faces = r_faces ** (self.N - 1)
         metric_faces[0] = 0.0       # no flux crosses the symmetry face
         geometry = {"_r_cells": r_cells, "_r_faces": r_faces,
-                    "_metric_cells": metric_cells, "_metric_faces": metric_faces,
-                    "_unit_mobility_rows": (metric_faces[1:] + metric_faces[:-1])
-                    / (metric_cells * dr)}
+                    "_metric_cells": metric_cells, "_metric_faces": metric_faces}
         object.__setattr__(self, "_dr", dr)
         for name, arr in geometry.items():
             arr.flags.writeable = False
@@ -122,14 +116,6 @@ class RadialGrid:
     def metric_faces(self) -> np.ndarray:
         """Face weights rf_j^(N-1), zero at the symmetry face (no flux)."""
         return self._metric_faces
-
-    @property
-    def unit_mobility_rows(self) -> np.ndarray:
-        """Diffusion row sums (rf_{i+1}^(N-1) + rf_i^(N-1)) / (r_i^(N-1) dr^2)
-        of the step bound at unit mobility (p = 2), from metric_faces: the
-        symmetry face has no weight, so at N = 1 row 0 is 1/dr^2 and every
-        other row 2/dr^2."""
-        return self._unit_mobility_rows
 
 
 def default_gamma_lift(problem: ProblemParams) -> float:
@@ -205,38 +191,34 @@ def _face_differences(u: np.ndarray, inner: np.ndarray, outer: np.ndarray, dr: f
 
 
 class StepTerms:
-    """Workspace holding the gradient terms of one state.
+    """Workspace holding the gradient terms of one state, shape (M,).
 
     fill(u) computes the face gradients g by face_gradient's formula, the
     cell averages gbar = (g_i + g_(i+1))/2, z = gbar^2 + eps^2, Z =
     z^(q/2) and, at p != 2, the face weights rf^(N-1) a_eps(g^2); at p = 2
     the weights are the grid's read-only metric_faces.  The buffers are
-    allocated once, for states of shape shape + (M,), together with the
-    views fill and the readers use (the faces left and right of each cell,
-    the faces off the symmetry face, cell 0), so a fill or a read slices
-    nothing; the symmetry face of g is zeroed once, and fill writes only
-    the rest.
+    allocated once, together with the views fill and the readers use (the
+    faces left and right of each cell, the faces off the symmetry face), so
+    a fill or a read slices nothing; the symmetry face of g is zeroed once,
+    and fill writes only the rest.
 
     absorption returns Z less the counterterm in its own buffer, and
-    source_rate(terms) another, of power Z / z, whose first cell
-    origin_source_rate writes by the same expression (stable_dt takes one
-    state's from floats); discrete_rhs writes its fluxes into
-    face_scratch (at N = 1 and p = 2, where every weight off the symmetry
-    face is 1.0, it differences g itself) and returns cell_scratch, both
-    free for a caller's own use otherwise.  The semi-implicit matrix
-    writes its two bands, shape (2, M), into bands (bands[0, 0] stays
-    zero) from the weights and metric_cells, the grid's cell measures.  A
-    result stays valid until the buffer is written again.  A problem
-    whose dimension is not the grid's is a GridMismatch.
+    source_rate(terms) another, of power Z / z, whose first cell stable_dt
+    takes from floats by the same expression; discrete_rhs writes its
+    fluxes into face_scratch (at N = 1 and p = 2, where every weight off
+    the symmetry face is 1.0, it differences g itself) and returns
+    cell_scratch, both free for a caller's own use otherwise.  The
+    semi-implicit matrix writes its two bands, shape (2, M), into bands
+    (bands[0, 0] stays zero) from the weights and metric_cells, the grid's
+    cell measures.  A result stays valid until the buffer is written
+    again.  A problem whose dimension is not the grid's is a GridMismatch.
     """
 
-    def __init__(self, grid: RadialGrid, problem: ProblemParams,
-                 reg: Regularization, shape: tuple = ()):
+    def __init__(self, grid: RadialGrid, problem: ProblemParams, reg: Regularization):
         if problem.N != grid.N:
             raise GridMismatch(f"problem dimension {problem.N} vs grid dimension {grid.N}")
         self.grid, self.problem, self.reg = grid, problem, reg
-        faces = tuple(shape) + (grid.M + 1,)
-        cells = tuple(shape) + (grid.M,)
+        faces, cells = grid.M + 1, grid.M
         # per-run constants, each with the expression of its use
         q = problem.q
         self._dr = grid.dr
@@ -256,38 +238,41 @@ class StepTerms:
         # g itself: x * 1.0 == x and 0.0 * 0.0 == 0.0 to the bit
         self.unit_weights = problem.p == 2.0 and grid.N == 1
         self.metric_cells = grid.metric_cells
+        self._cell_dr = grid.metric_cells * grid.dr
         if problem.p == 2.0:        # the mobility is exactly 1
             self.weights = grid.metric_faces
-            rows = grid.unit_mobility_rows
+            # the step bound's diffusion rows at unit mobility: the symmetry
+            # face has no weight, so at N = 1 row 0 is 1/dr^2 and every other
+            # row 2/dr^2
+            rows = (self.weights[1:] + self.weights[:-1]) / self._cell_dr
             self._unit_rows = (float(rows[0]), float(rows.max()))
         else:
             self.weights = np.empty(faces)
-            self._cell_dr = grid.metric_cells * grid.dr
         self.face_scratch = np.empty(faces)
         self.cell_scratch = np.empty(cells)
         self.bands = np.zeros((2, grid.M))
         self._source = np.empty(cells)
         self._rate = np.empty(cells)
         self._power = np.empty(cells)
-        # the symmetry cell's gbar, z, Z and source_rate buffers, as views
-        self._origin = tuple(a[..., :1] for a in
-                             (self.gbar, self.z, self.Z, self._rate, self._power))
         # the faces off the symmetry face, and the left and right faces of
         # every cell, as views
-        self._g_inner, self._g_outer = self.g[..., 1:-1], self.g[..., -1:]
-        self._g_left, self._g_right = self.g[..., :-1], self.g[..., 1:]
-        self._flux_left = self.face_scratch[..., :-1]
-        self._flux_right = self.face_scratch[..., 1:]
+        self._g_inner, self._g_outer = self.g[1:-1], self.g[-1:]
+        self._g_left, self._g_right = self.g[:-1], self.g[1:]
+        self._flux_left = self.face_scratch[:-1]
+        self._flux_right = self.face_scratch[1:]
 
     @classmethod
     def of(cls, grid: RadialGrid, problem: ProblemParams, reg: Regularization,
            u: np.ndarray) -> "StepTerms":
-        """A one-shot workspace filled from u."""
+        """A one-shot workspace filled from u, one state of shape (M,)."""
         u = np.asarray(u, dtype=float)
-        return cls(grid, problem, reg, u.shape[:-1]).fill(u)
+        if u.shape != (grid.M,):
+            raise ValueError(f"a StepTerms workspace holds one state of shape "
+                             f"{(grid.M,)}, not {u.shape}")
+        return cls(grid, problem, reg).fill(u)
 
     def fill(self, u: np.ndarray) -> "StepTerms":
-        # g[..., 0], the symmetry face, stays at the zero it was made with
+        # g[0], the symmetry face, stays at the zero it was made with
         _face_differences(u, self._g_inner, self._g_outer, self._dr)
         gbar = np.add(self._g_left, self._g_right, out=self.gbar)
         gbar *= 0.5
@@ -305,13 +290,6 @@ class StepTerms:
     def absorption(self) -> np.ndarray:
         """b_eps(gbar^2) = Z per cell, less b_eps(0) with the counterterm."""
         return np.subtract(self.Z, self._eps_q, out=self._source)
-
-    def origin_source_rate(self) -> np.ndarray:
-        """source_rate at the symmetry cell alone, of max(-gbar_0, 0) in
-        place of |gbar_0| (see stable_dt), shape shape + (1,)."""
-        gbar, z, Z, rate, power = self._origin
-        falling = np.maximum(np.negative(gbar, out=rate), 0.0, out=rate)
-        return self._source_rate(falling, np.divide(Z, z, out=power))
 
     def _source_rate(self, rate, power):
         """The source rate's expression, from rate = |gbar| (or max(-gbar_0,
@@ -361,49 +339,44 @@ def stable_dt(terms: StepTerms) -> float:
       dr^2), the mobilities frozen at the current gradients.  At p < 2
       the true flux derivative is a + 2 a' g^2 = a (1 + (p-2) g^2 /
       (g^2 + eps^2)), between (p-1) a and a, so the frozen row bounds it;
-      at p = 2 the rows are the grid's unit_mobility_rows.  The symmetry
-      face carries no flux and has no weight (metric_faces), so cell 0's
-      row holds its outer face alone: at N = 1 it is half of the others.
+      at p = 2 the rows are fixed by the grid, and the workspace keeps
+      row_0 and the largest row.  The symmetry face carries no flux and
+      has no weight (metric_faces), so cell 0's row holds its outer face
+      alone: at N = 1 it is half of the others.
     - gradient source: gbar_i = (u_(i+1) - u_(i-1)) / (2 dr) does not
       hold u_i, except at the symmetry cell, where g_0 = 0 makes gbar_0 =
       (u_1 - u_0) / (2 dr).  Where the state falls there (gbar_0 < 0),
       the source adds q |gbar_0| (gbar_0^2+eps^2)^(q/2-1) / (2 dr), half
       of cell 0's source_rate; a rising origin raises cell 0's own
-      coefficient and adds nothing.  StepTerms.origin_source_rate counts
-      max(-gbar_0, 0) on that cell alone.
+      coefficient and adds nothing.
 
-    At p = 2 the largest own-cell rate is max(row_max, row_0 + term / 2),
-    the term of power Z / z.  One state's term comes from Python floats
-    (gbar_0, then Z_0 / z_0 and source_rate's operations in the same
-    order), a stack's from origin_source_rate's array: dt is the same to
-    the bit either way, and a NaN term leaves row_max in charge on both.
+    That term counts max(-gbar_0, 0), of power Z_0 / z_0, and comes from
+    Python floats by source_rate's operations in the same order, at every
+    p.  At p = 2 the largest own-cell rate is max(row_max, row_0 + term /
+    2), and a NaN term leaves row_max in charge; at p < 2 half the term
+    joins row_0, and a NaN term makes dt NaN.
 
     The derivatives in the neighbors, dt (rf^(N-1) a / (r_i^(N-1) dr^2)
     -+ q gbar (gbar^2+eps^2)^(q/2-1) / (2 dr)), carry dt only as a
     factor: their sign does not depend on dt, and the eps = dr^(2/3) tie
     of default_eps keeps them nonnegative.  So dt = SAFETY / max_i row_i
-    keeps every own-cell coefficient at least 1 - SAFETY, over all cells
-    and all states of a stack.
+    keeps every own-cell coefficient at least 1 - SAFETY.  The workspace
+    holds one state: a dt shared by many states is the least of theirs,
+    SAFETY over their largest row, as division rounds monotonically.
     """
     # cell 0's source rate: half of it is the source's own-cell derivative
+    g = terms.gbar.item(0)
+    term = terms._source_rate(0.0 if g >= 0.0 else -g, terms.Z.item(0) / terms.z.item(0))
     if terms.problem.p == 2.0:      # at p = 2 the mobility is exactly 1
         row_0, row_max = terms._unit_rows
-        if terms.gbar.ndim == 1:    # one state: the array's operations on floats
-            g = terms.gbar.item(0)
-            term = terms._source_rate(0.0 if g >= 0.0 else -g,
-                                      terms.Z.item(0) / terms.z.item(0))
-        else:
-            term = float(terms.origin_source_rate().max())
         # max(row_max, own) without the builtin's call, a third of the bound's
-        # time on one state: a NaN term leaves row_max, as max would
+        # time: a NaN term leaves row_max, as max would
         own = row_0 + 0.5 * term
         own = own if own > row_max else row_max
     else:
-        source = terms.origin_source_rate()
         w = terms.weights
-        rows = np.add(w[..., 1:], w[..., :-1], out=terms._power)
+        rows = np.add(w[1:], w[:-1], out=terms._power)
         rows /= terms._cell_dr
-        source *= 0.5
-        rows[..., :1] += source
+        rows[0] += 0.5 * term
         own = float(rows.max())
     return SAFETY / own

@@ -3,8 +3,8 @@
 Each scheme is one row of the table SCHEMES: a step bound, bound(terms),
 giving the largest safe dt, and a step function, step(terms, u, dt),
 advancing the state u by dt and clamping it at zero.  terms is the run's
-StepTerms workspace, filled once per step from u; grid, problem and
-regularization come from it.
+StepTerms workspace, which holds one state, filled once per step from u;
+grid, problem and regularization come from it.
 
 explicit       stable_dt(terms): SAFETY over the largest own-cell rate
                of the update, the diffusion row sum in every cell plus
@@ -18,8 +18,8 @@ semi_implicit  SAFETY / max source_rate(terms), capped at dr, then
                explicit; each row times its cell measure, the couplings
                the face weights times dt/dr, so LAPACK's dptsv solves a
                symmetric positive definite system in place, its inputs
-               checked finite first (semi_implicit_step).  It steps one
-               state; a stack is a ValueError.
+               checked finite first (semi_implicit_step).  A stack of
+               states in u is a ValueError.
                Removes the eps^(p-2) diffusion restriction that
                strangles explicit stepping at p < 2 with small eps.
 
@@ -323,8 +323,8 @@ def _semi_implicit_bound(terms: StepTerms) -> float:
 
 
 def explicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
-    """Forward Euler in place on u (one state or a stack), clamped at
-    zero; terms is filled from u."""
+    """Forward Euler in place on the state u, clamped at zero; terms is
+    filled from u."""
     rhs = discrete_rhs(terms)
     rhs *= dt
     u += rhs
@@ -334,10 +334,10 @@ def explicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
 def semi_implicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
     """Backward Euler on the diffusion, each row times its cell measure,
     in place on u, clamped at zero; terms is filled from u.  u is one
-    state: a stack, in u or in terms, is a ValueError."""
-    if u.ndim != 1 or terms.Z.ndim != 1:
+    state: a stack is a ValueError."""
+    if u.ndim != 1:
         raise ValueError(f"semi_implicit_step takes one state, not a stack: "
-                         f"u has shape {u.shape}, terms {terms.Z.shape}")
+                         f"u has shape {u.shape}")
     src = terms.absorption()
     src *= dt
     u -= src

@@ -1,6 +1,8 @@
 """Discretization: gradients, fluxes, stability bound, structural invariants."""
 
+import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -150,19 +152,6 @@ def test_explicit_step_is_monotone_under_default_tie():
         assert np.all(vn - un >= -1e-12)
 
 
-def test_rhs_broadcasts_over_batches():
-    rng = np.random.default_rng(23)
-    grid = RadialGrid(2, 4.0, 64)
-    prm = ProblemParams(2, 1.8, 0.6)
-    reg = Regularization(eps=1e-3)
-    U = rng.random((7, grid.M))
-    R = discrete_rhs(StepTerms.of(grid, prm, reg, U))
-    assert R.shape == U.shape
-    for k in range(7):
-        rk = discrete_rhs(StepTerms.of(grid, prm, reg, U[k]))
-        assert np.array_equal(R[k], rk)
-
-
 def test_grid_mass_and_validation():
     grid = RadialGrid(2, 4.0, 128)
     # sum of r_i dr over the uniform cell centers telescopes to r_max^2 / 2
@@ -173,6 +162,26 @@ def test_grid_mass_and_validation():
     for r_max in (-1.0, np.inf, np.nan):
         with pytest.raises(GridMismatch, match="r_max must be positive and finite"):
             RadialGrid(1, r_max, 64)
+
+
+def test_grid_refuses_a_non_integer_cell_count():
+    # 64.5 would build 65 cells, and 64.0 would fail later inside StepTerms;
+    # a bool is not a cell count either
+    for M in (64.5, 64.0, True):
+        with pytest.raises(GridMismatch, match=rf"^cell count must be an integer, got {M!r}$"):
+            RadialGrid(1, 4.0, M)
+    assert RadialGrid(1, 4.0, np.int64(64)).r_cells.shape == (64,)
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (63,)], ids=["stack_of_one", "short"])
+def test_one_shot_workspace_refuses_any_shape_but_one_states(shape):
+    # a workspace holds one state of the grid's M cells: not a stack, even
+    # of one state (a longer stack is test_semi_implicit_step_refuses_a_stack's
+    # terms-stack case), and not a state of another length
+    grid = RadialGrid(1, 4.0, 64)
+    with pytest.raises(ValueError, match=rf"^a StepTerms workspace holds one state of shape "
+                                         rf"\(64,\), not {re.escape(str(shape))}$"):
+        StepTerms.of(grid, P_A, Regularization(eps=1e-3), np.ones(shape))
 
 
 def test_regularization_validation():
@@ -189,8 +198,7 @@ def test_regularization_validation():
 
 def test_grid_geometry_is_read_only_with_value_semantics():
     grid = RadialGrid(2, 4.0, 64)
-    for name in ("r_cells", "r_faces", "metric_cells", "metric_faces",
-                 "unit_mobility_rows"):
+    for name in ("r_cells", "r_faces", "metric_cells", "metric_faces"):
         arr = getattr(grid, name)
         assert arr is getattr(grid, name)          # computed once
         assert not arr.flags.writeable
@@ -214,23 +222,23 @@ def test_p2_shortcut_matches_mobility_reference(N):
     grid = RadialGrid(N, 4.0, 96)
     prm = ProblemParams(N, 2.0, 0.5)
     reg = Regularization(eps=default_eps(grid))
-    for u in (rng.random(grid.M), rng.random((3, grid.M))):
+    for u in (rng.random(grid.M), *rng.random((3, grid.M))):
         g = face_gradient(grid, u)
         a = mobility(g * g, prm.p, reg.eps)
         flux = grid.metric_faces * a * g
-        div = np.diff(flux, axis=-1) / grid.metric_cells
-        gbar = 0.5 * (g[..., :-1] + g[..., 1:])
+        div = np.diff(flux) / grid.metric_cells
+        gbar = 0.5 * (g[:-1] + g[1:])
         source = absorption_law(gbar * gbar, prm.q, reg.eps) - reg.eps ** prm.q
         terms = StepTerms.of(grid, prm, reg, u)
         assert np.array_equal(discrete_rhs(terms), div - source)
         wa = grid.metric_faces * a
-        own = (wa[..., 1:] + wa[..., :-1]) / (grid.metric_cells * grid.dr)
+        own = (wa[1:] + wa[:-1]) / (grid.metric_cells * grid.dr)
         # the source's own-cell derivative, at the symmetry cell only and
         # only where the state falls there
-        gbar0 = gbar[..., 0]
+        gbar0 = gbar[0]
         rate0 = prm.q * np.maximum(-gbar0, 0.0) * absorption_law(gbar0 * gbar0, prm.q - 2.0,
                                                         reg.eps) / grid.dr
-        own[..., 0] += 0.5 * rate0
+        own[0] += 0.5 * rate0
         assert stable_dt(terms) == SAFETY / float(np.max(own))
 
 
@@ -240,7 +248,7 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
     # d u_i^new / d u_i of the pre-clamp explicit update, by a forward
     # difference in each u_i: the bound keeps it at least 1 - SAFETY (the
     # frozen rows bound the true own-cell rate), so nonnegative, in every
-    # cell of every state of a stack.  At p = 2 the rows are exact and the
+    # cell of every state.  At p = 2 the rows are exact and the
     # smallest coefficient is 1 - SAFETY: at N = 1 cell 0's row holds only
     # its outer face, and the other rows, 2/dr^2, set dt; at N = 2 every
     # diffusion row is 2/dr^2, and the source's term at the symmetry cell
@@ -253,36 +261,56 @@ def test_stable_dt_keeps_every_own_cell_coefficient_nonnegative(prm):
     reg = Regularization(eps=default_eps(grid))
     knots = np.linspace(0.0, grid.r_max, 9)
     h = 1e-7
-    cells = np.arange(grid.M)
-    for shape in ((), (3,)):
-        n = int(np.prod(shape))
-        u = np.array([np.interp(grid.r_cells, knots, rng.random(9) * (1.0 - knots / 4.0))
-                      for _ in range(n)]).reshape(shape + (grid.M,))
+    terms = StepTerms(grid, prm, reg)
+    for _ in range(4):
+        u = np.interp(grid.r_cells, knots, rng.random(9) * (1.0 - knots / 4.0))
         falling = u.copy()
-        falling[..., :2] = np.sort(u[..., :2])[..., ::-1]
+        falling[:2] = np.sort(u[:2])[::-1]
         for v in (u, falling):
-            dt = stable_dt(StepTerms.of(grid, prm, reg, v))
+            dt = stable_dt(terms.fill(v))
 
             def update(w):
-                return w + dt * discrete_rhs(StepTerms.of(grid, prm, reg, w))
+                return w + dt * discrete_rhs(terms.fill(w))
 
-            # one perturbed copy of the state per cell
-            bumped = np.repeat(v[..., None, :], grid.M, axis=-2)
-            bumped[..., cells, cells] += h
-            own = (update(bumped)[..., cells, cells] - update(v)) / h
-            assert own.shape == v.shape
+            # the Jacobian's diagonal, one perturbed copy of the state per cell
+            base = update(v)
+            own = np.empty(grid.M)
+            for i in range(grid.M):
+                bumped = v.copy()
+                bumped[i] += h
+                own[i] = (update(bumped)[i] - base[i]) / h
             assert own.min() >= 1.0 - SAFETY - 1e-6
             if prm.p == 2.0:
                 assert abs(own.min() - (1.0 - SAFETY)) <= 1e-6
 
 
+def _cell_0_formula(terms, u):
+    """dt of the step bound's formula, written out on floats, and whether
+    cell 0's source term sets it: the diffusion rows at the mobilities of
+    u's face gradients, and half the term q max(-gbar_0, 0) (Z_0 / z_0) /
+    dr, its power the fill's Z over z as in source_rate, added to row 0.
+    At p = 2 Python's max leaves the largest row in charge of a NaN term."""
+    grid, prm, eps = terms.grid, terms.problem, terms.reg.eps
+    gbar, z, Z = terms.gbar.item(0), terms.z.item(0), terms.Z.item(0)
+    term = prm.q * max(-gbar, 0.0) * (Z / z) / grid.dr
+    g = face_gradient(grid, u)
+    wa = grid.metric_faces * mobility(g * g, prm.p, eps)
+    rows = (wa[1:] + wa[:-1]) / (grid.metric_cells * grid.dr)
+    row_max = float(rows.max())
+    if prm.p == 2.0:
+        own = max(row_max, float(rows[0]) + 0.5 * term)
+    else:
+        rows[0] += 0.5 * term
+        own = float(rows.max())
+    return SAFETY / own, own > row_max
+
+
 def _straddling_states(grid, prm, reg, rng):
     """N = 1, p = 2 states whose cell-0 term sits within 1e-12 relative of
     the slack row_max - row_0, on both sides: u_1 = 0 and u_0 around the
-    value at which the exact term, a stack's, fills the slack (only a
+    value at which the term, by _cell_0_formula, fills the slack (only a
     falling origin has the term)."""
-    rows = grid.unit_mobility_rows
-    row_max = float(rows.max())
+    terms = StepTerms(grid, prm, reg)
 
     def state(x):
         u = rng.random(grid.M)
@@ -290,10 +318,12 @@ def _straddling_states(grid, prm, reg, rng):
         return u
 
     def cell_0_limits(x):
-        return stable_dt(StepTerms.of(grid, prm, reg, state(x)[None])) < SAFETY / row_max
+        u = state(x)
+        return _cell_0_formula(terms.fill(u), u)[1]
 
-    # the term falls as gbar_0^(q-1) here, far above eps: bracket its root
-    slack = row_max - float(rows[0])
+    # the term falls as gbar_0^(q-1) here, far above eps: bracket its root;
+    # at N = 1 row 0 is 1/dr^2 and row_max 2/dr^2
+    slack = 1.0 / grid.dr ** 2
     x = 2.0 * grid.dr * (2.0 * grid.dr * slack / prm.q) ** (1.0 / (prm.q - 1.0))
     lo, hi = 0.5 * x, 2.0 * x
     assert cell_0_limits(lo) and not cell_0_limits(hi)
@@ -306,73 +336,51 @@ def _straddling_states(grid, prm, reg, rng):
     return np.array([state(x) for x in xs])
 
 
-def _cell_0_states(grid, rng, eps, n, hostile):
+def _cell_0_states(grid, rng, eps, n):
     """n random states on grid with cell 0's gradient near eps, u_1 =
     u_0 - 2 dr eps 10^U(-1, 1): a falling origin, whose source term
-    outweighs the diffusion rows at small eps; then n random states and,
-    if hostile, four copies of one with u_1 huge or non-finite."""
+    outweighs the diffusion rows at small eps; then n random states and
+    four copies of one with u_1 huge or non-finite."""
     states = rng.random((2 * n, grid.M))
     states[:n, 1] = states[:n, 0] - (2.0 * grid.dr * eps) * 10.0 ** rng.uniform(-1, 1, n)
-    if hostile:
-        rows = np.repeat(rng.random((1, grid.M)), 4, axis=0)
-        rows[:, 1] = 1e100, 1e300, np.inf, np.nan
-        states = np.concatenate([states, rows])
-    return states
-
-
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_one_states_p2_bound_is_the_cell_0_formula_on_floats(N, monkeypatch):
-    # at p = 2, dt = SAFETY / max(row_max, row_0 + q max(-gbar_0, 0)
-    # (Z_0 / z_0) / (2 dr)), the term's power being the fill's Z over z as
-    # in source_rate, to the bit; one state takes it from floats, never
-    # from the array path.  Python's max leaves row_max in charge of a NaN
-    # term
-    def array_path(terms):
-        raise AssertionError("one state's bound took the array path")
-
-    monkeypatch.setattr(StepTerms, "origin_source_rate", array_path)
-    rng = np.random.default_rng(53 + N)
-    grid = RadialGrid(N, 4.0, 64)
-    prm = ProblemParams(N, 2.0, 0.5)
-    reg = Regularization(eps=1e-7)
-    rows = grid.unit_mobility_rows
-    row_0, row_max = float(rows[0]), float(rows.max())
-    limits = set()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for u in _cell_0_states(grid, rng, reg.eps, 100, hostile=True):
-            terms = StepTerms.of(grid, prm, reg, u)
-            gbar, z, Z = terms.gbar.item(0), terms.z.item(0), terms.Z.item(0)
-            term = prm.q * max(-gbar, 0.0) * (Z / z) / grid.dr
-            own = max(row_max, row_0 + 0.5 * term)
-            assert stable_dt(terms) == SAFETY / own
-            limits.add(own > row_max)
-    assert limits == {True, False}
+    rows = np.repeat(rng.random((1, grid.M)), 4, axis=0)
+    rows[:, 1] = 1e100, 1e300, np.inf, np.nan
+    return np.concatenate([states, rows])
 
 
 @pytest.mark.parametrize("prm", [P_A, ProblemParams(2, 2.0, 0.5), ProblemParams(3, 2.0, 0.5),
-                                 PROBLEM_B, ProblemParams(1, 2.0, 6.0)],
-                         ids=["N1_p2", "N2_p2", "N3_p2", "B", "N1_p2_q6"])
-def test_stable_dt_of_one_state_equals_that_of_a_stack_of_copies(prm):
-    # one state's bound reads cell 0 as floats, a stack's reads it as
-    # arrays: both must give the same dt to the bit, over enough states
-    # that an operation rounding differently in a few percent of inputs
-    # shows.  Cell 0's gradients sit near eps, where its source rate
-    # outweighs the diffusion rows and a one-ulp change in it moves dt.
-    # At p = 2 the inputs also hold huge and non-finite cell-0 gradients
-    # (at q = 6, Z overflows), and at N = 1 states whose term straddles
-    # the slack below the largest row
-    rng = np.random.default_rng(41)
+                                 ProblemParams(1, 2.0, 6.0), PROBLEM_B,
+                                 ProblemParams(3, 1.8, 0.85)],
+                         ids=["1", "2", "3", "N1_p2_q6", "B", "N3_q0.85"])
+def test_one_states_p2_bound_is_the_cell_0_formula_on_floats(prm):
+    # stable_dt is _cell_0_formula's dt to the bit, at p = 2 and below,
+    # over enough states that an operation rounding differently in a few
+    # percent of inputs shows.  Cell 0's gradients sit near eps, where its
+    # source term outweighs the diffusion rows and a one-ulp change in it
+    # moves dt; the inputs also hold huge and non-finite cell-0 gradients
+    # (at q = 6, Z overflows), and at N = 1 and p = 2 states whose term
+    # straddles the slack below the largest row.  A NaN term makes dt NaN
+    # below p = 2, and leaves the largest row in charge at p = 2
+    rng = np.random.default_rng(53 + prm.N)
     grid = RadialGrid(prm.N, 4.0, 64)
     reg = Regularization(eps=1e-7)
-    states = _cell_0_states(grid, rng, reg.eps, 300, hostile=prm.p == 2.0)
+    states = _cell_0_states(grid, rng, reg.eps, 100)
     if prm.N == 1 and prm.p == 2.0 and prm.q < 1.0:
         states = np.concatenate([states, _straddling_states(grid, prm, reg, rng)])
+    terms = StepTerms(grid, prm, reg)
+    limits, nans = set(), 0
     with np.errstate(over="ignore", invalid="ignore"):
         for u in states:
-            one = stable_dt(StepTerms.of(grid, prm, reg, u))
-            for n in (1, 3):
-                stack = np.repeat(u[None], n, axis=0)
-                assert stable_dt(StepTerms.of(grid, prm, reg, stack)) == one
+            dt = stable_dt(terms.fill(u))
+            expected, limited = _cell_0_formula(terms, u)
+            if math.isnan(expected):
+                nans += 1
+                assert math.isnan(dt)
+            else:
+                assert dt == expected
+            limits.add(limited)
+    assert (nans == 0) == (prm.p == 2.0)
+    assert limits == {True, False}
 
 
 @pytest.mark.parametrize("p", [2.0, 1.8])
@@ -385,16 +393,15 @@ def test_precomputed_gradient_gives_identical_results(N, p):
     grid = RadialGrid(N, 4.0, 96)
     prm = ProblemParams(N, p, 0.5)
     reg = Regularization(eps=default_eps(grid))
-    for shape in ((), (3,)):
-        terms = StepTerms(grid, prm, reg, shape)
-        for _ in range(2):
-            u = rng.random(shape + (grid.M,))
-            terms.fill(u)
-            assert np.array_equal(terms.g, face_gradient(grid, u))
-            fresh = StepTerms.of(grid, prm, reg, u)
-            assert stable_dt(terms) == stable_dt(fresh)
-            assert np.array_equal(source_rate(terms), source_rate(fresh))
-            assert np.array_equal(discrete_rhs(terms), discrete_rhs(fresh))
+    terms = StepTerms(grid, prm, reg)
+    for _ in range(4):
+        u = rng.random(grid.M)
+        terms.fill(u)
+        assert np.array_equal(terms.g, face_gradient(grid, u))
+        fresh = StepTerms.of(grid, prm, reg, u)
+        assert stable_dt(terms) == stable_dt(fresh)
+        assert np.array_equal(source_rate(terms), source_rate(fresh))
+        assert np.array_equal(discrete_rhs(terms), discrete_rhs(fresh))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
@@ -408,24 +415,27 @@ def test_source_rate_and_absorption_share_one_power(prm, shape):
     # power form q |gbar| (gbar^2+eps^2)^(q/2-1) / dr, on gradients from
     # 0.1 eps to 10 eps of either sign.  The power form is evaluated in
     # extended precision: in doubles the exponent q/2 - 1 is itself rounded
-    # (q = 0.6), which alone moves the power by up to 8 ulp at these z
+    # (q = 0.6), which alone moves the power by up to 8 ulp at these z.  A
+    # stack's states are filled into one workspace in turn
     grid, eps = RadialGrid(prm.N, 4.0, 256), 1e-3
     rng = np.random.default_rng(prm.N)
     slopes = eps * 10.0 ** rng.uniform(-1.0, 1.0, shape + (grid.M - 1,))
     slopes *= rng.choice([-1.0, 1.0], slopes.shape)
-    u = np.concatenate((np.zeros(shape + (1,)), np.cumsum(slopes * grid.dr, axis=-1)),
-                       axis=-1)
-    terms = StepTerms.of(grid, prm, Regularization(eps=eps), u)
-    inner = np.abs(terms.g[..., 1:-1])
-    assert inner.min() >= 0.099 * eps and inner.max() <= 10.01 * eps
+    states = np.concatenate((np.zeros(shape + (1,)), np.cumsum(slopes * grid.dr, axis=-1)),
+                            axis=-1)
+    terms = StepTerms(grid, prm, Regularization(eps=eps))
     half_q = prm.q / 2.0
     eps_q = np.power(np.full(1, eps * eps), half_q).item()
-    expected = np.power(terms.z, half_q) - eps_q
-    assert terms.absorption().tobytes() == expected.tobytes()
     L = np.longdouble
-    power_form = (L(prm.q) * np.abs(terms.gbar).astype(L)
-                  * np.power(terms.z.astype(L), L(prm.q) / 2 - 1) / L(grid.dr))
-    rate = source_rate(terms)
-    assert rate.shape == shape + (grid.M,)
-    ulp = np.spacing(power_form.astype(float)).astype(L)
-    assert (np.abs(rate.astype(L) - power_form) <= 4 * ulp).all()
+    for u in states.reshape(-1, grid.M):
+        terms.fill(u)
+        inner = np.abs(terms.g[1:-1])
+        assert inner.min() >= 0.099 * eps and inner.max() <= 10.01 * eps
+        expected = np.power(terms.z, half_q) - eps_q
+        assert terms.absorption().tobytes() == expected.tobytes()
+        power_form = (L(prm.q) * np.abs(terms.gbar).astype(L)
+                      * np.power(terms.z.astype(L), L(prm.q) / 2 - 1) / L(grid.dr))
+        rate = source_rate(terms)
+        assert rate.shape == (grid.M,)
+        ulp = np.spacing(power_form.astype(float)).astype(L)
+        assert (np.abs(rate.astype(L) - power_form) <= 4 * ulp).all()

@@ -466,17 +466,27 @@ def test_solve_banded_reports_an_indefinite_system(M):
         solve_banded(ab, b)
 
 
-@pytest.mark.parametrize("shape", [(2,), ()], ids=["terms-stack", "u-stack"])
-def test_semi_implicit_step_refuses_a_stack(shape):
-    # one system per step: a stack of two states, in terms and u or in u
-    # alone, is refused by name before the step writes anything
+@pytest.mark.parametrize("case", ["terms-stack", "u-stack"])
+def test_semi_implicit_step_refuses_a_stack(case):
+    # one system per step: a stack of two states is refused by name before
+    # anything is written, by StepTerms.of when a workspace would hold it
+    # (a workspace holds one state), and by the step when u alone holds it
     import vhjlab.solver as solver
     prm, grid = ProblemParams(1, 1.8, 0.6), RadialGrid(1, 4.0, 64)
+    reg = Regularization(eps=1e-3)
     u = np.random.default_rng(3).random((2, grid.M))
-    terms = StepTerms(grid, prm, Regularization(eps=1e-3), shape).fill(u if shape else u[0])
+    terms = StepTerms.of(grid, prm, reg, u[0])
     before, bands = u.copy(), terms.bands.copy()
-    with pytest.raises(ValueError, match="semi_implicit_step takes one state, not a stack"):
-        solver.semi_implicit_step(terms, u, 1e-4)
+    refused, message = {
+        "terms-stack": (lambda: StepTerms.of(grid, prm, reg, u),
+                        r"^a StepTerms workspace holds one state of shape \(64,\), "
+                        r"not \(2, 64\)$"),
+        "u-stack": (lambda: solver.semi_implicit_step(terms, u, 1e-4),
+                    r"^semi_implicit_step takes one state, not a stack: "
+                    r"u has shape \(2, 64\)$"),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        refused()
     assert (u == before).all() and (terms.bands == bands).all()
 
 
