@@ -38,6 +38,15 @@ with many states fills one workspace from each in turn, and a one-shot
 caller passes StepTerms.of(grid, problem, reg, u).  face_gradient alone
 also takes a stack of states, shape (..., M), as the series' record
 blocks do.
+
+A workspace holds each per-run constant in the form its use takes: a 0-d
+float64 array where it is an operand of a numpy call, a Python float
+where it enters float math.  At the sizes of short runs a step is a
+dozen numpy calls on a few hundred cells, so the per-call cost sets its
+time: with numpy 2.4 on 512 cells a call with a Python-float operand
+costs about 0.2 us more than with a 0-d array (which takes the same IEEE
+operation), while a 0-d operand in float math yields a numpy scalar at
+about 1 us.
 """
 
 from __future__ import annotations
@@ -69,8 +78,9 @@ class RadialGrid:
     M: int
 
     def __post_init__(self):
-        if self.N < 1 or self.N != int(self.N):
-            raise GridMismatch(f"dimension must be a positive integer, got {self.N}")
+        if (isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer))
+                or self.N < 1):
+            raise GridMismatch(f"dimension must be a positive integer, got {self.N!r}")
         if not 0 < self.r_max < math.inf:
             raise GridMismatch(f"r_max must be positive and finite, got {self.r_max}")
         if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
@@ -173,21 +183,23 @@ def face_gradient(grid: RadialGrid, u: np.ndarray,
     u = np.asarray(u, dtype=float)
     g = np.empty(u.shape[:-1] + (grid.M + 1,)) if out is None else out
     g[..., 0] = 0.0
-    _face_differences(u, g[..., 1:-1], g[..., -1:], grid.dr)
+    _face_differences(u, g[..., 1:-1], g[..., -1:], grid.dr, -grid.dr)
     return g
 
 
-def _face_differences(u: np.ndarray, inner: np.ndarray, outer: np.ndarray, dr: float):
+def _face_differences(u: np.ndarray, inner: np.ndarray, outer: np.ndarray,
+                      dr, neg_dr: float):
     """face_gradient's formula off the symmetry face: (u_j - u_(j-1))/dr
     into inner, the faces between cells, and -u_(M-1)/dr, the difference
     against the zero ghost, into outer (for one state, by the same IEEE
-    division on a Python float)."""
+    division on a Python float).  dr, a float or a 0-d array, divides the
+    inner faces; neg_dr is the float -dr."""
     np.subtract(u[..., 1:], u[..., :-1], out=inner)
     inner /= dr
     if u.ndim == 1:
-        outer[0] = u.item(-1) / -dr
+        outer[0] = u.item(-1) / neg_dr
     else:
-        np.divide(u[..., -1:], -dr, out=outer)
+        np.divide(u[..., -1:], neg_dr, out=outer)
 
 
 class StepTerms:
@@ -201,6 +213,13 @@ class StepTerms:
     faces left and right of each cell, the faces off the symmetry face), so
     a fill or a read slices nothing; the symmetry face of g is zeroed once,
     and fill writes only the rest.
+
+    The per-run constants (dr, eps^2, q, q/2, (p-2)/2, 0.5, the
+    counterterm) are made once, as 0-d float64 arrays for the numpy calls
+    and as floats for stable_dt's cell-0 term and the ghost face: a
+    Python-float operand costs a numpy call about 0.2 us more (see the
+    module docstring).  zero, the steps' clamp, and dt, a buffer each step
+    writes its dt into, are 0-d arrays for the same reason.
 
     absorption returns Z less the counterterm in its own buffer, and
     source_rate(terms) another, of power Z / z, whose first cell stable_dt
@@ -219,16 +238,22 @@ class StepTerms:
             raise GridMismatch(f"problem dimension {problem.N} vs grid dimension {grid.N}")
         self.grid, self.problem, self.reg = grid, problem, reg
         faces, cells = grid.M + 1, grid.M
-        # per-run constants, each with the expression of its use
-        q = problem.q
-        self._dr = grid.dr
-        self._eps2 = reg.eps * reg.eps
-        self._half_q = q / 2.0
+        # per-run constants, each with the expression of its use, in the
+        # form of its use (see the class docstring)
+        q, dr, eps2 = problem.q, grid.dr, reg.eps * reg.eps
+        self._q, self._dr, self._neg_dr = q, dr, -dr
+        self._q_0d, self._dr_0d = np.array(q), np.array(dr)
+        self._half, self._eps2 = np.array(0.5), np.array(eps2)
+        self._half_q = np.array(q / 2.0)
+        if problem.p != 2.0:
+            self._mobility_power = np.array((problem.p - 2.0) / 2.0)
         # the counterterm is b_eps at zero gradient, (eps^2)^(q/2), taken by
         # the same array power as Z: a flat state's absorption is then
         # exactly zero; without it, Z - 0.0 is Z to the bit
-        self._eps_q = (np.power(np.full(1, self._eps2), self._half_q).item()
-                       if reg.counterterm else 0.0)
+        self._eps_q = np.array(np.power(np.full(1, eps2), q / 2.0).item()
+                               if reg.counterterm else 0.0)
+        # for the steps: the clamp's zero, and a buffer for each step's dt
+        self.zero, self.dt = np.array(0.0), np.array(0.0)
         self.g = np.zeros(faces)
         self.gbar = np.empty(cells)
         self.z = np.empty(cells)
@@ -273,16 +298,15 @@ class StepTerms:
 
     def fill(self, u: np.ndarray) -> "StepTerms":
         # g[0], the symmetry face, stays at the zero it was made with
-        _face_differences(u, self._g_inner, self._g_outer, self._dr)
+        _face_differences(u, self._g_inner, self._g_outer, self._dr_0d, self._neg_dr)
         gbar = np.add(self._g_left, self._g_right, out=self.gbar)
-        gbar *= 0.5
+        gbar *= self._half
         z = np.multiply(gbar, gbar, out=self.z)
         z += self._eps2
-        p = self.problem.p
-        if p != 2.0:
+        if self.problem.p != 2.0:
             w = np.multiply(self.g, self.g, out=self.weights)
             w += self._eps2
-            np.power(w, (p - 2.0) / 2.0, out=w)
+            np.power(w, self._mobility_power, out=w)
             w *= self.grid.metric_faces
         np.power(z, self._half_q, out=self.Z)
         return self
@@ -291,14 +315,16 @@ class StepTerms:
         """b_eps(gbar^2) = Z per cell, less b_eps(0) with the counterterm."""
         return np.subtract(self.Z, self._eps_q, out=self._source)
 
-    def _source_rate(self, rate, power):
-        """The source rate's expression, from rate = |gbar| (or max(-gbar_0,
-        0)) and power = Z / z; in place on arrays, and the same operations
-        in the same order on floats."""
-        rate *= self.problem.q
-        rate *= power
-        rate /= self._dr
-        return rate
+
+def _source_rate(rate, power, q, dr):
+    """The source rate's expression, from rate = |gbar| (or max(-gbar_0,
+    0)), power = Z / z and the constants q and dr; in place on arrays,
+    with 0-d q and dr, and the same operations in the same order on
+    floats."""
+    rate *= q
+    rate *= power
+    rate /= dr
+    return rate
 
 
 def discrete_rhs(terms: StepTerms) -> np.ndarray:
@@ -322,8 +348,9 @@ def source_rate(terms: StepTerms) -> np.ndarray:
     This vanishes on flat faces, so small eps only penalizes cells whose
     gradient actually sits near eps.  The power is the fill's Z over z.
     """
-    return terms._source_rate(np.abs(terms.gbar, out=terms._rate),
-                              np.divide(terms.Z, terms.z, out=terms._power))
+    return _source_rate(np.abs(terms.gbar, out=terms._rate),
+                        np.divide(terms.Z, terms.z, out=terms._power),
+                        terms._q_0d, terms._dr_0d)
 
 
 def stable_dt(terms: StepTerms) -> float:
@@ -366,7 +393,8 @@ def stable_dt(terms: StepTerms) -> float:
     """
     # cell 0's source rate: half of it is the source's own-cell derivative
     g = terms.gbar.item(0)
-    term = terms._source_rate(0.0 if g >= 0.0 else -g, terms.Z.item(0) / terms.z.item(0))
+    term = _source_rate(0.0 if g >= 0.0 else -g, terms.Z.item(0) / terms.z.item(0),
+                        terms._q, terms._dr)
     if terms.problem.p == 2.0:      # at p = 2 the mobility is exactly 1
         row_0, row_max = terms._unit_rows
         # max(row_max, own) without the builtin's call, a third of the bound's

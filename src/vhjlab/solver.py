@@ -43,7 +43,8 @@ if asked for, gradient column (one face_gradient call, over the columns
 up to the block's last cell above series_gradient_floor and one more:
 the faces beyond are masked anyway).  Each row equals the per-state
 formula to the last bit: the mass is a row-wise pairwise sum, as np.sum
-of one state is, and the gradient maximum loses only masked zeros.
+of one state is, and the gradient maximum is a masked reduction from
+0.0 over the faces between two cells above the floor.
 """
 
 from __future__ import annotations
@@ -326,9 +327,10 @@ def explicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
     """Forward Euler in place on the state u, clamped at zero; terms is
     filled from u."""
     rhs = discrete_rhs(terms)
-    rhs *= dt
+    terms.dt[()] = dt
+    rhs *= terms.dt
     u += rhs
-    return np.maximum(u, 0.0, out=u)
+    return np.maximum(u, terms.zero, out=u)
 
 
 def semi_implicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray:
@@ -339,13 +341,14 @@ def semi_implicit_step(terms: StepTerms, u: np.ndarray, dt: float) -> np.ndarray
         raise ValueError(f"semi_implicit_step takes one state, not a stack: "
                          f"u has shape {u.shape}")
     src = terms.absorption()
-    src *= dt
+    terms.dt[()] = dt
+    src *= terms.dt
     u -= src
     u *= terms.metric_cells
     # dptsv overwrites the bands, rebuilt each step, and solves into u, the
     # right-hand side; a non-finite system is an error
     x = solve_banded(_semi_implicit_matrix(terms, dt), u)
-    return np.maximum(x, 0.0, out=u)
+    return np.maximum(x, terms.zero, out=u)
 
 
 # scheme -> (bound, step); both reach the gridop layers and the banded
@@ -391,19 +394,20 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
             np.multiply(rows, metric, out=scratch[:filled]), axis=-1))
         if gp is not None:
             # only faces between two cells above the floor: the steepness
-            # of the state's interior, not of tolerance-level fringe.  No
-            # face past the block's last column above the floor passes, so
-            # the columns stop there; the face at the cut, against the
-            # next column or the zero ghost (floor >= 0), passes in no row
+            # of the state's interior, not of tolerance-level fringe (a NaN
+            # cell is above no floor).  No face past the block's last column
+            # above the floor passes, so the columns stop there; neither the
+            # symmetry face nor the face at the cut, against the next column
+            # or the zero ghost (floor >= 0), passes in any row, and a row
+            # where no face passes reads 0.0
             above = rows > floor
             cols = np.flatnonzero(above.any(axis=0))
             cut = int(cols[-1]) + 1 if cols.size else 1
             v = np.power(rows[:, :cut], gp, out=scratch[:filled, :cut])
-            g = face_gradient(grid, v, out=g_block[:filled, :cut + 1])
+            g = face_gradient(grid, v, out=g_block[:filled, :cut + 1])[:, 1:cut]
             np.abs(g, out=g)
-            g[:, 1:cut][~(above[:, :cut - 1] & above[:, 1:cut])] = 0.0
-            g[:, cut] = 0.0
-            ser_grad.extend(g.max(axis=-1))
+            ser_grad.extend(np.maximum.reduce(
+                g, axis=-1, where=above[:, :cut - 1] & above[:, 1:cut], initial=0.0))
         filled = 0
 
     def record(t, u, sup):
@@ -432,14 +436,20 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         if n >= MAX_STEPS:
             raise RuntimeError(f"step budget {MAX_STEPS} exhausted at t = {t}")
         dt = bound(terms.fill(u))
+        # min(dt, time to the next event) without the builtin's call: a NaN
+        # dt stays NaN, as with min.  The horizon is the last event, every
+        # pending time lies at or before it, and subtraction rounds
+        # monotonically, so t_end - t is never the smaller clip
         t_next_event = pending[0] if pending else t_end
-        dt = min(dt, t_next_event - t, t_end - t)
+        to_event = t_next_event - t
+        dt = to_event if to_event < dt else dt
         # each step updates u, this run's own array, in place
         u = step(terms, u, dt)
         t += dt
         n += 1
 
-        sup = float(u.max())
+        # a float64, by the reduction u.max() runs, without its wrapper
+        sup = np.maximum.reduce(u)
         if not math.isfinite(sup) or sup > sup_cap:
             outcome = Outcome.DIVERGED
         else:

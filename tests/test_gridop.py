@@ -173,6 +173,16 @@ def test_grid_refuses_a_non_integer_cell_count():
     assert RadialGrid(1, 4.0, np.int64(64)).r_cells.shape == (64,)
 
 
+def test_grid_refuses_a_non_integer_dimension():
+    # 2.0 would compare equal to the grid of N = 2, and True to N = 1;
+    # a numpy integer is a dimension, as for the cell count
+    for N in (2.0, True, 1.5, 0, -1):
+        with pytest.raises(GridMismatch, match=rf"^dimension must be a positive integer, "
+                                               rf"got {re.escape(repr(N))}$"):
+            RadialGrid(N, 4.0, 64)
+    assert RadialGrid(np.int64(2), 4.0, 64) == RadialGrid(2, 4.0, 64)
+
+
 @pytest.mark.parametrize("shape", [(1, 64), (63,)], ids=["stack_of_one", "short"])
 def test_one_shot_workspace_refuses_any_shape_but_one_states(shape):
     # a workspace holds one state of the grid's M cells: not a stack, even
@@ -381,6 +391,84 @@ def test_one_states_p2_bound_is_the_cell_0_formula_on_floats(prm):
             limits.add(limited)
     assert (nans == 0) == (prm.p == 2.0)
     assert limits == {True, False}
+
+
+def _float_operand_terms(grid, prm, reg, u):
+    """The workspace's terms, the operator, the source rate and the step
+    bound by the workspace's expressions, every per-run constant a Python
+    float operand: the form the workspace held before it took them as
+    0-d float64 arrays."""
+    dr, eps2, q, p = grid.dr, reg.eps * reg.eps, prm.q, prm.p
+    g = np.zeros(grid.M + 1)
+    np.subtract(u[1:], u[:-1], out=g[1:-1])
+    g[1:-1] /= dr
+    g[-1] = u.item(-1) / -dr
+    gbar = np.add(g[:-1], g[1:])
+    gbar *= 0.5
+    z = np.multiply(gbar, gbar)
+    z += eps2
+    if p == 2.0:
+        w = grid.metric_faces
+    else:
+        w = np.multiply(g, g)
+        w += eps2
+        np.power(w, (p - 2.0) / 2.0, out=w)
+        w *= grid.metric_faces
+    Z = np.power(z, q / 2.0)
+    eps_q = np.power(np.full(1, eps2), q / 2.0).item() if reg.counterterm else 0.0
+    absorption = np.subtract(Z, eps_q)
+    rate = np.abs(gbar)
+    rate *= q
+    rate *= Z / z
+    rate /= dr
+    flux = np.multiply(w, g)
+    rhs = np.subtract(flux[1:], flux[:-1])
+    rhs /= grid.metric_cells
+    rhs -= absorption
+    g0 = gbar.item(0)
+    term = (0.0 if g0 >= 0.0 else -g0) * q * (Z.item(0) / z.item(0)) / dr
+    rows = np.add(w[1:], w[:-1])
+    rows /= grid.metric_cells * dr
+    if p == 2.0:
+        own = float(rows[0]) + 0.5 * term
+        own = own if own > float(rows.max()) else float(rows.max())
+    else:
+        rows[0] += 0.5 * term
+        own = float(rows.max())
+    return {"g": g, "gbar": gbar, "z": z, "Z": Z, "weights": w,
+            "absorption": absorption, "source_rate": rate, "discrete_rhs": rhs,
+            "stable_dt": np.float64(SAFETY / own)}
+
+
+@pytest.mark.parametrize("counterterm", [True, False])
+@pytest.mark.parametrize("N, p", [(1, 2.0), (2, 2.0), (2, 1.8), (3, 1.8)],
+                         ids=["N1_p2", "N2_p2", "N2_p1.8", "N3_p1.8"])
+def test_zero_d_constants_give_the_python_float_results(N, p, counterterm):
+    # a 0-d float64 operand and a Python float take the same IEEE
+    # operation: every term of the workspace, the operator, the source
+    # rate and the step bound equal the Python-float expressions to the
+    # bit, on states holding huge, tiny, subnormal, -0.0, inf and NaN
+    # cells at the symmetry cell, beside it, inside and at the outer cell
+    grid = RadialGrid(N, 4.0, 64)
+    prm = ProblemParams(N, p, 0.6)
+    rng = np.random.default_rng(29 + N)
+    terms = StepTerms(grid, prm, Regularization(eps=1e-7, counterterm=counterterm))
+    states = [rng.random(grid.M), np.zeros(grid.M), rng.random(grid.M) * 1e-200]
+    for x in (1e300, -1e300, 1e-300, 5e-324, -0.0, np.inf, -np.inf, np.nan):
+        for i in (0, 1, 31, grid.M - 1):
+            u = rng.random(grid.M)
+            u[i] = x
+            states.append(u)
+    readers = {"absorption": lambda t: t.absorption(), "source_rate": source_rate,
+               "discrete_rhs": discrete_rhs, "stable_dt": lambda t: np.float64(stable_dt(t))}
+    with np.errstate(all="ignore"):
+        for u in states:
+            expected = _float_operand_terms(grid, prm, terms.reg, u)
+            terms.fill(u)
+            for name in ("g", "gbar", "z", "Z", "weights"):
+                assert getattr(terms, name).tobytes() == expected[name].tobytes(), name
+            for name, read in readers.items():
+                assert read(terms).tobytes() == expected[name].tobytes(), name
 
 
 @pytest.mark.parametrize("p", [2.0, 1.8])

@@ -562,14 +562,18 @@ def _reference_series(prm, grid, reg, ic, cfg):
 
 @pytest.mark.parametrize("gp", [None, 0.5], ids=["plain", "gradient"])
 @pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("case", ["explicit", "semi_implicit", "zero", "diverged", "lifted"])
+@pytest.mark.parametrize("case", ["explicit", "semi_implicit", "zero", "diverged", "lifted",
+                                  "sunk", "overflow"])
 def test_block_recorded_series_equals_the_per_state_formulas(monkeypatch, case, stride, gp):
     # run measures its recorded states a block at a time; every column
     # must equal the per-state formulas bit for bit, across block edges
     # (M = 64: blocks of 128 states; M = 1024: of 8) and in a last, partly
     # filled block.  The gradient column stops at a block's last column
     # with a cell above the floor; a lift keeps the last cell above it,
-    # so there that column is the grid's last
+    # so there that column is the grid's last.  With a floor the state
+    # sinks below, a block holds rows with no cell above it (their column
+    # reads 0.0) beside rows with some; an overflowing step records a
+    # state with infinite cells, whose gradient column is NaN
     import vhjlab.solver as solver
     grid, reg = RadialGrid(P_A.N, 4.0, 64), Regularization(eps=1e-3)
     prm, ic = P_A, Bump(P_A, m=1 / 96, R0=1.0)
@@ -585,17 +589,36 @@ def test_block_recorded_series_equals_the_per_state_formulas(monkeypatch, case, 
         overstep(monkeypatch, "explicit")
     elif case == "lifted":
         kw.update(lift=1e-3)
+    elif case == "sunk":
+        kw.update(series_gradient_floor=1e-3)
+    elif case == "overflow":
+        # a step of 1e308 takes cells of the unit bump to +-inf
+        ic = Bump(P_A, m=1.0, R0=1.0)
+        monkeypatch.setitem(SCHEMES, "explicit", (lambda terms: 1e308, SCHEMES["explicit"][1]))
+        kw.update(t_end=1.5e308)
     cfg = SolverConfig(**kw)
-    res = run(prm, grid, reg, ic, cfg)
-    n, rows = _reference_series(prm, grid, reg, ic, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run(prm, grid, reg, ic, cfg)
+        n, rows = _reference_series(prm, grid, reg, ic, cfg)
     assert res.n_steps == n
     if case == "zero":
         assert (res.outcome, n) == (Outcome.EXTINCT, 0)
     elif case == "diverged":
         assert res.outcome is Outcome.DIVERGED
+    elif case == "overflow":
+        assert (res.outcome, n) == (Outcome.DIVERGED, 1)
+        assert math.isinf(rows[-1, 1]) and math.isinf(rows[-1, 3])
+        if gp is not None:
+            assert math.isnan(rows[-1, 4])
     else:
         K = max(1, solver.RECORD_BLOCK_CELLS // grid.M)
         assert len(rows) > K and len(rows) % K
+        if case == "sunk" and gp is not None:
+            # rows whose sup sits at or below the floor, in a block with a
+            # row above it: the column's cut lies past cell 0 there
+            sunk = [i for i in np.flatnonzero(rows[:, 1] <= cfg.series_gradient_floor)
+                    if (rows[i // K * K:(i // K + 1) * K, 1] > cfg.series_gradient_floor).any()]
+            assert sunk and (rows[sunk, 4] == 0.0).all()
     names = ["t", "sup", "support_radius", "mass"] + ["grad_pow_sup"] * (gp is not None)
     assert sorted(res.series) == sorted(names)
     for j, name in enumerate(names):
