@@ -14,10 +14,12 @@ gridop      radial grids, discrete operator, regularization, step control
 closedform  comparison profiles with sampled sign certificates
 solver      time integration to extinction, divergence, or the horizon
 analysis    rate fits, domination checks, envelopes, flux diagnostics
-config      experiment configs: schema, checks, resolve_experiment
+config      the schema and reader of every JSON document the cli takes
 acceptance  the numbered verification battery behind ``vhjlab verify``
-cli         run directories, the command line
+cli         run directories, the command line: I/O only
 """
+
+from types import ModuleType as _Module
 
 from .exponents import (
     DerivedConstants,
@@ -85,62 +87,6 @@ from .acceptance import SUITES, Battery, CriterionResult, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Barrier",
-    "Battery",
-    "Bump",
-    "CriterionResult",
-    "DataShapeError",
-    "DecayTooSlow",
-    "DerivedConstants",
-    "DominationReport",
-    "EmptySupport",
-    "ExponentOutOfRange",
-    "FastDecay",
-    "FatTail",
-    "FitResult",
-    "GridMismatch",
-    "InsufficientPoints",
-    "JDiagnostic",
-    "NonIntegerDimension",
-    "NotApplicable",
-    "Outcome",
-    "ProblemParams",
-    "RadialGrid",
-    "Regime",
-    "RegimeMismatch",
-    "Regularization",
-    "RunResult",
-    "SUITES",
-    "SelfSimSuper",
-    "ShrinkSuper",
-    "SolverConfig",
-    "StepTerms",
-    "TailSub",
-    "certify_sign",
-    "check_domination",
-    "classify_regime",
-    "default_domination_tol",
-    "default_eps",
-    "default_gamma_lift",
-    "derive_constants",
-    "discrete_rhs",
-    "find_A0",
-    "fit_exponent",
-    "flatness_floor",
-    "flux_balance",
-    "gradient_quotient",
-    "j_diagnostic",
-    "localization_radius",
-    "make_shrink_super",
-    "make_tail_sub",
-    "operator_terms",
-    "run",
-    "run_suite",
-    "selfsim_certificates",
-    "stable_dt",
-    "support_radius",
-    "tail_sub_min_a",
-    "validate_params",
-    "__version__",
-]
+# the public names imported above, not the submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module)) + ["__version__"]

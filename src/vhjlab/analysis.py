@@ -169,6 +169,32 @@ def gradient_quotient(t, grad_sup, sup0: float, problem: ProblemParams):
     return t[live], g[live] / shape
 
 
+def _cell_gradient(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
+    """gbar, the mean of each cell's two face gradients, as StepTerms.fill
+    takes it."""
+    g = face_gradient(grid, u)
+    return (g[:-1] + g[1:]) * 0.5
+
+
+def _floor(problem: ProblemParams, r, u, gbar, elig) -> tuple:
+    """flatness_floor's (delta, n_eligible) from the cell gradient."""
+    p, q = problem.p, problem.q
+    n = int(elig.sum())
+    if n == 0:
+        return float("nan"), 0
+    ratio = (np.abs(gbar[elig])
+             / (r[elig] ** (1.0 / (p - 1.0 - q)) * u[elig] ** (1.0 / (p - q)))) ** (p - 1.0)
+    return float(np.min(ratio)), n
+
+
+def _balance_parts(problem: ProblemParams, c, r, u, gbar, delta) -> tuple:
+    """flux_balance's two terms: r^(N-1)|gbar|^(p-2) gbar and
+    delta r^lambda u^beta, with c the single-point constants."""
+    # |g|^(p-2) g written as sign(g)|g|^(p-1): regular at g = 0 since p > 1
+    flux = np.sign(gbar) * np.abs(gbar) ** (problem.p - 1.0)
+    return r ** (problem.N - 1.0) * flux, delta * r ** c.lambda_j * u ** c.beta_j
+
+
 def flatness_floor(grid: RadialGrid, problem: ProblemParams, u: np.ndarray,
                    r_window: tuple, u_floor: float) -> tuple:
     """Worst-case steepness ratio over the eligible cells.
@@ -179,20 +205,12 @@ def flatness_floor(grid: RadialGrid, problem: ProblemParams, u: np.ndarray,
     dominates delta r^lambda u^beta on all eligible cells.  Returns
     (delta, n_eligible); delta is nan when nothing is eligible.
     """
-    p, q = problem.p, problem.q
-    if p - 1.0 - q <= 0:
+    if problem.p - 1.0 - problem.q <= 0:
         raise RegimeMismatch("steepness ratio is a single-point-regime notion")
     u = np.asarray(u, dtype=float)
-    g = face_gradient(grid, u)
-    gbar = 0.5 * (g[:-1] + g[1:])
     r = grid.r_cells
     elig = (u > u_floor) & (r > r_window[0]) & (r < r_window[1])
-    n = int(elig.sum())
-    if n == 0:
-        return float("nan"), 0
-    ratio = (np.abs(gbar[elig])
-             / (r[elig] ** (1.0 / (p - 1.0 - q)) * u[elig] ** (1.0 / (p - q)))) ** (p - 1.0)
-    return float(np.min(ratio)), n
+    return _floor(problem, r, u, _cell_gradient(grid, u), elig)
 
 
 def flux_balance(grid: RadialGrid, problem: ProblemParams, u: np.ndarray,
@@ -204,14 +222,10 @@ def flux_balance(grid: RadialGrid, problem: ProblemParams, u: np.ndarray,
     the origin.  lambda and beta are the matched homogeneity exponents.
     """
     c = single_point_constants(problem, "flux balance")
-    p, N = problem.p, problem.N
     u = np.asarray(u, dtype=float)
-    g = face_gradient(grid, u)
-    gbar = 0.5 * (g[:-1] + g[1:])
-    # |g|^(p-2) g written as sign(g)|g|^(p-1): regular at g = 0 since p > 1
-    flux = np.sign(gbar) * np.abs(gbar) ** (p - 1.0)
-    r = grid.r_cells
-    return r ** (N - 1.0) * flux + delta * r ** c.lambda_j * u ** c.beta_j
+    flux_part, probe_part = _balance_parts(problem, c, grid.r_cells, u,
+                                           _cell_gradient(grid, u), delta)
+    return flux_part + probe_part
 
 
 @dataclass
@@ -243,32 +257,31 @@ def j_diagnostic(grid: RadialGrid, problem: ProblemParams, snap_t, snap_u,
     c = single_point_constants(problem, "J diagnostic")
     u_floor = 10.0 * tol_pos
     r_window = (2.0 * grid.dr, R0)
+    r = grid.r_cells
     ts, deltas, counts = [], [], []
+    delta_probe = None
+    max_excess, worst_t = -np.inf, float("nan")
     for tt, uu in zip(snap_t, snap_u):
-        d, n = flatness_floor(grid, problem, uu, r_window, u_floor)
+        uu = np.asarray(uu, dtype=float)
+        gbar = _cell_gradient(grid, uu)
+        elig = (uu > u_floor) & (r > r_window[0]) & (r < r_window[1])
+        d, n = _floor(problem, r, uu, gbar, elig)
         if n == 0:
             continue
         ts.append(float(tt))
         deltas.append(d)
         counts.append(n)
-    if not ts:
-        raise EmptySupport("no cells above the positivity filter in any snapshot")
-    delta_probe = 0.5 * deltas[0]
-
-    r = grid.r_cells
-    max_excess, worst_t = -np.inf, float("nan")
-    for tt, uu in zip(snap_t, snap_u):
-        uu = np.asarray(uu, dtype=float)
-        elig = (uu > u_floor) & (r > r_window[0]) & (r < r_window[1])
-        if not elig.any():
-            continue
-        balance = flux_balance(grid, problem, uu, delta_probe)
-        probe_part = delta_probe * r ** c.lambda_j * uu ** c.beta_j
+        if delta_probe is None:
+            delta_probe = 0.5 * d
+        flux_part, probe_part = _balance_parts(problem, c, r, uu, gbar, delta_probe)
+        balance = flux_part + probe_part
         scale = np.abs(balance - probe_part) + probe_part
         excess = balance[elig] - 10.0 * tol_pos * scale[elig]
         k = int(np.argmax(excess))
         if excess[k] > max_excess:
             max_excess, worst_t = float(excess[k]), float(tt)
+    if not ts:
+        raise EmptySupport("no cells above the positivity filter in any snapshot")
     return JDiagnostic(t=np.asarray(ts), delta=np.asarray(deltas),
                        n_cells=np.asarray(counts), delta_probe=float(delta_probe),
                        max_excess=max_excess, worst_t=worst_t,

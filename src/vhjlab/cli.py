@@ -1,7 +1,8 @@
 """Command-line entry points: experiment plumbing around the library.
 
-The subcommands that take a JSON config read it through vhjlab.config,
-whose docstring lists the keys.  simulate materializes every default the
+Every JSON document a subcommand takes (an experiment, residual or
+sweep config, a run's summary.json) is read by vhjlab.config, whose
+docstring lists the keys.  simulate materializes every default the
 reader fills in into the run directory's resolved-config.json, so any
 artifact can be reproduced from that single file.
 
@@ -28,7 +29,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -43,9 +43,8 @@ from .analysis import (
 )
 from .closedform import certify_sign
 from .config import (
-    _PROBLEM, _RESIDUAL, _SWEEP_DIR, ConfigError, Experiment, _as_float, _as_int,
-    _as_str, _build, _check, _config_errors, _pop, _read, _section, build_profile,
-    domination_checks, jsonable, resolve_experiment, with_overrides,
+    ConfigError, Experiment, config_errors, domination_checks, jsonable, read_residual,
+    read_summary, read_sweep, resolve_experiment, with_overrides,
 )
 from .exponents import classify_regime, derive_constants, validate_params
 from .solver import Outcome, run
@@ -75,11 +74,8 @@ def _fmt(x: float) -> str:
 # RunResult fields that summary.json leaves to the csv files and to
 # resolved-config.json
 _UNSUMMARIZED = ("series", "snapshots", "problem", "grid")
-# what analyze reads of a run directory: summary.json keys and csv
-# columns (series.csv may add grad_pow_sup)
-_SUMMARY = (("outcome", _as_str), ("T_e_est", _check(Optional[float])),
-            ("sup0", _as_float), ("tol_pos", _as_float),
-            ("n_series", _as_int), ("n_snapshots", _as_int))
+# the csv columns analyze reads of a run directory (series.csv may add
+# grad_pow_sup); config.read_summary reads its summary.json
 _SERIES = ("t", "sup", "support_radius", "mass")
 _INDEX = ("k", "t")
 _SNAPSHOT = ("r", "u")
@@ -200,14 +196,7 @@ def analyze_run_dir(run_dir: Path) -> dict:
 
     exp = resolve_experiment(_load_json(part("resolved-config.json")))
     summary_path = part("summary.json")
-    summary = _load_json(summary_path)
-    for key, check in _SUMMARY:
-        if key not in summary:
-            raise ConfigError(f"{summary_path}: missing key {key!r}")
-        check(summary[key], f"{summary_path}: {key}")
-    if summary["n_series"] < 1:
-        raise ConfigError(f"{summary_path}: n_series is {summary['n_series']}, "
-                          "but a run records at least its initial state")
+    summary = read_summary(_load_json(summary_path), summary_path)
     series = _read_csv(part("series.csv"), _SERIES, summary["n_series"],
                        f"{summary_path.name} has n_series {summary['n_series']}")
     index_path = part("snapshots/index.csv")
@@ -256,7 +245,7 @@ def analyze_run_dir(run_dir: Path) -> dict:
 
     checks = domination_checks(exp.problem, exp.grid, exp.analysis["domination"])
     for i, (profile, kw) in enumerate(checks):
-        with _config_errors(f"analysis.domination[{i}]"):
+        with config_errors(f"analysis.domination[{i}]"):
             rep = check_domination(exp.grid, np.asarray(snap_t),
                                    np.asarray(snap_u), profile, **kw)
         report["domination"].append(jsonable(rep))
@@ -281,15 +270,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    doc = _load_json(args.config)
-    problem = _build(*_PROBLEM, _section(doc, "problem"), "problem")
-    profile = build_profile(problem, _pop(doc, "", "profile"))
-    kw = _read(doc, "", _RESIDUAL)
-    if len(kw["box"]) != 4:
-        raise ConfigError("box: expected [t_lo, t_hi, r_lo, r_hi]")
-    seed, out_path = kw.pop("seed"), kw.pop("output")
-    with _config_errors(""):
-        cert = certify_sign(profile, **kw, rng=np.random.default_rng(seed))
+    kw, out_path = read_residual(_load_json(args.config))
+    with config_errors(""):
+        cert = certify_sign(**kw)
     text = json.dumps(jsonable(cert), sort_keys=True, indent=2)
     if out_path is not None:
         Path(out_path).write_text(text + "\n")
@@ -337,17 +320,7 @@ def _sweep_one(base_doc: dict, overrides: dict, out_dir: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    doc = _load_json(args.config)
-    base, axes = _pop(doc, "", "base"), _pop(doc, "", "sweep")
-    out_root = _read(doc, "", _SWEEP_DIR)["dir"]
-    if not isinstance(base, dict):
-        raise ConfigError("base: expected an experiment object")
-    if not isinstance(axes, dict) or not axes:
-        raise ConfigError("sweep: expected a non-empty object mapping "
-                          "dotted key paths to value lists")
-    for dotted, values in axes.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{dotted}: expected a non-empty list")
+    base, axes, out_root = read_sweep(_load_json(args.config))
     resolve_experiment(base)  # validate early
 
     names = sorted(axes)

@@ -32,9 +32,18 @@ A profile object (residual, domination) has a kind and the parameters
 of its builder: barrier (Barrier), shrink_envelope (make_shrink_super),
 tail_floor (make_tail_sub) or decaying_envelope (make_selfsim_super).
 A domination r_window is two numbers lo < hi with at least one cell
-centre of the grid between them.  A residual config holds
-problem, profile, box, sense, n_t and n_r of certify_sign, seed (a
-non-negative integer for the sampling jitter) and output.
+centre of the grid between them.  The other documents:
+
+residual        problem, profile, box ([t_lo, t_hi, r_lo, r_hi]), sense,
+                n_t and n_r of certify_sign, seed (a non-negative integer
+                for the sampling jitter) and output (null: print only)
+sweep           base (an experiment document), sweep (an object mapping
+                dotted key paths to non-empty value lists) and dir (the
+                root of the job directories, default sweep-runs)
+summary.json    what analyze reads of a run directory's summary: outcome
+                (an Outcome value), T_e_est, sup0 and tol_pos of
+                RunResult, n_series (at least 1) and n_snapshots; other
+                keys are ignored
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from .closedform import Barrier, certify_sign, make_selfsim_super, \
     make_shrink_super, make_tail_sub
 from .exponents import ProblemParams, single_point_constants, validate_params
 from .gridop import RadialGrid, Regularization, default_eps, default_gamma_lift
-from .solver import Bump, FastDecay, FatTail, SolverConfig
+from .solver import Bump, FastDecay, FatTail, RunResult, SolverConfig
 
 
 class ConfigError(ValueError):
@@ -131,10 +140,15 @@ _CHECKS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str,
 
 
 def _check(hint) -> Callable:
-    """The check for a type hint; Optional[X] admits null, Literal[...] is a choice."""
+    """The check for a type hint; Optional[X] admits null, Literal[...] is a
+    choice, an Enum a value of its values' type and then a choice of them."""
     args = get_args(hint)
     if get_origin(hint) is Literal:
         return lambda value, label: _as_choice(value, label, args)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        values = tuple(member.value for member in hint)
+        typed = _CHECKS[type(values[0])]
+        return lambda value, label: _as_choice(typed(value, label), label, values)
     if type(None) not in args:
         return _CHECKS[hint]
     check = _CHECKS[args[0]]
@@ -180,7 +194,7 @@ def _written(obj, keys) -> dict:
 
 
 @contextmanager
-def _config_errors(path: str):
+def config_errors(path: str):
     """Report a library ValueError as a ConfigError under path ("" adds none)."""
     try:
         yield
@@ -192,7 +206,7 @@ def _config_errors(path: str):
 
 def _build(make, keys, sec: dict, path: str, *args):
     kw = _read(sec, path, keys)
-    with _config_errors(path):
+    with config_errors(path):
         return make(*args, **kw)
 
 
@@ -250,7 +264,7 @@ _IC = {cls.kind: (cls, _keys(cls, skip=_CONTEXT))
        for cls in (Bump, FastDecay, FatTail)}
 # attributes that resolved-config.json writes beside an ic's keys; the
 # reader drops them, since construction recomputes them
-_IC_NOTES = {"bump": ("flat_certified", "amplitude_bound")}
+_NOTES = {Bump: ("flat_certified", "amplitude_bound")}
 _PROFILES = {kind: (make, _keys(make, skip=_CONTEXT))
              for kind, make in (("barrier", Barrier),
                                 ("shrink_envelope", make_shrink_super),
@@ -262,6 +276,8 @@ _OUTPUT = (_Key("dir", _check(Optional[str]), None),)
 _RESIDUAL = (_keys(certify_sign, ("box", "sense", "n_t", "n_r"))
              + (_Key("seed", _as_seed, 0), _Key("output", _check(Optional[str]), None)))
 _SWEEP_DIR = (_Key("dir", _as_str, "sweep-runs"),)
+_SUMMARY = (_keys(RunResult, ("outcome", "T_e_est", "sup0", "tol_pos"))
+            + (_Key("n_series", _as_int, _MISSING), _Key("n_snapshots", _as_int, _MISSING)))
 
 
 # ----- experiment assembly ------------------------------------------------
@@ -278,25 +294,24 @@ class Experiment:
     resolved: dict
 
 
-def _build_ic(sec: dict, problem: ProblemParams):
-    kind = _as_str(_pop(sec, "ic", "kind"), "ic.kind")
-    if kind not in _IC:
-        raise ConfigError(f"ic.kind: unknown kind {kind!r}; expected "
-                          "bump, fast_decay or fat_tail")
-    for note in _IC_NOTES.get(kind, ()):
-        sec.pop(note, None)
-    return _build(*_IC[kind], sec, "ic", problem)
-
-
-def build_profile(problem: ProblemParams, spec: dict, path: str = "profile"):
-    """Construct a closed-form comparison profile from a config object."""
+def _build_kind(kinds: dict, spec, path: str, problem: ProblemParams, expected: str):
+    """Construct the object spec's kind names in kinds (kind: (builder,
+    keys)); expected ends the message for an unknown kind."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object")
     spec = dict(spec)
     kind = _as_str(_pop(spec, path, "kind"), f"{path}.kind")
-    if kind not in _PROFILES:
-        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-    return _build(*_PROFILES[kind], spec, path, problem)
+    if kind not in kinds:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}{expected}")
+    make, keys = kinds[kind]
+    for note in _NOTES.get(make, ()):
+        spec.pop(note, None)
+    return _build(make, keys, spec, path, problem)
+
+
+def build_profile(problem: ProblemParams, spec: dict, path: str = "profile"):
+    """Construct a closed-form comparison profile from a config object."""
+    return _build_kind(_PROFILES, spec, path, problem, "")
 
 
 def domination_checks(problem: ProblemParams, grid: RadialGrid, specs) -> list:
@@ -313,7 +328,7 @@ def domination_checks(problem: ProblemParams, grid: RadialGrid, specs) -> list:
         profile_spec = _pop(spec, path, "profile")
         kw = _read(spec, path, _DOMINATION)
         if kw["r_window"] is not None:
-            with _config_errors(path):
+            with config_errors(path):
                 window_cells(grid, kw["r_window"])
         checks.append((build_profile(problem, profile_spec, path=f"{path}.profile"), kw))
     return checks
@@ -325,20 +340,21 @@ def resolve_experiment(doc: dict) -> Experiment:
         raise ConfigError("top level: expected a JSON object")
     doc = dict(doc)
     problem = _build(*_PROBLEM, _section(doc, "problem"), "problem")
-    ic = _build_ic(_section(doc, "ic"), problem)
+    ic = _build_kind(_IC, _section(doc, "ic"), "ic", problem,
+                     "; expected bump, fast_decay or fat_tail")
     grid = _build(*_GRID, _section(doc, "grid"), "grid", problem.N)
     reg_sec = _section(doc, "regularization", required=False)
     if reg_sec.get("eps") is None:
         reg_sec["eps"] = default_eps(grid)
     reg = _build(*_REG, reg_sec, "regularization")
-    with _config_errors("problem"):     # a run needs the lift's window
+    with config_errors("problem"):     # a run needs the lift's window
         default_gamma_lift(problem)
     cfg = _build(*_SOLVER, _section(doc, "solver"), "solver")
     an_sec = _section(doc, "analysis", required=False)
     domination = an_sec.pop("domination", [])
     analysis = {**_read(an_sec, "analysis", _ANALYSIS), "domination": domination}
     if analysis["j_R0"] is not None:
-        with _config_errors("analysis.j_R0"):
+        with config_errors("analysis.j_R0"):
             single_point_constants(problem, "J diagnostic")
     domination_checks(problem, grid, domination)
     output = _read(_section(doc, "output", required=False), "output", _OUTPUT)
@@ -348,7 +364,7 @@ def resolve_experiment(doc: dict) -> Experiment:
     resolved = jsonable({
         "problem": _written(problem, _PROBLEM[1]),
         "ic": {"kind": ic.kind, **_written(ic, _IC[ic.kind][1]),
-               **{note: getattr(ic, note) for note in _IC_NOTES.get(ic.kind, ())}},
+               **{note: getattr(ic, note) for note in _NOTES.get(type(ic), ())}},
         "grid": _written(grid, _GRID[1]),
         "regularization": _written(reg, _REG[1]),
         "solver": {**_written(cfg, _SOLVER[1]), "tol_ext": tol_ext, "tol_pos": tol_pos},
@@ -357,3 +373,48 @@ def resolve_experiment(doc: dict) -> Experiment:
     })
     return Experiment(problem=problem, grid=grid, reg=reg, ic=ic, cfg=cfg,
                       analysis=analysis, out_dir=output["dir"], resolved=resolved)
+
+
+# ----- the other documents ------------------------------------------------
+
+def read_residual(doc: dict) -> tuple:
+    """certify_sign's keywords from a residual document, with its profile
+    built and rng seeded, and the output path."""
+    doc = dict(doc)
+    problem = _build(*_PROBLEM, _section(doc, "problem"), "problem")
+    profile = build_profile(problem, _pop(doc, "", "profile"))
+    kw = _read(doc, "", _RESIDUAL)
+    if len(kw["box"]) != 4:
+        raise ConfigError("box: expected [t_lo, t_hi, r_lo, r_hi]")
+    rng, output = np.random.default_rng(kw.pop("seed")), kw.pop("output")
+    return {"profile": profile, **kw, "rng": rng}, output
+
+
+def read_sweep(doc: dict) -> tuple:
+    """A sweep document's base, axes and dir; the base is left to
+    resolve_experiment."""
+    doc = dict(doc)
+    base, axes = _pop(doc, "", "base"), _pop(doc, "", "sweep")
+    out_root = _read(doc, "", _SWEEP_DIR)["dir"]
+    if not isinstance(base, dict):
+        raise ConfigError("base: expected an experiment object")
+    if not isinstance(axes, dict) or not axes:
+        raise ConfigError("sweep: expected a non-empty object mapping "
+                          "dotted key paths to value lists")
+    for dotted, values in axes.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.{dotted}: expected a non-empty list")
+    return base, axes, out_root
+
+
+def read_summary(doc: dict, path) -> dict:
+    """The keys analyze reads of the summary.json at path, checked, as
+    doc holds them; the messages start with path."""
+    for key in _SUMMARY:
+        if key.name not in doc:
+            raise ConfigError(f"{path}: missing key {key.name!r}")
+        key.check(doc[key.name], f"{path}: {key.name}")
+    if doc["n_series"] < 1:
+        raise ConfigError(f"{path}: n_series is {doc['n_series']}, "
+                          "but a run records at least its initial state")
+    return {key.name: doc[key.name] for key in _SUMMARY}

@@ -59,13 +59,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dptsv
 
-from .exponents import (
-    ProblemParams,
-    Regime,
-    RegimeMismatch,
-    classify_regime,
-    derive_constants,
-)
+from .exponents import ProblemParams, RegimeMismatch, single_point_constants
 from .gridop import (
     SAFETY,
     RadialGrid,
@@ -118,22 +112,20 @@ class Bump:
         self.R0 = float(R0)
         self.flat_certified = False
         self.amplitude_bound = None
-        c = (derive_constants(problem)
-             if classify_regime(problem.N, problem.p, problem.q) is Regime.SINGLE_POINT
-             else None)
-        if power is None:
-            if c is None:
-                raise RegimeMismatch(
-                    "default bump power is the barrier exponent, defined only for "
-                    "q < p-1; give power explicitly")
-            power = c.omega
-        self.power = float(power)
-        if c is not None:
-            # certificate attaches whenever the resolved power is the
-            # barrier exponent, however it was requested
-            if self.power == c.omega:
-                self.amplitude_bound = c.kappa / (2.0 * R0) ** c.omega
-                self.flat_certified = self.m <= self.amplitude_bound
+        try:
+            c = single_point_constants(problem, "the barrier exponent")
+        except RegimeMismatch:      # no default power and no certificate
+            c = None
+        if power is None and c is None:
+            raise RegimeMismatch(
+                "default bump power is the barrier exponent, defined only for "
+                "q < p-1; give power explicitly")
+        self.power = float(c.omega if power is None else power)
+        # certificate attaches whenever the resolved power is the barrier
+        # exponent, however it was requested
+        if c is not None and self.power == c.omega:
+            self.amplitude_bound = c.kappa / (2.0 * R0) ** c.omega
+            self.flat_certified = self.m <= self.amplitude_bound
 
     def sample(self, r):
         core = np.maximum(self.R0 ** 2 - np.asarray(r, dtype=float) ** 2, 0.0)
@@ -143,7 +135,26 @@ class Bump:
         return self.m * self.R0 ** (2.0 * self.power)
 
 
-class FastDecay:
+class _AlgebraicTail:
+    """Tail data C (1 + r^2)^(-x/2): FastDecay and FatTail name x and
+    bound it by the threshold q/(1-q) that _admit returns."""
+
+    def _admit(self, problem: ProblemParams, C: float) -> float:
+        if not problem.q < 1.0:
+            raise DataShapeError(f"tail data needs q < 1, got q = {problem.q}")
+        if C <= 0:
+            raise DataShapeError(f"need C > 0, got {C}")
+        self.problem, self.C = problem, float(C)
+        return problem.q / (1.0 - problem.q)
+
+    def sample(self, r):
+        return self.C * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-self._x / 2.0)
+
+    def sup(self) -> float:
+        return self.C
+
+
+class FastDecay(_AlgebraicTail):
     """Algebraic tail C (1 + r^2)^(-theta/2) with theta at or above q/(1-q).
 
     Fast enough for instantaneous shrinking (strictly above the threshold)
@@ -153,49 +164,25 @@ class FastDecay:
     kind = "fast_decay"
 
     def __init__(self, problem: ProblemParams, C: float, theta: float):
-        if not problem.q < 1.0:
-            raise DataShapeError(f"tail data needs q < 1, got q = {problem.q}")
-        thr = problem.q / (1.0 - problem.q)
-        if C <= 0:
-            raise DataShapeError(f"need C > 0, got {C}")
+        thr = self._admit(problem, C)
         if theta < thr:
             raise DataShapeError(
                 f"tail exponent {theta} below the fast-decay threshold q/(1-q) = {thr}")
-        self.problem = problem
-        self.C = float(C)
-        self.theta = float(theta)
-
-    def sample(self, r):
-        return self.C * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-self.theta / 2.0)
-
-    def sup(self) -> float:
-        return self.C
+        self.theta = self._x = float(theta)
 
 
-class FatTail:
+class FatTail(_AlgebraicTail):
     """Algebraic tail C (1 + r^2)^(-rho/2) with rho strictly below q/(1-q):
     too much mass at infinity for extinction in finite time."""
 
     kind = "fat_tail"
 
     def __init__(self, problem: ProblemParams, C: float, rho: float):
-        if not problem.q < 1.0:
-            raise DataShapeError(f"tail data needs q < 1, got q = {problem.q}")
-        thr = problem.q / (1.0 - problem.q)
-        if C <= 0:
-            raise DataShapeError(f"need C > 0, got {C}")
+        thr = self._admit(problem, C)
         if not 0.0 <= rho < thr:
             raise DataShapeError(
                 f"fat-tail exponent must sit in [0, q/(1-q)) = [0, {thr}), got {rho}")
-        self.problem = problem
-        self.C = float(C)
-        self.rho = float(rho)
-
-    def sample(self, r):
-        return self.C * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-self.rho / 2.0)
-
-    def sup(self) -> float:
-        return self.C
+        self.rho = self._x = float(rho)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from concurrent.futures import Future
 import pytest
 
 from vhjlab import cli, solver
-from vhjlab.cli import ConfigError, build_profile, main, resolve_experiment
+from vhjlab.cli import ConfigError, main, resolve_experiment
+from vhjlab.config import build_profile
 from vhjlab.exponents import ProblemParams
 
 
@@ -319,6 +320,11 @@ def _no_series(summary_path):
     ("summary.json",
      lambda p: p.write_text(json.dumps({**json.loads(p.read_text()), "T_e_est": "soon"})),
      "T_e_est: expected a number, got 'soon'"),
+    ("summary.json",
+     lambda p: p.write_text(json.dumps({**json.loads(p.read_text()),
+                                        "outcome": "not-an-outcome"})),
+     "outcome: expected 'extinct' or 'horizon_reached' or 'diverged', "
+     "got 'not-an-outcome'"),
     ("series.csv", lambda p: p.write_text(""), "empty file"),
     ("series.csv", lambda p: _damage(p, "support_radius", "radius"),
      "missing column 'support_radius'"),
@@ -355,7 +361,7 @@ def _no_series(summary_path):
         p.read_text().replace("\n", ",7\n").replace("mass,7", "mass,sup", 1)),
      "column 'sup' appears twice in the header"),
 ], ids=["summary-not-json", "summary-not-object", "summary-missing-key",
-        "summary-bad-value", "series-empty", "series-missing-column",
+        "summary-bad-value", "summary-bad-outcome", "series-empty", "series-missing-column",
         "series-non-numeric", "series-ragged", "series-truncated", "index-missing-k",
         "index-fractional-k", "index-overflowing-k", "index-repeated-k",
         "index-truncated", "snapshot-ragged", "snapshot-short", "summary-no-series",
@@ -604,6 +610,35 @@ def test_sweep_rejects_jobs_that_share_a_run_directory(tmp_path, capsys, axes):
     err = capsys.readouterr().err
     assert err.startswith("config error: sweep: ")
     assert "problem.q" in err and f"share the run directory {tmp_path / 'fan' / 'q=0.5'}" in err
+    assert not (tmp_path / "fan").exists()
+
+
+_AXIS_MESSAGE = ("sweep: expected a non-empty object mapping dotted key paths "
+                 "to value lists")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"sweep": {"problem.q": [0.5]}}, "base: required key is missing"),
+    ({"base": [], "sweep": {"problem.q": [0.5]}}, "base: expected an experiment object"),
+    ({"base": "exp.json", "sweep": {"problem.q": [0.5]}},
+     "base: expected an experiment object"),
+    ({"base": BASE}, "sweep: required key is missing"),
+    ({"base": BASE, "sweep": {}}, _AXIS_MESSAGE),
+    ({"base": BASE, "sweep": [["problem.q", [0.5]]]}, _AXIS_MESSAGE),
+    ({"base": BASE, "sweep": "problem.q"}, _AXIS_MESSAGE),
+    ({"base": BASE, "sweep": {"problem.q": 0.5}},
+     "sweep.problem.q: expected a non-empty list"),
+    ({"base": BASE, "sweep": {"problem.q": [0.5], "grid.M": []}},
+     "sweep.grid.M: expected a non-empty list"),
+    ({"base": BASE, "sweep": {"problem.q": {"0": 0.5}}},
+     "sweep.problem.q: expected a non-empty list"),
+], ids=["base-missing", "base-list", "base-string", "sweep-missing", "sweep-empty",
+        "sweep-list", "sweep-string", "axis-number", "axis-empty", "axis-object"])
+def test_sweep_document_errors_name_their_key(tmp_path, capsys, doc, message):
+    doc = {**json.loads(json.dumps(doc)), "dir": str(tmp_path / "fan")}
+    assert main(["sweep", write_config(tmp_path, doc), "--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
     assert not (tmp_path / "fan").exists()
 
 

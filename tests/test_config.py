@@ -1,5 +1,6 @@
 """The config reader and the battery's recipe table."""
 
+import ast
 import copy
 import json
 import subprocess
@@ -42,6 +43,21 @@ def test_the_config_schema_is_pinned():
     assert names(config._OUTPUT) == ["dir"]
     assert names(config._RESIDUAL) == ["box", "sense", "n_t", "n_r", "seed", "output"]
     assert names(config._SWEEP_DIR) == ["dir"]
+    # analyze's keys of summary.json: RunResult fields, then the row counts
+    assert names(config._SUMMARY) == ["outcome", "T_e_est", "sup0", "tol_pos",
+                                      "n_series", "n_snapshots"]
+
+
+def test_the_command_line_imports_no_private_name_of_config():
+    # config owns the documents' schemas; the command line reads them
+    # through its public readers
+    tree = ast.parse(Path(vhjlab.__file__).with_name("cli.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("config", "vhjlab.config")
+                for alias in node.names]
+    assert "resolve_experiment" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 @pytest.mark.parametrize("name", sorted(RECIPES))
