@@ -158,15 +158,15 @@ def gradient_quotient(t, grad_sup, sup0: float, problem: ProblemParams):
     against the universal envelope shape 1 + sup0^((p-2q)/(p(p-q))) t^(-1/p).
 
     A bounded quotient uniformly in resolution is the discrete trace of
-    the interior gradient bound; the caller fits/inspects the returned
-    array.  t = 0 samples are excluded (the envelope blows up there).
+    the interior gradient bound.  Returns the quotient over the samples
+    with t > 0 only (the envelope blows up at t = 0).
     """
     p, q = problem.p, problem.q
     t = np.asarray(t, dtype=float)
     g = np.asarray(grad_sup, dtype=float)
     live = t > 0.0
     shape = 1.0 + sup0 ** ((p - 2.0 * q) / (p * (p - q))) * t[live] ** (-1.0 / p)
-    return t[live], g[live] / shape
+    return g[live] / shape
 
 
 def _cell_gradient(grid: RadialGrid, u: np.ndarray) -> np.ndarray:

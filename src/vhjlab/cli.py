@@ -16,8 +16,9 @@ verify     run a named acceptance suite
 sweep      fan a base experiment out over parameter values
 
 Exit codes: 0 success, 1 a verification or certification failed or a
-sweep job failed, 2 configuration or usage error, 3 numerical divergence
-or an exhausted step budget at runtime.
+sweep job failed, 2 configuration or usage error or an output that
+cannot be written, 3 numerical divergence or an exhausted step budget at
+runtime.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .analysis import (
 )
 from .closedform import certify_sign
 from .config import (
-    ConfigError, Experiment, config_errors, domination_checks, jsonable, read_residual,
-    read_summary, read_sweep, resolve_experiment, with_overrides,
+    ConfigError, Experiment, config_errors, jsonable, read_residual, read_summary,
+    read_sweep, resolve_experiment, with_overrides,
 )
 from .exponents import classify_regime, derive_constants, validate_params
 from .solver import Outcome, run
@@ -190,7 +191,7 @@ def analyze_run_dir(run_dir: Path) -> dict:
     """Recompute the measurements for an existing run directory."""
     def part(name: str) -> Path:
         path = run_dir / name
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"{run_dir}: not a run directory (missing {name})")
         return path
 
@@ -229,22 +230,21 @@ def analyze_run_dir(run_dir: Path) -> dict:
             report["fits"].append({"quantity": quantity, **fit})
 
     if "grad_pow_sup" in series:
-        _, quot = gradient_quotient(series["t"], series["grad_pow_sup"],
-                                    summary["sup0"], exp.problem)
+        quot = gradient_quotient(series["t"], series["grad_pow_sup"],
+                                 summary["sup0"], exp.problem)
         report["gradient_envelope"] = {
             "sup_quotient": float(np.max(quot)) if quot.size else None,
             "n_points": int(quot.size)}
 
-    if exp.analysis["j_R0"] is not None:
+    if exp.j_R0 is not None:
         try:
             diag = j_diagnostic(exp.grid, exp.problem, snap_t, snap_u,
-                                summary["tol_pos"], R0=exp.analysis["j_R0"])
+                                summary["tol_pos"], R0=exp.j_R0)
             report["j_diagnostic"] = jsonable(diag)
         except EmptySupport as exc:
             report["j_diagnostic"] = {"error": str(exc)}
 
-    checks = domination_checks(exp.problem, exp.grid, exp.analysis["domination"])
-    for i, (profile, kw) in enumerate(checks):
+    for i, (profile, kw) in enumerate(exp.domination):
         with config_errors(f"analysis.domination[{i}]"):
             rep = check_domination(exp.grid, np.asarray(snap_t),
                                    np.asarray(snap_u), profile, **kw)
@@ -271,12 +271,14 @@ def cmd_derive(args) -> int:
 
 def cmd_residual(args) -> int:
     kw, out_path = read_residual(_load_json(args.config))
+    if out_path is not None and not Path(out_path).parent.is_dir():
+        raise ConfigError(f"output: no directory {str(Path(out_path).parent)!r}")
     with config_errors(""):
         cert = certify_sign(**kw)
     text = json.dumps(jsonable(cert), sort_keys=True, indent=2)
+    print(text)
     if out_path is not None:
         Path(out_path).write_text(text + "\n")
-    print(text)
     return 0 if cert.passed else 1
 
 
@@ -299,6 +301,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.json is not None and not Path(args.json).parent.is_dir():
+        raise ConfigError(f"--json: no directory {str(Path(args.json).parent)!r}")
     results = run_suite(args.suite, seed=args.seed)
     for res in results:
         print(res.line())
@@ -418,6 +422,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:     # the work is done; its output cannot be written
+        print(f"write error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Experiment configs: the schema, its checks, and their assembly.
 
-One JSON document describes an experiment; every default the reader
-fills in is materialized into ``Experiment.resolved``, so any run can be
-reproduced from that single document.  Unknown keys are rejected with
-their full path, and type errors name the offending key the same way
-(``grid.M: expected an integer ...``).
+One JSON document describes an experiment.  resolve_experiment builds
+its objects once into an ``Experiment``, which holds each setting in one
+place (the solver's tolerances resolved, the domination profiles built),
+and ``Experiment.resolved`` holds their JSON, every default filled in:
+resolved-config.json, from which any run can be reproduced.  Unknown
+keys are rejected with their full path, and type errors name the
+offending key the same way (``grid.M: expected an integer ...``).
 
 Config keys, their types and their defaults are those of the library's
 signatures, read once at import, and the same schemas write the resolved
@@ -52,7 +54,7 @@ import copy
 import inspect
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from enum import Enum
 from typing import (Callable, Literal, NamedTuple, Optional, get_args, get_origin,
                     get_type_hints)
@@ -284,12 +286,14 @@ _SUMMARY = (_keys(RunResult, ("outcome", "T_e_est", "sup0", "tol_pos"))
 
 @dataclass
 class Experiment:
+    """The objects an experiment document builds; resolved is their JSON."""
     problem: ProblemParams
     grid: RadialGrid
     reg: Regularization
     ic: object
-    cfg: SolverConfig
-    analysis: dict
+    cfg: SolverConfig            # its tolerances resolved
+    j_R0: Optional[float]        # None: no J diagnostic
+    domination: list             # (profile, check_domination keywords)
     out_dir: Optional[str]
     resolved: dict
 
@@ -314,26 +318,6 @@ def build_profile(problem: ProblemParams, spec: dict, path: str = "profile"):
     return _build_kind(_PROFILES, spec, path, problem, "")
 
 
-def domination_checks(problem: ProblemParams, grid: RadialGrid, specs) -> list:
-    """(profile, check_domination keywords) for each analysis.domination entry."""
-    if not isinstance(specs, list):
-        raise ConfigError("analysis.domination: expected a list of profile "
-                          "check objects")
-    checks = []
-    for i, spec in enumerate(specs):
-        path = f"analysis.domination[{i}]"
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{path}: expected an object")
-        spec = dict(spec)
-        profile_spec = _pop(spec, path, "profile")
-        kw = _read(spec, path, _DOMINATION)
-        if kw["r_window"] is not None:
-            with config_errors(path):
-                window_cells(grid, kw["r_window"])
-        checks.append((build_profile(problem, profile_spec, path=f"{path}.profile"), kw))
-    return checks
-
-
 def resolve_experiment(doc: dict) -> Experiment:
     """Validate a config document and materialize every default."""
     if not isinstance(doc, dict):
@@ -351,28 +335,43 @@ def resolve_experiment(doc: dict) -> Experiment:
         default_gamma_lift(problem)
     cfg = _build(*_SOLVER, _section(doc, "solver"), "solver")
     an_sec = _section(doc, "analysis", required=False)
-    domination = an_sec.pop("domination", [])
-    analysis = {**_read(an_sec, "analysis", _ANALYSIS), "domination": domination}
-    if analysis["j_R0"] is not None:
+    specs = an_sec.pop("domination", [])
+    j_R0 = _read(an_sec, "analysis", _ANALYSIS)["j_R0"]
+    if j_R0 is not None:
         with config_errors("analysis.j_R0"):
             single_point_constants(problem, "J diagnostic")
-    domination_checks(problem, grid, domination)
+    if not isinstance(specs, list):
+        raise ConfigError("analysis.domination: expected a list of profile "
+                          "check objects")
+    domination = []
+    for i, spec in enumerate(specs):
+        path = f"analysis.domination[{i}]"
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{path}: expected an object")
+        spec = dict(spec)
+        profile_spec = _pop(spec, path, "profile")
+        kw = _read(spec, path, _DOMINATION)
+        if kw["r_window"] is not None:
+            with config_errors(path):
+                window_cells(grid, kw["r_window"])
+        domination.append((build_profile(problem, profile_spec, f"{path}.profile"), kw))
     output = _read(_section(doc, "output", required=False), "output", _OUTPUT)
     _read(doc, "", ())              # a key left at the top level is unknown
-
     tol_ext, tol_pos = cfg.resolve_tols(problem, reg)
+    cfg = replace(cfg, tol_ext=tol_ext, tol_pos=tol_pos)
+
     resolved = jsonable({
         "problem": _written(problem, _PROBLEM[1]),
         "ic": {"kind": ic.kind, **_written(ic, _IC[ic.kind][1]),
                **{note: getattr(ic, note) for note in _NOTES.get(type(ic), ())}},
         "grid": _written(grid, _GRID[1]),
         "regularization": _written(reg, _REG[1]),
-        "solver": {**_written(cfg, _SOLVER[1]), "tol_ext": tol_ext, "tol_pos": tol_pos},
-        "analysis": analysis,
+        "solver": _written(cfg, _SOLVER[1]),
+        "analysis": {"j_R0": j_R0, "domination": specs},
         "output": output,
     })
-    return Experiment(problem=problem, grid=grid, reg=reg, ic=ic, cfg=cfg,
-                      analysis=analysis, out_dir=output["dir"], resolved=resolved)
+    return Experiment(problem=problem, grid=grid, reg=reg, ic=ic, cfg=cfg, j_R0=j_R0,
+                      domination=domination, out_dir=output["dir"], resolved=resolved)
 
 
 # ----- the other documents ------------------------------------------------

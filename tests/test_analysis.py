@@ -135,8 +135,8 @@ def test_gradient_quotient_inverts_envelope():
     sup0 = 0.3
     p, q = P_A.p, P_A.q
     shape = 1.0 + sup0 ** ((p - 2 * q) / (p * (p - q))) * np.maximum(t, 1e-300) ** (-1 / p)
-    tq, quot = gradient_quotient(t, 2.0 * shape, sup0, P_A)
-    assert tq.size == t.size - 1            # t = 0 dropped
+    quot = gradient_quotient(t, 2.0 * shape, sup0, P_A)
+    assert quot.size == t.size - 1          # t = 0 dropped
     assert np.max(np.abs(quot - 2.0)) <= 1e-12
 
 

@@ -1,7 +1,9 @@
 """Command-line behavior: config validation, artifacts, reproducibility."""
 
+import errno
 import json
 import math
+import os
 from concurrent.futures import Future
 
 import pytest
@@ -287,6 +289,16 @@ def test_analyze_rejects_an_incomplete_run_directory(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"not a run directory (missing {name})" in captured.err
+
+
+def test_analyze_takes_a_directory_in_a_file_s_place_as_a_missing_file(tmp_path, capsys):
+    assert main(["simulate", write_config(tmp_path, BASE)]) == 0
+    (tmp_path / "exp" / "snapshots" / "snap-0001.csv").unlink()
+    (tmp_path / "exp" / "snapshots" / "snap-0001.csv").mkdir()
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "exp")]) == 2
+    assert capsys.readouterr().err == (f"config error: {tmp_path / 'exp'}: not a run "
+                                       "directory (missing snapshots/snap-0001.csv)\n")
 
 
 def _damage(path, old, new):
@@ -857,3 +869,87 @@ def test_sweep_rejects_a_bad_domination_check_before_any_job(
     assert main(["sweep", write_config(tmp_path, doc), "--workers", "2"]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "fan").exists()
+
+
+# ----- output that cannot be written --------------------------------------
+
+RESIDUAL_OK = {"problem": {"N": 1, "p": 2.0, "q": 0.5}, "profile": {"kind": "barrier"},
+               "box": [0.0, 1.0, 0.001, 1000.0], "sense": "super"}
+
+
+def _write_error(exc_type, path) -> str:
+    """The line main prints for a write that raised exc_type at path."""
+    code = {IsADirectoryError: errno.EISDIR, NotADirectoryError: errno.ENOTDIR}[exc_type]
+    return f"write error: {exc_type(code, os.strerror(code), str(path))}\n"
+
+
+def test_residual_refuses_an_output_in_a_missing_directory_before_certifying(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "certify_sign", lambda **kw: pytest.fail("certified"))
+    doc = dict(RESIDUAL_OK, output=str(tmp_path / "missing" / "cert.json"))
+    assert main(["residual", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: output: no directory "
+                            f"{str(tmp_path / 'missing')!r}\n")
+
+
+def test_residual_prints_the_certificate_when_its_output_cannot_be_written(
+        tmp_path, capsys):
+    (tmp_path / "cert.json").mkdir()
+    doc = dict(RESIDUAL_OK, output=str(tmp_path / "cert.json"))
+    assert main(["residual", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is True
+    assert captured.err == _write_error(IsADirectoryError, tmp_path / "cert.json")
+
+
+def test_verify_refuses_a_json_path_in_a_missing_directory_before_the_suite(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: pytest.fail("ran"))
+    path = tmp_path / "missing" / "v.json"
+    assert main(["verify", "algebra", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: --json: no directory "
+                            f"{str(tmp_path / 'missing')!r}\n")
+
+
+def test_verify_reports_a_json_file_it_cannot_write(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: [])
+    (tmp_path / "v.json").mkdir()
+    assert main(["verify", "algebra", "--json", str(tmp_path / "v.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "0/0 criteria passed\n"
+    assert captured.err == _write_error(IsADirectoryError, tmp_path / "v.json")
+
+
+def test_simulate_reports_a_run_directory_it_cannot_make(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    doc = json.loads(json.dumps(BASE))
+    doc["output"] = {"dir": str(tmp_path / "file" / "run")}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == _write_error(
+        NotADirectoryError, tmp_path / "file" / "run" / "snapshots")
+
+
+def test_sweep_reports_a_summary_it_cannot_write(tmp_path, capsys):
+    (tmp_path / "fan" / "sweep-summary.json").mkdir(parents=True)
+    doc = {"base": json.loads(json.dumps(BASE)), "sweep": {"grid.M": [64]},
+           "dir": str(tmp_path / "fan")}
+    assert main(["sweep", write_config(tmp_path, doc), "--workers", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["extinct", str(tmp_path / "fan" / "M=64")]
+    assert captured.err == _write_error(IsADirectoryError,
+                                        tmp_path / "fan" / "sweep-summary.json")
+
+
+def test_analyze_reports_a_report_it_cannot_write(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE))
+    doc["output"] = {"dir": str(tmp_path / "run")}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    (tmp_path / "run" / "analysis-report.json").mkdir()
+    assert main(["analyze", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == _write_error(
+        IsADirectoryError, tmp_path / "run" / "analysis-report.json")

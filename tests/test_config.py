@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import vhjlab
-from vhjlab import config
+from vhjlab import closedform, config
 from vhjlab.acceptance import RECIPES, Battery
 from vhjlab.cli import main, write_run_dir
-from vhjlab.config import resolve_experiment, with_overrides
+from vhjlab.config import build_profile, jsonable, resolve_experiment, with_overrides
 
 
 def test_the_config_schema_is_pinned():
@@ -66,6 +66,65 @@ def test_every_recipe_resolves_and_round_trips(name):
     again = json.loads(json.dumps(resolved))
     assert again == resolved
     assert resolve_experiment(again).resolved == resolved
+
+
+def _readme_config():
+    text = (Path(vhjlab.__file__).resolve().parents[2] / "README.md").read_text()
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+# a singular-diffusion run with a check against each of two profiles, the
+# self-similar one without its amplitude, which find_A0 supplies
+DOMINATED = {
+    "problem": {"N": 2, "p": 1.8, "q": 0.6},
+    "ic": {"kind": "bump", "m": 1.0 / 96.0, "R0": 1.0},
+    "grid": {"r_max": 4.0, "M": 64},
+    "regularization": {"eps": 1e-6},
+    "solver": {"t_end": 0.05, "snapshot_times": [0.01, 0.02]},
+    "analysis": {"domination": [
+        {"sense": "upper", "tol": 1e-6,
+         "profile": {"kind": "decaying_envelope", "T": 0.5}},
+        {"sense": "upper", "tol": 1e-6, "r_window": [0.5, 2.0],
+         "profile": {"kind": "barrier", "r0": 1.0}}]},
+}
+# no tolerance, no analysis, no output: each comes from a default
+MINIMAL = {"problem": {"N": 1, "p": 2.0, "q": 0.5},
+           "ic": {"kind": "bump", "m": 1.0 / 96.0, "R0": 1.0},
+           "grid": {"r_max": 4.0, "M": 64}, "solver": {"t_end": 0.1}}
+DOCS = {**{f"recipe-{name}": doc for name, doc in RECIPES.items()},
+        "readme": _readme_config(), "minimal": MINIMAL, "dominated": DOMINATED}
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_the_experiment_holds_what_resolved_config_json_writes(name):
+    exp = resolve_experiment(copy.deepcopy(DOCS[name]))
+    resolved = exp.resolved
+    assert jsonable(exp.cfg) == resolved["solver"]
+    assert exp.j_R0 == resolved["analysis"]["j_R0"]
+    assert exp.out_dir == resolved["output"]["dir"]
+    specs = resolved["analysis"]["domination"]
+    assert len(exp.domination) == len(specs)
+    for (profile, kw), spec in zip(exp.domination, specs):
+        spec = dict(spec)
+        profile_spec = spec.pop("profile")
+        assert jsonable(kw) == {"r_window": None, **spec}
+        assert type(profile) is type(build_profile(exp.problem, profile_spec))
+        assert all(getattr(profile, key) == value
+                   for key, value in profile_spec.items() if key != "kind")
+
+
+def test_analyze_builds_each_domination_profile_once(tmp_path, monkeypatch, capsys):
+    doc = {**DOMINATED, "output": {"dir": str(tmp_path / "run")}}
+    path = tmp_path / "dominated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 0
+    calls = []
+    find_A0 = closedform.find_A0
+    monkeypatch.setattr(closedform, "find_A0", lambda *a: calls.append(a) or find_A0(*a))
+    assert main(["analyze", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
+    report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert len(report["domination"]) == 2
 
 
 def test_acceptance_does_not_import_the_command_line():
