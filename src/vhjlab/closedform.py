@@ -2,7 +2,8 @@
 
     L z = z_t - (p-1)|z_r|^(p-2) z_rr - (N-1)/r |z_r|^(p-2) z_r + |z_r|^q.
 
-Four families, each with exact derivatives so the operator can be
+Four families.  Each states its profile once, in value; derivs gives
+its three exact derivatives (z_t, z_r, z_rr), so the operator can be
 evaluated analytically:
 
 Barrier        kappa*|r - r0|^omega, an exact solution (L = 0) for r0 = 0;
@@ -70,10 +71,9 @@ class Barrier:
     def derivs(self, t, r):
         d = np.asarray(r, dtype=float) - self.r0
         s = np.abs(d)
-        val = self.kappa * s ** self.omega
         dr = self.kappa * self.omega * s ** (self.omega - 1.0) * np.sign(d)
         drr = self.kappa * self.omega * (self.omega - 1.0) * s ** (self.omega - 2.0)
-        return val, np.zeros_like(val), dr, drr
+        return np.zeros_like(dr), dr, drr
 
     def exclude_mask(self, t, r):
         # the tip r = r0 is the only non-smooth point
@@ -134,7 +134,6 @@ class ShrinkSuper:
         r, ra, s, y = self._core(t, r)
         g, a, A = self.gamma, self.alpha, self.A
         yp = np.maximum(y, 0.0)
-        val = yp ** g
         ds = -A * a * r ** (a - 1.0) / (1.0 + ra) ** 2
         dss = -A * a * r ** (a - 2.0) * ((a - 1.0) - (a + 1.0) * ra) / (1.0 + ra) ** 3
         live = yp > 0.0
@@ -143,7 +142,7 @@ class ShrinkSuper:
         dt = -g * yg1 * self.eta_rate(t)
         dr = g * yg1 * ds
         drr = g * (g - 1.0) * yg2 * ds ** 2 + g * yg1 * dss
-        return val, dt, dr, drr
+        return dt, dr, drr
 
     def exclude_mask(self, t, r):
         # samples within 1e-6 A of the positive-part kink y = 0
@@ -179,25 +178,24 @@ class TailSub:
         self.T = float(T)
         self.theta = c.theta_sub
         self.gamma = c.gamma_sub
+        # the time factor's power 1/(1-q) and its derivative's, q/(1-q)
+        self.rate, self.rate_dt = c.rate_lower, c.decay_threshold
 
     def value(self, t, r):
-        q = self.problem.q
         r = np.asarray(r, dtype=float)
         tt = np.maximum(self.T - np.asarray(t, dtype=float), 0.0)
-        return tt ** (1.0 / (1.0 - q)) * (self.a + self.b * r ** self.theta) ** (-self.gamma)
+        return tt ** self.rate * (self.a + self.b * r ** self.theta) ** (-self.gamma)
 
     def derivs(self, t, r):
-        q = self.problem.q
         g, th, b = self.gamma, self.theta, self.b
         r = np.asarray(r, dtype=float)
         tt = self.T - np.asarray(t, dtype=float)
         w = self.a + b * r ** th
-        pw = tt ** (1.0 / (1.0 - q))
-        val = pw * w ** (-g)
-        dt = -1.0 / (1.0 - q) * tt ** (q / (1.0 - q)) * w ** (-g)
+        pw = tt ** self.rate
+        dt = -self.rate * tt ** self.rate_dt * w ** (-g)
         dr = -g * th * b * pw * r ** (th - 1.0) * w ** (-g - 1.0)
         drr = -g * th * b * pw * r ** (th - 2.0) * w ** (-g - 2.0) * ((th - 1.0) * w - (g + 1.0) * th * b * r ** th)
-        return val, dt, dr, drr
+        return dt, dr, drr
 
     def exclude_mask(self, t, r):
         return np.zeros(np.broadcast(np.asarray(t), np.asarray(r)).shape, dtype=bool)
@@ -248,11 +246,10 @@ class SelfSimSuper:
         tt = self.T - np.asarray(t, dtype=float)
         y = np.asarray(r, dtype=float) * tt ** b
         f, df, ddf = self._profile(y)
-        val = tt ** a * f
         dt = -tt ** (a - 1.0) * (a * f + b * y * df)
         dr = tt ** (a + b) * df
         drr = tt ** (a + 2.0 * b) * ddf
-        return val, dt, dr, drr
+        return dt, dr, drr
 
     def exclude_mask(self, t, r):
         return np.zeros(np.broadcast(np.asarray(t), np.asarray(r)).shape, dtype=bool)
@@ -273,7 +270,7 @@ def operator_terms(profile, t, r):
     """
     prm = profile.problem
     p, q, N = prm.p, prm.q, prm.N
-    _, dt, dr, drr = profile.derivs(t, r)
+    dt, dr, drr = profile.derivs(t, r)
     g = np.abs(dr)
     with np.errstate(divide="ignore", invalid="ignore"):
         mob = np.ones_like(g) if p == 2.0 else g ** (p - 2.0)

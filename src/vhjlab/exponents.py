@@ -139,6 +139,12 @@ class DerivedConstants:
     beta_j: Optional[float] = None           # (p-1)/(p-q)
 
 
+def decay_threshold(q: float) -> float:
+    """q/(1-q): the tail exponent that separates instantaneous shrinking
+    (faster algebraic decay) from fat tails (slower), for any q < 1."""
+    return q / (1.0 - q)
+
+
 def derive_constants(params: ProblemParams) -> DerivedConstants:
     """Evaluate every derived exponent defined for the params' regime.
 
@@ -148,61 +154,41 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     """
     N, p, q = params.N, params.p, params.q
     regime = classify_regime(N, p, q)
-    p_c = params.p_crit
 
     if regime not in (Regime.SINGLE_POINT, Regime.COMPLETE_EXTINCTION):
         raise RegimeMismatch(f"no derived constants for regime {regime.value} (N={N}, p={p}, q={q})")
 
-    decay_threshold = q / (1.0 - q)
-    alpha_ss = (p - q) / (p - 2.0 * q)
-    beta_ss = (q - p + 1.0) / (p - 2.0 * q)
-
+    shared = dict(
+        p_crit=params.p_crit,
+        decay_threshold=decay_threshold(q),
+        alpha_ss=(p - q) / (p - 2.0 * q),
+        beta_ss=(q - p + 1.0) / (p - 2.0 * q),
+    )
     if regime is Regime.COMPLETE_EXTINCTION:
-        return DerivedConstants(
-            p_crit=p_c,
-            decay_threshold=decay_threshold,
-            alpha_ss=alpha_ss,
-            beta_ss=beta_ss,
-        )
+        return DerivedConstants(**shared)
 
     # single-point regime: q < p - 1, all denominators below are positive
     omega = (p - q) / (p - 1.0 - q)
-    kappa = (p - 1.0 - q) / (p - q) * ((p - 1.0) / (p - 1.0 - q) + N - 1.0) ** (-1.0 / (p - 1.0 - q))
-    sigma = (p - q - 1.0) / ((p - q) * (1.0 - q))
-    nu = p * (p - q - 1.0) ** 2 / (2.0 * (p - q) * (p - 2.0 * q))
-    gamma_sigma = omega
-    alpha1 = q / (gamma_sigma * (1.0 - q))
-    d = gamma_sigma * (1.0 - q) - 1.0
-    alpha2 = min(q / d, 1.0) if d > 0.0 else 1.0
+    d = omega * (1.0 - q) - 1.0
     theta_sub = p / (p - 1.0)
     gamma_sub = q * (p - 1.0) / (p * (1.0 - q))
-    b0_sub = (2.0 * (1.0 - q) * (gamma_sub * theta_sub) ** q) ** (-theta_sub / q)
-    gamma_super = q / (2.0 * (1.0 - q))
-    rate_lower = 1.0 / (1.0 - q)
-    rate_upper_p2 = (2.0 - q) / (2.0 - 2.0 * q) if p == 2.0 else None
-    lambda_j = N + q / (p - 1.0 - q)
-    beta_j = (p - 1.0) / (p - q)
-
     return DerivedConstants(
-        p_crit=p_c,
-        decay_threshold=decay_threshold,
-        alpha_ss=alpha_ss,
-        beta_ss=beta_ss,
-        kappa=kappa,
+        **shared,
+        kappa=(p - 1.0 - q) / (p - q) * ((p - 1.0) / (p - 1.0 - q) + N - 1.0) ** (-1.0 / (p - 1.0 - q)),
         omega=omega,
-        sigma=sigma,
-        nu=nu,
-        gamma_sigma=gamma_sigma,
-        alpha1=alpha1,
-        alpha2=alpha2,
+        sigma=(p - q - 1.0) / ((p - q) * (1.0 - q)),
+        nu=p * (p - q - 1.0) ** 2 / (2.0 * (p - q) * (p - 2.0 * q)),
+        gamma_sigma=omega,
+        alpha1=q / (omega * (1.0 - q)),
+        alpha2=min(q / d, 1.0) if d > 0.0 else 1.0,
         theta_sub=theta_sub,
         gamma_sub=gamma_sub,
-        b0_sub=b0_sub,
-        gamma_super=gamma_super,
-        rate_lower=rate_lower,
-        rate_upper_p2=rate_upper_p2,
-        lambda_j=lambda_j,
-        beta_j=beta_j,
+        b0_sub=(2.0 * (1.0 - q) * (gamma_sub * theta_sub) ** q) ** (-theta_sub / q),
+        gamma_super=q / (2.0 * (1.0 - q)),
+        rate_lower=1.0 / (1.0 - q),
+        rate_upper_p2=(2.0 - q) / (2.0 - 2.0 * q) if p == 2.0 else None,
+        lambda_j=N + q / (p - 1.0 - q),
+        beta_j=(p - 1.0) / (p - q),
     )
 
 

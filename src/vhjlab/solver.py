@@ -59,7 +59,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dptsv
 
-from .exponents import ProblemParams, RegimeMismatch, single_point_constants
+from .exponents import ProblemParams, RegimeMismatch, decay_threshold, single_point_constants
 from .gridop import (
     SAFETY,
     RadialGrid,
@@ -145,7 +145,7 @@ class _AlgebraicTail:
         if C <= 0:
             raise DataShapeError(f"need C > 0, got {C}")
         self.problem, self.C = problem, float(C)
-        return problem.q / (1.0 - problem.q)
+        return decay_threshold(problem.q)
 
     def sample(self, r):
         return self.C * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-self._x / 2.0)
@@ -374,11 +374,11 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         if not filled:
             return
         rows = block[:filled]
-        ser_rad.extend(support_radius(grid, rows, tol_pos))
+        ser_rad.frombytes(support_radius(grid, rows, tol_pos).tobytes())
         # row-wise pairwise summation, np.sum of each row to the bit (@ and
         # dot round differently)
-        ser_mass.extend(np.add.reduce(
-            np.multiply(rows, metric, out=scratch[:filled]), axis=-1))
+        ser_mass.frombytes(np.add.reduce(
+            np.multiply(rows, metric, out=scratch[:filled]), axis=-1).tobytes())
         if gp is not None:
             # only faces between two cells above the floor: the steepness
             # of the state's interior, not of tolerance-level fringe (a NaN
@@ -393,8 +393,8 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
             v = np.power(rows[:, :cut], gp, out=scratch[:filled, :cut])
             g = face_gradient(grid, v, out=g_block[:filled, :cut + 1])[:, 1:cut]
             np.abs(g, out=g)
-            ser_grad.extend(np.maximum.reduce(
-                g, axis=-1, where=above[:, :cut - 1] & above[:, 1:cut], initial=0.0))
+            ser_grad.frombytes(np.maximum.reduce(
+                g, axis=-1, where=above[:, :cut - 1] & above[:, 1:cut], initial=0.0).tobytes())
         filled = 0
 
     def record(t, u, sup):

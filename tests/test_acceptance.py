@@ -79,6 +79,14 @@ def test_04_one_step_scheme_structure(battery):
     _check(battery.criterion_4())
 
 
+def test_04_margins_where_the_sides_differ_are_negative(battery):
+    details = battery.criterion_4().details
+    margins = details["worst_where_sides_differ"]
+    assert margins.keys() == details["worst_violation"].keys()
+    for name, worst in margins.items():
+        assert worst is None or worst < 0.0, (name, worst)
+
+
 def test_05_reference_bump_extinction_rate(battery):
     _check(battery.criterion_5())
 

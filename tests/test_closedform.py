@@ -41,7 +41,8 @@ def rel(x, y):
 def _fd_check(profile, pts, h1=1e-5, h2=1e-4, tol=1e-6):
     """Centered differences of value() against the analytic derivs()."""
     for t, r in pts:
-        val, dt, dr, drr = (float(z) for z in profile.derivs(t, r))
+        val = float(profile.value(t, r))
+        dt, dr, drr = (float(z) for z in profile.derivs(t, r))
         ht = h1 * max(1.0, abs(t))
         hr = h1 * max(1.0, abs(r))
         fd_t = (profile.value(t + ht, r) - profile.value(t - ht, r)) / (2 * ht)

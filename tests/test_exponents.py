@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
 from vhjlab.exponents import (
+    DerivedConstants,
     ExponentOutOfRange,
     NonIntegerDimension,
     Regime,
@@ -150,6 +153,85 @@ def test_constants_complete_extinction_partial():
                  "theta_sub", "gamma_sub", "b0_sub", "gamma_super",
                  "rate_lower", "rate_upper_p2", "lambda_j", "beta_j"):
         assert getattr(c, name) is None, name
+
+
+# derive_constants as float.hex, in DerivedConstants' field order, written
+# down from the implementation that listed every field twice; trailing
+# fields left out are None.  Six single-point triples (two at p = 2, where
+# rate_upper_p2 exists) and three complete-extinction ones
+_PINNED_CONSTANTS = {
+    (1, 2.0, 0.5): (
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.8000000000000p+0',
+        '-0x1.0000000000000p-1', '0x1.5555555555555p-4', '0x1.8000000000000p+1',
+        '0x1.5555555555555p-1', '0x1.5555555555555p-3', '0x1.8000000000000p+1',
+        '0x1.5555555555555p-2', '0x1.0000000000000p+0', '0x1.0000000000000p+1',
+        '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x1.0000000000000p-1',
+        '0x1.0000000000000p+1', '0x1.8000000000000p+0', '0x1.0000000000000p+1',
+        '0x1.5555555555555p-1',
+    ),
+    (2, 1.8, 0.6): (
+        '0x1.5555555555555p+0', '0x1.7ffffffffffffp+0', '0x1.0000000000000p+1',
+        '-0x1.555555555555ap-2', '0x1.bf647612f36b5p-15', '0x1.7ffffffffffffp+2',
+        '0x1.aaaaaaaaaaab0p-2', '0x1.99999999999a5p-5', '0x1.7ffffffffffffp+2',
+        '0x1.0000000000000p-2', '0x1.b6db6db6db6dcp-2', '0x1.2000000000000p+1',
+        '0x1.5555555555554p-1', '0x1.dac36a4772a21p-1', '0x1.7ffffffffffffp-1',
+        '0x1.4000000000000p+1', None, '0x1.3ffffffffffffp+2', '0x1.5555555555555p-1',
+    ),
+    (3, 1.9, 0.3): (
+        '0x1.8000000000000p+0', '0x1.b6db6db6db6dcp-2', '0x1.3b13b13b13b14p+0',
+        '-0x1.d89d89d89d89dp-2', '0x1.7cc046689eda6p-5', '0x1.5555555555556p+1',
+        '0x1.1249249249249p-1', '0x1.50bd0bd0bd0bbp-3', '0x1.5555555555556p+1',
+        '0x1.4924924924924p-3', '0x1.6276276276276p-2', '0x1.0e38e38e38e39p+1',
+        '0x1.9fc267f099fc2p-3', '0x1.1ef263e7fd759p-1', '0x1.b6db6db6db6dcp-3',
+        '0x1.6db6db6db6db7p+0', None, '0x1.c000000000000p+1', '0x1.2000000000000p-1',
+    ),
+    (1, 1.5, 0.2): (
+        '0x1.0000000000000p+0', '0x1.0000000000000p-2', '0x1.2e8ba2e8ba2e8p+0',
+        '-0x1.1745d1745d175p-2', '0x1.58683372a4ee9p-5', '0x1.1555555555556p+2',
+        '0x1.2762762762763p-2', '0x1.82af70c880e53p-5', '0x1.1555555555556p+2',
+        '0x1.d89d89d89d89dp-5', '0x1.4c1bacf914c1bp-4', '0x1.8000000000000p+1',
+        '0x1.5555555555555p-4', '0x1.c6bf526340003p-5', '0x1.0000000000000p-3',
+        '0x1.4000000000000p+0', None, '0x1.aaaaaaaaaaaabp+0', '0x1.89d89d89d89d8p-2',
+    ),
+    (2, 2.0, 0.05): (
+        '0x1.5555555555555p+0', '0x1.af286bca1af29p-5', '0x1.06bca1af286bdp+0',
+        '-0x1.0000000000000p-1', '0x1.d406cdff41c0cp-3', '0x1.06bca1af286bdp+1',
+        '0x1.0690690690691p-1', '0x1.f2df2df2df2e0p-3', '0x1.06bca1af286bdp+1',
+        '0x1.a41a41a41a41bp-6', '0x1.af286bca1af29p-5', '0x1.0000000000000p+1',
+        '0x1.af286bca1af29p-6', '0x1.5f225427ef88fp-29', '0x1.af286bca1af29p-6',
+        '0x1.0d79435e50d79p+0', '0x1.06bca1af286bdp+0', '0x1.06bca1af286bdp+1',
+        '0x1.0690690690691p-1',
+    ),
+    (1, 1.2, 0.15): (
+        '0x1.0000000000000p+0', '0x1.6969696969697p-3', '0x1.2aaaaaaaaaaabp+0',
+        '-0x1.c71c71c71c724p-5', '0x1.8618618618531p-45', '0x1.5000000000005p+4',
+        '0x1.caef81caef824p-5', '0x1.a01a01a01a027p-10', '0x1.5000000000005p+4',
+        '0x1.135c81135c80dp-7', '0x1.23b4091da048ap-7', '0x1.8000000000001p+2',
+        '0x1.e1e1e1e1e1e1cp-6', '0x1.504d3b1957b38p-16', '0x1.6969696969697p-4',
+        '0x1.2d2d2d2d2d2d3p+0', None, '0x1.0000000000002p+2', '0x1.8618618618617p-3',
+    ),
+    (2, 1.8, 0.85): (
+        '0x1.5555555555555p+0', '0x1.6aaaaaaaaaaaap+2', '0x1.2fffffffffffcp+3',
+        '0x1.fffffffffffecp-2',
+    ),
+    (1, 1.6, 0.7): (
+        '0x1.0000000000000p+0', '0x1.2aaaaaaaaaaaap+1', '0x1.1fffffffffffcp+2',
+        '0x1.fffffffffffecp-2',
+    ),
+    (3, 1.8, 0.85): (
+        '0x1.8000000000000p+0', '0x1.6aaaaaaaaaaaap+2', '0x1.2fffffffffffcp+3',
+        '0x1.fffffffffffecp-2',
+    ),
+}
+
+
+@pytest.mark.parametrize("triple", list(_PINNED_CONSTANTS), ids=str)
+def test_derived_constants_are_pinned_to_the_bit(triple):
+    pinned = _PINNED_CONSTANTS[triple]
+    pinned += (None,) * (len(fields(DerivedConstants)) - len(pinned))
+    got = astuple(derive_constants(validate_params(*triple)))
+    for f, want, value in zip(fields(DerivedConstants), pinned, got):
+        assert (None if value is None else value.hex()) == want, f.name
 
 
 def test_constants_refused_outside_extinction_regimes():

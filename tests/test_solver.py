@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vhjlab.exponents import ProblemParams, RegimeMismatch
+from vhjlab.exponents import ProblemParams, RegimeMismatch, derive_constants, validate_params
 from vhjlab.gridop import GridMismatch, RadialGrid, Regularization, StepTerms, stable_dt
 from vhjlab.solver import (
     SCHEMES,
@@ -196,6 +196,26 @@ def test_data_validation():
     with pytest.raises(GridMismatch, match="problem dimension 2 vs grid dimension 1"):
         run(P_B, grid, Regularization(eps=1e-3),
             Bump(P_B, m=1e-7, R0=1.0), SolverConfig(t_end=0.1))
+
+
+@pytest.mark.parametrize("N, p, q", [(1, 1.6, 0.8), (1, 1.6, 0.9), (2, 1.5, 0.99)])
+def test_tail_data_keeps_its_threshold_where_no_constants_exist(N, p, q):
+    # q >= p/2: derive_constants refuses the triple, the tail data does not
+    problem = validate_params(N, p, q)
+    with pytest.raises(RegimeMismatch):
+        derive_constants(problem)
+    thr = q / (1.0 - q)
+    assert FastDecay(problem, C=1.0, theta=thr).theta == thr
+    assert FatTail(problem, C=1.0, rho=0.5 * thr).rho == 0.5 * thr
+    below = 0.99 * thr
+    with pytest.raises(DataShapeError) as err:
+        FastDecay(problem, C=1.0, theta=below)
+    assert str(err.value) == (
+        f"tail exponent {below} below the fast-decay threshold q/(1-q) = {thr}")
+    with pytest.raises(DataShapeError) as err:
+        FatTail(problem, C=1.0, rho=thr)
+    assert str(err.value) == (
+        f"fat-tail exponent must sit in [0, q/(1-q)) = [0, {thr}), got {thr}")
 
 
 def test_flat_certificate_depends_on_amplitude():
