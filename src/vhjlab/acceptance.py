@@ -231,7 +231,7 @@ class Battery:
     def horizon_profile(self):
         """Certified decaying envelope for the border-decay run."""
         def build():
-            A0, _ = find_A0(PROBLEM_B)
+            A0 = find_A0(PROBLEM_B)
             A = 0.5 * A0
             # initial ordering W(0, .) >= u0 is tightest at the origin,
             # where it reads T^2 A >= 1; five percent of headroom

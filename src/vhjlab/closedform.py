@@ -17,13 +17,14 @@ SelfSimSuper   (T-t)^alpha A (1 + r^2 (T-t)^(2 beta))^(-gamma), a global
                supersolution for small A (p < 2 only): borderline tails
                still die in finite time.
 
-Sign certification samples L over a declared (t, r) box and reports the
-worst relative margin; thresholds ("a large enough", "A small enough")
-are located by monotone bisection on the defining inequality.
+Sign certification samples L over a (t, r) box in the profile's time
+domain and reports the worst relative margin; each threshold ("a large
+enough", "A small enough") is the closed-form root of its power laws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -38,6 +39,13 @@ class DecayTooSlow(ValueError):
 
 class NotApplicable(ValueError):
     """Construction does not exist for these parameters."""
+
+
+def _positive(**values):
+    """Refuse a parameter that is not positive, naming it and its value."""
+    for name, value in values.items():
+        if not value > 0.0:
+            raise ValueError(f"need {name} > 0, got {name} = {value}")
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +172,7 @@ class TailSub:
     """Separable lower bound (T-t)^(1/(1-q)) * (a + b r^theta)^(-gamma).
 
     Subsolution of L on (0, T) x (0, inf) when b < b0_sub and a exceeds the
-    threshold located by tail_sub_min_a; keeps fat-tailed data positive up
+    threshold tail_sub_min_a; keeps fat-tailed data positive up
     to the horizon T.
     """
 
@@ -217,6 +225,7 @@ class SelfSimSuper:
         c = single_point_constants(problem, "self-similar bound")
         if problem.p >= 2.0:
             raise NotApplicable("self-similar upper bound is a p < 2 construction")
+        _positive(A=A, T=T)
         self.problem = problem
         self.A = float(A)
         self.T = float(T)
@@ -317,8 +326,9 @@ def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
     lattice is deterministic.
     """
     t_lo, t_hi, r_lo, r_hi = box
-    if not (t_lo < t_hi and 0.0 < r_lo < r_hi):
-        raise ValueError(f"box must satisfy t_lo < t_hi and 0 < r_lo < r_hi, "
+    t_end = getattr(profile, "T", math.inf)     # TailSub and SelfSimSuper end at T
+    if not (0.0 <= t_lo < t_hi <= t_end and 0.0 < r_lo < r_hi):
+        raise ValueError(f"box must satisfy 0 <= t_lo < t_hi <= {t_end} and 0 < r_lo < r_hi, "
                          f"got {list(box)}")
     if sense not in ("super", "sub"):
         raise ValueError(f"sense must be 'super' or 'sub', got {sense!r}")
@@ -367,19 +377,22 @@ def certify_sign(profile, box: tuple, sense: Literal["super", "sub"],
 # constructions
 # --------------------------------------------------------------------------
 
-def _bisect_decreasing(f, lo, hi, iters=200):
-    """Root of a decreasing function by bisection in log space; f(lo) > 0 > f(hi)."""
-    flo, fhi = f(lo), f(hi)
-    if flo <= 0.0 or fhi >= 0.0:
-        raise ValueError(f"bisection bracket invalid: f({lo}) = {flo}, f({hi}) = {fhi}")
-    llo, lhi = np.log(lo), np.log(hi)
-    for _ in range(iters):
-        mid = 0.5 * (llo + lhi)
-        if f(np.exp(mid)) > 0.0:
-            llo = mid
-        else:
-            lhi = mid
-    return float(np.exp(0.5 * (llo + lhi)))
+def _least_root(name: str, table) -> float:
+    """Least root of coef x^k = const (coef >= 0, k < 0: coef x^k >= const
+    below it) over table's entries with const > 0; NotApplicable unless it
+    is a positive finite float."""
+    roots = []
+    for coef, k, const in table:
+        if const > 0.0:
+            ratio = const / coef if coef > 0.0 else math.inf
+            try:
+                roots.append(ratio ** (1.0 / k))
+            except (OverflowError, ZeroDivisionError):  # a root past the floats
+                roots.append(math.inf)
+    x = min(roots)
+    if not 0.0 < x < math.inf:
+        raise NotApplicable(f"{name} = {x} lies outside the float range")
+    return x
 
 
 def make_shrink_super(problem: ProblemParams, decay_C: float, decay_theta: float,
@@ -393,6 +406,7 @@ def make_shrink_super(problem: ProblemParams, decay_C: float, decay_theta: float
     with margins recorded in .achieved.
     """
     c = single_point_constants(problem, "shrinking envelope")
+    _positive(decay_C=decay_C, sup_u0=sup_u0)
     p, q = problem.p, problem.q
     g = c.gamma_sigma
     thr = c.decay_threshold
@@ -431,34 +445,20 @@ def make_shrink_super(problem: ProblemParams, decay_C: float, decay_theta: float
 
 
 def tail_sub_min_a(problem: ProblemParams, b: float, T: float) -> float:
-    """Threshold offset above which TailSub(a, b, T) is a certified subsolution.
-
-    Located by bisection on the defining inequality (decreasing in a):
-      (gamma*theta*b)^(p-1) T^((p-1-q)/(1-q)) a^((2-p)gamma - p + 1)
-           * ((1+gamma) p + N - 1)  <  1 / (2 (1-q)).
+    """Threshold offset above which TailSub(a, b, T) is a certified subsolution:
+    the root a = (1 / (2 (1-q) K))^(1/e) of the defining inequality
+      K a^e  <  1 / (2 (1-q)),   e = (2-p) gamma - p + 1 < 0,
+      K = (gamma*theta*b)^(p-1) T^((p-1-q)/(1-q)) ((1+gamma) p + N - 1).
     """
     c = single_point_constants(problem, "tail subsolution")
     p, q, N = problem.p, problem.q, problem.N
     g, th = c.gamma_sub, c.theta_sub
     if not 0.0 < b < c.b0_sub:
         raise NotApplicable(f"need 0 < b < b0 = {c.b0_sub}, got b = {b}")
+    _positive(T=T)
     e = (2.0 - p) * g - p + 1.0  # < 0 in the admissible range
     K = (g * th * b) ** (p - 1.0) * T ** ((p - 1.0 - q) / (1.0 - q)) * ((1.0 + g) * p + N - 1.0)
-
-    def h(a):
-        return K * a ** e - 1.0 / (2.0 * (1.0 - q))
-
-    lo = 1e-12
-    while h(lo) <= 0.0:
-        lo *= 0.01
-        if lo < 1e-200:
-            raise NotApplicable("tail threshold bracket failed at the small end")
-    hi = 1.0
-    while h(hi) >= 0.0:
-        hi *= 100.0
-        if hi > 1e200:
-            raise NotApplicable("tail threshold bracket failed at the large end")
-    return _bisect_decreasing(h, lo, hi)
+    return _least_root("tail threshold a_min", [(K, e, 1.0 / (2.0 * (1.0 - q)))])
 
 
 def make_tail_sub(problem: ProblemParams, T: float, b: Optional[float] = None,
@@ -480,18 +480,14 @@ def make_selfsim_super(problem: ProblemParams, T: float,
                        A: Optional[float] = None) -> SelfSimSuper:
     """SelfSimSuper with the certified default amplitude A = A0/2 (see find_A0)."""
     if A is None:
-        A = 0.5 * find_A0(problem)[0]
+        A = 0.5 * find_A0(problem)
     return SelfSimSuper(problem, A=A, T=T)
 
 
-def selfsim_certificates(problem: ProblemParams, A: float) -> dict:
-    """The four closed-form certificate values whose joint nonnegativity
-    makes SelfSimSuper(A, T) a supersolution for every horizon T.
-
-    Each is strictly decreasing in A.  Splitting radius y0 separates the
-    near field (diffusion controlled by the time term) from the far field
-    (diffusion controlled by half the absorption).
-    """
+def _selfsim_table(problem: ProblemParams) -> dict:
+    """SelfSimSuper's four certificates coef A^k - const, k < 0, as (coef, k,
+    const).  Splitting radius y0 separates the near field (diffusion
+    controlled by the time term) from the far field (by half the absorption)."""
     c = single_point_constants(problem, "self-similar bound")
     p, q = problem.p, problem.q
     if p >= 2.0:
@@ -500,32 +496,23 @@ def selfsim_certificates(problem: ProblemParams, A: float) -> dict:
     y0 = (4.0 * (g + 1.0)) ** -0.5
     tg = 2.0 * g
     return {
-        "absorption_vs_time": tg ** q * A ** (q - 1.0) / 2.0 - (a - 2.0 * b * g),
-        "near_diffusion": (p - 1.0) * tg ** (p - 1.0) * y0 ** (p - 2.0) * A ** (p - 2.0) / 2.0 - a,
-        "far_absorption": tg ** q * y0 ** 2 * A ** (q - 1.0) / 4.0 - a,
-        "far_diffusion": tg ** (q - p + 1.0) * y0 ** ((p - 2.0 * q) / (1.0 - q)) * A ** (q - p + 1.0) / 4.0
-        - 2.0 * (p - 1.0) * (g + 1.0) * ((1.0 + y0 ** 2) / y0 ** 2) ** ((2.0 - p) * (g + 1.0)),
+        "absorption_vs_time": (tg ** q / 2.0, q - 1.0, a - 2.0 * b * g),
+        "near_diffusion": ((p - 1.0) * tg ** (p - 1.0) * y0 ** (p - 2.0) / 2.0, p - 2.0, a),
+        "far_absorption": (tg ** q * y0 ** 2 / 4.0, q - 1.0, a),
+        "far_diffusion": (tg ** (q - p + 1.0) * y0 ** ((p - 2.0 * q) / (1.0 - q)) / 4.0, q - p + 1.0,
+                          2.0 * (p - 1.0) * (g + 1.0) * ((1.0 + y0 ** 2) / y0 ** 2) ** ((2.0 - p) * (g + 1.0))),
     }
 
 
-def find_A0(problem: ProblemParams) -> tuple:
-    """Largest amplitude whose certificates are simultaneously nonnegative,
-    to a relative 1e-12.
+def selfsim_certificates(problem: ProblemParams, A: float) -> dict:
+    """The four certificates, decreasing in A, whose joint nonnegativity
+    makes SelfSimSuper(A, T) a supersolution for every horizon T."""
+    return {name: coef * A ** k - const
+            for name, (coef, k, const) in _selfsim_table(problem).items()}
 
-    Returns (A0, certificates_at_half) where the dict holds the four
-    certificate values at A0/2 (all positive, by monotonicity).
-    Raises NotApplicable at p = 2.
-    """
-    def worst(A):
-        return min(selfsim_certificates(problem, A).values())
 
-    lo = 1e-30
-    if worst(lo) <= 0.0:
-        raise NotApplicable("certificates not satisfiable even at vanishing amplitude")
-    hi = 1.0
-    while worst(hi) >= 0.0:
-        hi *= 100.0
-        if hi > 1e100:
-            raise NotApplicable("certificates never fail; threshold unbounded")
-    A0 = _bisect_decreasing(worst, lo, hi, iters=max(60, int(np.log2((np.log(hi) - np.log(lo)) / 1e-12))))
-    return A0, selfsim_certificates(problem, A0 / 2.0)
+def find_A0(problem: ProblemParams) -> float:
+    """Largest amplitude whose certificates all hold, the least root
+    (const/coef)^(1/k) of those with const > 0 (an entry with const <= 0
+    holds at every A); NotApplicable at p = 2 or outside the float range."""
+    return _least_root("self-similar threshold A0", _selfsim_table(problem).values())

@@ -531,6 +531,67 @@ def test_residual_rejects_a_malformed_box(tmp_path, capsys, box):
     assert "config error: box" in captured.err
 
 
+# profile parameters outside their domain, each with its message
+P2 = {"N": 1, "p": 2.0, "q": 0.5}
+SINGULAR = {"N": 2, "p": 1.8, "q": 0.6}
+SHRINK = {"kind": "shrink_envelope", "decay_C": 1.0, "decay_theta": 3.0, "sup_u0": 1.0}
+BAD_PROFILES = [
+    (P2, dict(SHRINK, sup_u0=0.0), "need sup_u0 > 0, got sup_u0 = 0.0"),
+    (P2, dict(SHRINK, sup_u0=-1.0), "need sup_u0 > 0, got sup_u0 = -1.0"),
+    (P2, dict(SHRINK, decay_C=-1.0), "need decay_C > 0, got decay_C = -1.0"),
+    (P2, {"kind": "tail_floor", "T": 0.0}, "need T > 0, got T = 0.0"),
+    (P2, {"kind": "tail_floor", "T": -1.0}, "need T > 0, got T = -1.0"),
+    (SINGULAR, {"kind": "decaying_envelope", "T": 0.0}, "need T > 0, got T = 0.0"),
+    (SINGULAR, {"kind": "decaying_envelope", "T": -1.0}, "need T > 0, got T = -1.0"),
+    (SINGULAR, {"kind": "decaying_envelope", "T": 1.0, "A": 0.0}, "need A > 0, got A = 0.0"),
+    (SINGULAR, {"kind": "decaying_envelope", "T": 1.0, "A": -1e-3},
+     "need A > 0, got A = -0.001"),
+]
+BAD_PROFILE_IDS = [f"{i}-{profile['kind']}" for i, (_, profile, _) in enumerate(BAD_PROFILES)]
+
+
+@pytest.mark.parametrize("problem, profile, message", BAD_PROFILES, ids=BAD_PROFILE_IDS)
+def test_residual_refuses_a_profile_outside_its_domain(tmp_path, capsys, problem,
+                                                         profile, message):
+    doc = {"problem": problem, "profile": profile,
+           "box": [0.1, 0.5, 0.001, 10.0], "sense": "super"}
+    assert main(["residual", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: profile: {message}\n"
+
+
+@pytest.mark.parametrize("problem, profile, message", BAD_PROFILES, ids=BAD_PROFILE_IDS)
+def test_simulate_refuses_a_profile_outside_its_domain(tmp_path, capsys, problem,
+                                                         profile, message):
+    doc = json.loads(json.dumps(BASE))
+    doc["problem"] = problem
+    doc["output"] = {"dir": str(tmp_path / "run")}
+    doc["analysis"] = {"domination": [{"sense": "upper", "tol": 1e-3, "profile": profile}]}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: analysis.domination[0].profile: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("problem, profile, box, horizon", [
+    (SINGULAR, {"kind": "decaying_envelope", "T": 1.0}, [0.5, 2.0, 0.001, 10.0], 1.0),
+    (P2, {"kind": "tail_floor", "T": 1.0}, [0.5, 2.0, 0.001, 10.0], 1.0),
+    (P2, SHRINK, [-0.01, 0.5, 2.0, 10.0], math.inf),
+    (P2, {"kind": "barrier"}, [-1.0, 1.0, 0.001, 1000.0], math.inf),
+], ids=["decaying_envelope-past-T", "tail_floor-past-T", "shrink_envelope-before-0",
+        "barrier-before-0"])
+def test_residual_refuses_a_box_outside_the_profile_s_time_domain(
+        tmp_path, capsys, problem, profile, box, horizon):
+    doc = {"problem": problem, "profile": profile, "box": box, "sense": "super"}
+    assert main(["residual", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: box must satisfy 0 <= t_lo < t_hi <= "
+                            f"{horizon} and 0 < r_lo < r_hi, got {box}\n")
+
+
 def test_verify_algebra_suite_passes(tmp_path, capsys):
     out_json = tmp_path / "results.json"
     assert main(["verify", "algebra", "--json", str(out_json)]) == 0

@@ -1,6 +1,7 @@
 """Closed-form profiles: exact derivatives, operator residuals, constructions."""
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -17,6 +18,8 @@ from vhjlab.closedform import (
     SelfSimSuper,
     ShrinkSuper,
     TailSub,
+    _least_root,
+    _selfsim_table,
     certify_sign,
     find_A0,
     make_shrink_super,
@@ -28,6 +31,13 @@ from vhjlab.closedform import (
 
 P_A = ProblemParams(1, 2.0, 0.5)
 P_B = ProblemParams(2, 1.8, 0.6)
+# single-point triples with p < 2, from mid-window to the corners
+P_SINGULAR = [P_B, ProblemParams(1, 1.5, 0.3), ProblemParams(3, 1.9, 0.05),
+              ProblemParams(5, 1.99, 0.9)]
+
+
+def triple(prm):
+    return f"{prm.N}-{prm.p}-{prm.q}"
 
 
 def rel(x, y):
@@ -215,7 +225,18 @@ def test_tail_threshold_closed_form_anchor():
     # at p = 2 the threshold inequality is linear in 1/a:
     # a_min = 2(1-q) (gamma theta b)^(p-1) T^((p-1-q)/(1-q)) ((1+gamma)p + N-1)
     # which for (N,p,q) = (1,2,0.5), T = 1, b = 0.5 is exactly 1.5
-    assert rel(tail_sub_min_a(P_A, b=0.5, T=1.0), 1.5) <= 1e-10
+    assert abs(tail_sub_min_a(P_A, b=0.5, T=1.0) - 1.5) <= math.ulp(1.5)
+
+
+@pytest.mark.parametrize("prm", [P_A] + P_SINGULAR, ids=triple)
+def test_tail_threshold_is_the_root_of_its_inequality(prm):
+    # K a^e < 1/(2(1-q)) holds for a above a_min, and the sides meet there
+    c = derive_constants(prm)
+    p, q, N = prm.p, prm.q, prm.N
+    g, th, b, T = c.gamma_sub, c.theta_sub, 0.3 * c.b0_sub, 1.7
+    a = tail_sub_min_a(prm, b=b, T=T)
+    K = (g * th * b) ** (p - 1) * T ** ((p - 1 - q) / (1 - q)) * ((1 + g) * p + N - 1)
+    assert rel(K * a ** ((2 - p) * g - p + 1), 1 / (2 * (1 - q))) <= 1e-14
 
 
 def test_tail_frozen_value():
@@ -252,9 +273,9 @@ def test_tail_vanishes_at_horizon():
 # --------------------------------------------------------------------------
 
 def test_selfsim_threshold_frozen():
-    A0, certs_half = find_A0(P_B)
-    assert rel(A0, 6.734316139664072e-11) <= 1e-6
-    assert all(v > 0 for v in certs_half.values())
+    A0 = find_A0(P_B)
+    assert rel(A0, 6.734316139664072e-11) <= 1e-13     # a bisection's value
+    assert all(v > 0 for v in selfsim_certificates(P_B, A0 / 2.0).values())
     at_double = selfsim_certificates(P_B, 2 * A0)
     assert min(at_double.values()) < 0
     # the far-field diffusion condition is the binding one at this corner
@@ -262,8 +283,51 @@ def test_selfsim_threshold_frozen():
     assert min(at_A0, key=lambda k: at_A0[k]) == "far_diffusion"
 
 
+@pytest.mark.parametrize("prm", P_SINGULAR, ids=triple)
+def test_selfsim_threshold_is_the_root_of_its_binding_certificate(prm):
+    A0 = find_A0(prm)
+    at = selfsim_certificates(prm, A0)
+    binding = min(at, key=at.get)
+    assert abs(at[binding]) <= 1e-12 * _selfsim_table(prm)[binding][2]
+    assert all(v > 0 for v in selfsim_certificates(prm, A0 * (1 - 1e-9)).values())
+    assert selfsim_certificates(prm, A0 * (1 + 1e-9))[binding] < 0
+
+
+def test_selfsim_threshold_below_1e_minus_30_certifies():
+    # A0 lies far below 1e-30 here, and the halved profile still certifies
+    prm = ProblemParams(5, 1.9900111424765865, 0.40403114721458366)
+    A0 = find_A0(prm)
+    assert 1.8e-60 < A0 < 2.0e-60
+    prof = SelfSimSuper(prm, A=A0 / 2.0, T=2.0)
+    rep = certify_sign(prof, (1e-6, 2.0 - 1e-6, 1e-4, 50.0), "super",
+                       rng=np.random.default_rng(8))
+    assert rep.passed, rep
+
+
+def test_selfsim_threshold_below_the_float_range_is_not_applicable():
+    # log10 A0 is about -224 124 here
+    with pytest.raises(NotApplicable, match="A0 = 0.0 lies outside the float range"):
+        find_A0(ProblemParams(1, 1.9999967689545308, 0.3175342620788511))
+
+
+@pytest.mark.parametrize("table, root", [
+    ([(2.0, -1.0, 1.0), (1.0, -1.0, -1.0)], 2.0),      # const <= 0 holds at every x
+    ([(1.0, -1e-3, 1e-10), (1.0, -1.0, 2.0)], 0.5),    # a root that overflows loses
+    ([(1e300, -1.0, 1e-300), (1.0, -1.0, 2.0)], 0.5),  # so does one of const/coef = 0
+    ([(1.0, -1e-3, 1e-10)], None),                     # and alone each is refused
+    ([(0.0, -1.0, 1.0), (1.0, -1.0, 2.0)], None),      # coef = 0: its root is 0
+    ([(1.0, -1e-3, 1e10)], None),                      # a root that underflows
+])
+def test_least_root_refuses_roots_outside_the_float_range(table, root):
+    if root is None:
+        with pytest.raises(NotApplicable, match="x = (0.0|inf) lies outside the float range"):
+            _least_root("x", table)
+    else:
+        assert _least_root("x", table) == root
+
+
 def test_selfsim_certificates_decrease_in_amplitude():
-    A0, _ = find_A0(P_B)
+    A0 = find_A0(P_B)
     c4 = selfsim_certificates(P_B, A0 / 4.0)
     c2 = selfsim_certificates(P_B, A0 / 2.0)
     for k in c2:
@@ -271,7 +335,7 @@ def test_selfsim_certificates_decrease_in_amplitude():
 
 
 def test_selfsim_is_certified_supersolution():
-    A0, _ = find_A0(P_B)
+    A0 = find_A0(P_B)
     prof = SelfSimSuper(P_B, A=A0 / 2.0, T=2.0)
     rep = certify_sign(prof, (1e-6, 2.0 - 1e-6, 1e-4, 50.0), "super",
                        rng=np.random.default_rng(7))
