@@ -38,7 +38,6 @@ from .gridop import (
     Regularization,
     StepTerms,
     default_eps,
-    default_gamma_lift,
     discrete_rhs,
     stable_dt,
 )
@@ -74,7 +73,6 @@ from .analysis import (
     InsufficientPoints,
     JDiagnostic,
     check_domination,
-    default_domination_tol,
     fit_exponent,
     flatness_floor,
     flux_balance,

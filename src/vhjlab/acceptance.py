@@ -51,8 +51,7 @@ PROBLEM_C = ProblemParams(2, 1.8, 0.85)
 # Regularization for the reference runs.  The grid-tied default
 # (dr^(2/3), about 1.6e-2 at M = 2048) is a continuation schedule, not a
 # production setting: at that size the smoothed absorption is blunted
-# near the support edge and the matching extinction tolerance lands
-# above the bump's own amplitude.  A fixed 1e-7 sits four decades below
+# near the support edge.  A fixed 1e-7 sits four decades below
 # the smallest gradients these runs resolve, so the regularized and
 # ideal dynamics are indistinguishable at the tolerances checked here.
 EPS_REFERENCE = 1e-7

@@ -16,7 +16,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .exponents import ProblemParams, RegimeMismatch, single_point_constants
-from .gridop import RadialGrid, Regularization, default_gamma_lift, face_gradient
+from .gridop import RadialGrid, face_gradient
 
 
 class InsufficientPoints(ValueError):
@@ -87,13 +87,6 @@ def fit_exponent(t, y, T_e: float) -> FitResult:
     return FitResult(exponent=float(slope), intercept=float(intercept), n_points=n,
                      t_window=(float(t[keep][0]), float(t[keep][-1])),
                      max_log_residual=float(resid))
-
-
-def default_domination_tol(problem: ProblemParams, reg: Regularization) -> float:
-    """Comparison slack 10 eps^default_gamma_lift(problem): the
-    regularization-induced offset between the computed flow and the
-    unregularized one."""
-    return 10.0 * reg.eps ** default_gamma_lift(problem)
 
 
 @dataclass

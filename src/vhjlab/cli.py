@@ -287,8 +287,11 @@ def cmd_simulate(args) -> int:
     result = run(exp.problem, exp.grid, exp.reg, exp.ic, exp.cfg)
     out_dir = Path(exp.out_dir) if exp.out_dir else Path(args.config).with_suffix("")
     write_run_dir(out_dir, exp, result)
+    # a run that took no step says why: its data starts at or below tol_ext
+    why = (f" (sup0 = {_fmt(result.sup0)} <= tol_ext = {_fmt(result.tol_ext)})"
+           if result.n_steps == 0 else "")
     print(f"{result.outcome.value}: t_final={_fmt(result.t_final)} "
-          f"steps={result.n_steps} -> {out_dir}")
+          f"steps={result.n_steps} -> {out_dir}{why}")
     if result.outcome is Outcome.DIVERGED:
         return 3
     return 0
@@ -325,12 +328,12 @@ def _sweep_one(base_doc: dict, overrides: dict, out_dir: str) -> dict:
 
 def cmd_sweep(args) -> int:
     base, axes, out_root = read_sweep(_load_json(args.config))
-    resolve_experiment(base)  # validate early
-
     names = sorted(axes)
     combos = [{}]
     for name in names:
         combos = [{**c, name: v} for c in combos for v in axes[name]]
+    # validate early, with an axis's value in place of a key it supplies
+    resolve_experiment(with_overrides(base, combos[0]))
     jobs = []
     for combo in combos:
         tag = "_".join(f"{k.split('.')[-1]}={combo[k]}" for k in names)

@@ -2,7 +2,7 @@
 
 One JSON document describes an experiment.  resolve_experiment builds
 its objects once into an ``Experiment``, which holds each setting in one
-place (the solver's tolerances resolved, the domination profiles built),
+place (eps and tol_pos defaulted, the domination profiles built),
 and ``Experiment.resolved`` holds their JSON, every default filled in:
 resolved-config.json, from which any run can be reproduced.  Unknown
 keys are rejected with their full path, and type errors name the
@@ -54,7 +54,7 @@ import copy
 import inspect
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
 from typing import (Callable, Literal, NamedTuple, Optional, get_args, get_origin,
                     get_type_hints)
@@ -65,7 +65,7 @@ from .analysis import check_domination, window_cells
 from .closedform import Barrier, certify_sign, make_selfsim_super, \
     make_shrink_super, make_tail_sub
 from .exponents import ProblemParams, single_point_constants, validate_params
-from .gridop import RadialGrid, Regularization, default_eps, default_gamma_lift
+from .gridop import RadialGrid, Regularization, default_eps
 from .solver import Bump, FastDecay, FatTail, RunResult, SolverConfig
 
 
@@ -291,7 +291,7 @@ class Experiment:
     grid: RadialGrid
     reg: Regularization
     ic: object
-    cfg: SolverConfig            # its tolerances resolved
+    cfg: SolverConfig
     j_R0: Optional[float]        # None: no J diagnostic
     domination: list             # (profile, check_domination keywords)
     out_dir: Optional[str]
@@ -331,8 +331,6 @@ def resolve_experiment(doc: dict) -> Experiment:
     if reg_sec.get("eps") is None:
         reg_sec["eps"] = default_eps(grid)
     reg = _build(*_REG, reg_sec, "regularization")
-    with config_errors("problem"):     # a run needs the lift's window
-        default_gamma_lift(problem)
     cfg = _build(*_SOLVER, _section(doc, "solver"), "solver")
     an_sec = _section(doc, "analysis", required=False)
     specs = an_sec.pop("domination", [])
@@ -357,8 +355,6 @@ def resolve_experiment(doc: dict) -> Experiment:
         domination.append((build_profile(problem, profile_spec, f"{path}.profile"), kw))
     output = _read(_section(doc, "output", required=False), "output", _OUTPUT)
     _read(doc, "", ())              # a key left at the top level is unknown
-    tol_ext, tol_pos = cfg.resolve_tols(problem, reg)
-    cfg = replace(cfg, tol_ext=tol_ext, tol_pos=tol_pos)
 
     resolved = jsonable({
         "problem": _written(problem, _PROBLEM[1]),

@@ -25,6 +25,7 @@ hands their constants out and refuses other triples by RegimeMismatch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -66,8 +67,9 @@ def validate_params(N, p, q) -> ProblemParams:
     """Check a raw (N, p, q) triple and return an immutable record.
 
     Enforces N integer >= 1, 1 < p <= 2 with p above the critical value
-    p_c = 2N/(N+1), and a finite q > 0.  Raises NonIntegerDimension or
-    ExponentOutOfRange with the offending bound in the message.
+    p_c = 2N/(N+1), and a finite q > 0 that is not subnormal.  Raises
+    NonIntegerDimension or ExponentOutOfRange with the offending bound in
+    the message.
     """
     if isinstance(N, bool) or not float(N).is_integer():
         raise NonIntegerDimension(f"N must be a positive integer, got {N!r}")
@@ -82,6 +84,9 @@ def validate_params(N, p, q) -> ProblemParams:
         raise ExponentOutOfRange(f"p <= p_c = {p_c} (fast-diffusion range requires p > 2N/(N+1))")
     if not 0.0 < q < math.inf:
         raise ExponentOutOfRange(f"need a finite q > 0, got q = {q}")
+    if q < sys.float_info.min:      # a subnormal q overflows the exponent algebra
+        raise ExponentOutOfRange(f"need q >= {sys.float_info.min}, the least normal "
+                                 f"float, got subnormal q = {q}")
     return params
 
 

@@ -128,17 +128,6 @@ class RadialGrid:
         return self._metric_faces
 
 
-def default_gamma_lift(problem: ProblemParams) -> float:
-    """Exponent of the eps^gamma positivity lift: 80% of the top of its
-    window (0, min(p/4, q/2, p-1, 1-q)), which is empty unless q < 1.
-
-    The lift enters the default tolerances (default_domination_tol).
-    """
-    if not problem.q < 1.0:
-        raise ExponentOutOfRange(f"the positivity lift needs q < 1, got q = {problem.q}")
-    return 0.8 * min(problem.p / 4.0, problem.q / 2.0, problem.p - 1.0, 1.0 - problem.q)
-
-
 @dataclass
 class Regularization:
     """Gradient regularization strength and the knob tied to it.

@@ -70,7 +70,7 @@ from .gridop import (
     source_rate,
     stable_dt,
 )
-from .analysis import default_domination_tol, support_radius
+from .analysis import support_radius
 
 
 # cells in one buffer of the series' record blocks: 64 KiB of float64
@@ -195,15 +195,15 @@ class Outcome(Enum):
     DIVERGED = "diverged"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolverConfig:
-    """Knobs for a single run; None tolerances resolve against eps.
+    """Knobs for a single run.
 
-    tol_ext defaults to 10 eps^default_gamma_lift(problem), the floor
-    below which the regularized dynamics cannot distinguish a state from
-    zero; tol_pos defaults to tol_ext.  series_stride thins the time
-    series, snapshots are taken at the listed times (plus start and final
-    state).
+    tol_ext is required: a run whose sup norm falls to it is extinct, and
+    data already at or below it is extinct at time zero.  tol_pos, the
+    threshold of the support radius, defaults to tol_ext.  series_stride
+    thins the time series, snapshots are taken at the listed times (plus
+    start and final state).
     lift adds a constant floor to the data (for diagnostics on strictly
     positive states).  The tolerances, lift and series_gradient_floor
     must be nonnegative.
@@ -211,7 +211,7 @@ class SolverConfig:
 
     t_end: float
     scheme: str = "explicit"
-    tol_ext: Optional[float] = None
+    tol_ext: float
     tol_pos: Optional[float] = None
     series_stride: int = 8
     snapshot_times: tuple = ()
@@ -226,16 +226,13 @@ class SolverConfig:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.series_stride < 1:
             raise ValueError("series_stride must be >= 1")
+        if self.tol_pos is None:
+            self.tol_pos = self.tol_ext
         # a zero tolerance asks for exact extinction or the exact support
         for name in ("tol_ext", "tol_pos", "lift", "series_gradient_floor"):
             value = getattr(self, name)
-            if value is not None and not value >= 0:
+            if not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-
-    def resolve_tols(self, problem: ProblemParams, reg: Regularization) -> tuple:
-        te = self.tol_ext if self.tol_ext is not None else default_domination_tol(problem, reg)
-        tp = self.tol_pos if self.tol_pos is not None else te
-        return float(te), float(tp)
 
 
 @dataclass
@@ -348,7 +345,7 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         ic, cfg: SolverConfig) -> RunResult:
     """Integrate from ic until extinction, divergence, or the horizon."""
     terms = StepTerms(grid, problem, reg)
-    tol_ext, tol_pos = cfg.resolve_tols(problem, reg)
+    tol_ext, tol_pos = float(cfg.tol_ext), float(cfg.tol_pos)
     u = np.asarray(ic.sample(grid.r_cells), dtype=float) + cfg.lift
     if np.any(u < 0) or not np.all(np.isfinite(u)):
         raise DataShapeError("initial data must be finite and nonnegative")

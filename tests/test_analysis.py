@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from vhjlab.exponents import ProblemParams, RegimeMismatch, derive_constants
-from vhjlab.gridop import RadialGrid, Regularization
+from vhjlab.gridop import RadialGrid
 from vhjlab.closedform import Barrier
 from vhjlab.solver import Bump
 from vhjlab.analysis import (
     EmptySupport,
     InsufficientPoints,
     check_domination,
-    default_domination_tol,
     fit_exponent,
     flatness_floor,
     flux_balance,
@@ -122,12 +121,6 @@ def test_check_domination_senses():
         with pytest.raises(ValueError, match="r_window must be two numbers lo < hi"):
             check_domination(grid, times, states, prof, "upper", tol=1e-12,
                              r_window=r_window)
-
-
-def test_default_domination_tol():
-    reg = Regularization(eps=1e-4)
-    # default_gamma_lift = 0.8 min(p/4, q/2, p-1, 1-q) = 0.8 * 0.25 = 0.2
-    assert abs(default_domination_tol(P_A, reg) - 10 * (1e-4) ** 0.2) <= 1e-12
 
 
 def test_gradient_quotient_inverts_envelope():

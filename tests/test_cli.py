@@ -705,8 +705,11 @@ _AXIS_MESSAGE = ("sweep: expected a non-empty object mapping dotted key paths "
      "sweep.grid.M: expected a non-empty list"),
     ({"base": BASE, "sweep": {"problem.q": {"0": 0.5}}},
      "sweep.problem.q: expected a non-empty list"),
+    ({"base": {**BASE, "solver": {"t_end": 0.3}}, "sweep": {"problem.q": [0.5]}},
+     "solver.tol_ext: required key is missing"),
 ], ids=["base-missing", "base-list", "base-string", "sweep-missing", "sweep-empty",
-        "sweep-list", "sweep-string", "axis-number", "axis-empty", "axis-object"])
+        "sweep-list", "sweep-string", "axis-number", "axis-empty", "axis-object",
+        "no-tol_ext"])
 def test_sweep_document_errors_name_their_key(tmp_path, capsys, doc, message):
     doc = {**json.loads(json.dumps(doc)), "dir": str(tmp_path / "fan")}
     assert main(["sweep", write_config(tmp_path, doc), "--workers", "2"]) == 2
@@ -823,14 +826,76 @@ def test_residual_names_the_self_similar_bound_outside_its_regime(tmp_path, caps
      "ic: tail data needs q < 1, got q = 1.0"),
     (1.0, {"kind": "fat_tail", "C": 1.0, "rho": 0.5},
      "ic: tail data needs q < 1, got q = 1.0"),
-    (1.5, {"kind": "bump", "m": 0.01, "R0": 1.0, "power": 2.0},
-     "problem: the positivity lift needs q < 1, got q = 1.5"),
 ])
 def test_runs_at_q_one_and_above_are_config_errors(tmp_path, capsys, q, ic, message):
     doc = json.loads(json.dumps(BASE))
     doc["problem"]["q"], doc["ic"] = q, ic
     assert main(["simulate", write_config(tmp_path, doc)]) == 2
     assert f"config error: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_a_bump_runs_at_q_above_one(tmp_path, capsys):
+    # only tail data refuses q >= 1; a bump with stated tolerances runs
+    doc = json.loads(json.dumps(BASE))
+    doc["problem"]["q"] = 1.5
+    doc["ic"] = {"kind": "bump", "m": 0.01, "R0": 1.0, "power": 2.0}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out.startswith("horizon_reached: t_final=0.29999999999999999 ")
+    assert (tmp_path / "exp" / "summary.json").exists()
+
+
+def test_every_run_states_its_extinction_tolerance(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE))
+    del doc["solver"]["tol_ext"]
+    assert main(["simulate", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "config error: solver.tol_ext: required key is missing\n"
+    assert not (tmp_path / "exp").exists()
+
+
+def test_a_sweep_axis_may_supply_tol_ext(tmp_path, capsys):
+    # a tolerance ladder: the base states no tol_ext, each job its own
+    base = json.loads(json.dumps(BASE))
+    del base["solver"]["tol_ext"], base["solver"]["tol_pos"]
+    doc = {"base": base, "sweep": {"solver.tol_ext": [1e-7, 1e-6]},
+           "dir": str(tmp_path / "fan")}
+    assert main(["sweep", write_config(tmp_path, doc), "--workers", "2"]) == 0
+    for tol in (1e-7, 1e-6):
+        run_dir = tmp_path / "fan" / f"tol_ext={tol}"
+        solver = json.loads((run_dir / "resolved-config.json").read_text())["solver"]
+        assert solver["tol_ext"] == solver["tol_pos"] == tol
+        assert json.loads((run_dir / "summary.json").read_text())["outcome"] == "extinct"
+
+
+def test_simulate_says_why_a_run_took_no_step(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE))
+    doc["solver"]["tol_ext"] = 0.02           # above the bump's height, 1/96
+    assert main(["simulate", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == (
+        f"extinct: t_final=0 steps=0 -> {tmp_path / 'exp'} "
+        "(sup0 = 0.010409039134628983 <= tol_ext = 0.02)\n")
+
+
+# triples with a subnormal q at which the self-similar table overflowed or
+# divided by zero, and derive printed alpha2 = q and b0_sub = 0.0
+@pytest.mark.parametrize("N, p, q", [(2, 1.99, 5e-324), (5, 1.989308730006956, 1e-323),
+                                     (3, 1.7034739009127053, 5e-324)])
+def test_a_subnormal_q_is_a_config_error(tmp_path, capsys, N, p, q):
+    message = (f"problem: need q >= 2.2250738585072014e-308, the least normal float, "
+               f"got subnormal q = {q}\n")
+    assert main(["derive", str(N), repr(p), repr(q)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["regime"], out["constants"]) == ("out_of_scope", None)
+    assert out["note"] + "\n" == message.removeprefix("problem: ")
+    res = {"problem": {"N": N, "p": p, "q": q},
+           "profile": {"kind": "decaying_envelope", "T": 1.0},
+           "box": [0.1, 0.9, 0.001, 10.0], "sense": "super"}
+    assert main(["residual", write_config(tmp_path, res, "res.json")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}"
+    doc = json.loads(json.dumps(BASE))
+    doc["problem"] = {"N": N, "p": p, "q": q}
+    assert main(["simulate", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}"
     assert not (tmp_path / "exp").exists()
 
 

@@ -80,17 +80,17 @@ DOMINATED = {
     "ic": {"kind": "bump", "m": 1.0 / 96.0, "R0": 1.0},
     "grid": {"r_max": 4.0, "M": 64},
     "regularization": {"eps": 1e-6},
-    "solver": {"t_end": 0.05, "snapshot_times": [0.01, 0.02]},
+    "solver": {"t_end": 0.05, "tol_ext": 1e-8, "snapshot_times": [0.01, 0.02]},
     "analysis": {"domination": [
         {"sense": "upper", "tol": 1e-6,
          "profile": {"kind": "decaying_envelope", "T": 0.5}},
         {"sense": "upper", "tol": 1e-6, "r_window": [0.5, 2.0],
          "profile": {"kind": "barrier", "r0": 1.0}}]},
 }
-# no tolerance, no analysis, no output: each comes from a default
+# no eps, tol_pos, analysis or output: each comes from a default
 MINIMAL = {"problem": {"N": 1, "p": 2.0, "q": 0.5},
            "ic": {"kind": "bump", "m": 1.0 / 96.0, "R0": 1.0},
-           "grid": {"r_max": 4.0, "M": 64}, "solver": {"t_end": 0.1}}
+           "grid": {"r_max": 4.0, "M": 64}, "solver": {"t_end": 0.1, "tol_ext": 1e-7}}
 DOCS = {**{f"recipe-{name}": doc for name, doc in RECIPES.items()},
         "readme": _readme_config(), "minimal": MINIMAL, "dominated": DOMINATED}
 

@@ -48,6 +48,12 @@ def test_validate_rejects_bad_exponents():
         validate_params(1, 2.0, -0.1)
     with pytest.raises(ExponentOutOfRange):
         validate_params(1, 1.0, 0.5)
+    # a subnormal q overflowed the self-similar table; the least normal
+    # float is an exponent
+    for q in (5e-324, 2.225073858507201e-308):
+        with pytest.raises(ExponentOutOfRange, match=rf"got subnormal q = {q}$"):
+            validate_params(2, 1.99, q)
+    assert validate_params(2, 1.99, 2.2250738585072014e-308).q == 2.2250738585072014e-308
 
 
 # ------------------------------------------------------------ classification

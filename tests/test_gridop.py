@@ -17,7 +17,6 @@ from vhjlab.gridop import (
     Regularization,
     StepTerms,
     default_eps,
-    default_gamma_lift,
     discrete_rhs,
     face_gradient,
     source_rate,
@@ -198,12 +197,6 @@ def test_regularization_validation():
     for eps in (0.0, np.inf, np.nan):
         with pytest.raises(ExponentOutOfRange, match="eps must be positive and finite"):
             Regularization(eps=eps)
-    assert abs(default_gamma_lift(P_A) - 0.2) <= 1e-15
-    # the window (0, min(p/4, q/2, p-1, 1-q)) is empty unless q < 1
-    for q in (1.0, 1.5):
-        with pytest.raises(ExponentOutOfRange,
-                           match=rf"^the positivity lift needs q < 1, got q = {q}$"):
-            default_gamma_lift(ProblemParams(1, 2.0, q))
 
 
 def test_grid_geometry_is_read_only_with_value_semantics():

@@ -33,6 +33,7 @@ def maybe(strategy):
 @example(N=True, p=2.0, q=0.5)        # a bool is not a dimension
 @example(N=1, p=2.0, q=float("nan"))   # a non-finite q is no exponent
 @example(N=1, p=2.0, q=float("inf"))
+@example(N=2, p=1.99, q=5e-324)        # a subnormal q is no exponent
 def test_regimes_partition_the_admissible_set(N, p, q):
     regime = classify_regime(N, p, q)
     try:
@@ -50,8 +51,7 @@ def test_regimes_partition_the_admissible_set(N, p, q):
 
 @st.composite
 def single_point_problems(draw):
-    """(N, p, q) with q < p - 1: every initial datum and the positivity lift
-    exist."""
+    """(N, p, q) with q < p - 1: every initial datum exists."""
     N = draw(st.integers(1, 3))
     p = draw(floats(max(2.0 * N / (N + 1.0), 1.1) + 0.05, 2.0))
     q = draw(floats(0.02, p - 1.05))
@@ -74,7 +74,6 @@ def initial_data(q):
 
 SOLVER_OPTIONAL = {
     "scheme": st.sampled_from(["explicit", "semi_implicit"]),
-    "tol_ext": maybe(floats(1e-12, 1.0)),
     "tol_pos": maybe(floats(1e-12, 1.0)),
     "series_stride": st.integers(1, 100),
     "snapshot_times": st.lists(floats(0.0, 10.0), max_size=4),
@@ -86,7 +85,7 @@ SOLVER_OPTIONAL = {
 
 def test_the_solver_strategy_covers_every_field():
     names = {f.name for f in fields(SolverConfig)}
-    assert set(SOLVER_OPTIONAL) | {"t_end"} == names
+    assert set(SOLVER_OPTIONAL) | {"t_end", "tol_ext"} == names
 
 
 @st.composite
@@ -99,7 +98,8 @@ def experiments(draw):
         "regularization": draw(st.fixed_dictionaries({}, optional={
             "eps": maybe(floats(1e-9, 1.0)),
             "counterterm": st.booleans()})),
-        "solver": draw(st.fixed_dictionaries({"t_end": floats(1e-3, 10.0)},
+        "solver": draw(st.fixed_dictionaries({"t_end": floats(1e-3, 10.0),
+                                              "tol_ext": floats(1e-12, 1.0)},
                                              optional=SOLVER_OPTIONAL)),
         "analysis": draw(st.fixed_dictionaries({}, optional={
             "j_R0": maybe(floats(0.1, 5.0))})),
@@ -121,13 +121,13 @@ def test_a_resolved_config_resolves_to_itself(doc):
 
 
 @settings(max_examples=60, deadline=None)
-@given(problem=single_point_problems(), t_end=floats(1e-3, 10.0))
-def test_minimal_config_takes_its_defaults_from_the_library(problem, t_end):
+@given(problem=single_point_problems(), t_end=floats(1e-3, 10.0),
+       tol_ext=floats(1e-12, 1.0))
+def test_minimal_config_takes_its_defaults_from_the_library(problem, t_end, tol_ext):
     exp = resolve_experiment({
         "problem": problem, "ic": {"kind": "bump", "m": 0.01, "R0": 1.0},
-        "grid": {"r_max": 4.0, "M": 64}, "solver": {"t_end": t_end}})
-    cfg = SolverConfig(t_end=t_end)
-    tol_ext, tol_pos = cfg.resolve_tols(exp.problem, exp.reg)
-    assert exp.resolved["solver"] == {**asdict(cfg), "tol_ext": tol_ext,
-                                      "tol_pos": tol_pos, "snapshot_times": []}
+        "grid": {"r_max": 4.0, "M": 64}, "solver": {"t_end": t_end, "tol_ext": tol_ext}})
+    cfg = SolverConfig(t_end=t_end, tol_ext=tol_ext)
+    assert cfg.tol_pos == tol_ext
+    assert exp.resolved["solver"] == {**asdict(cfg), "snapshot_times": []}
     assert exp.resolved["analysis"] == {"j_R0": None, "domination": []}

@@ -184,7 +184,7 @@ def test_data_validation():
         FatTail(P_A, C=1.0, rho=1.0)       # fat means strictly below
     FatTail(P_A, C=1.0, rho=0.5)
     with pytest.raises(ValueError, match="lift must be nonnegative"):
-        SolverConfig(t_end=0.1, lift=-1.0)
+        SolverConfig(t_end=0.1, tol_ext=1e-9, lift=-1.0)
     grid = RadialGrid(1, 4.0, 64)
 
     class NaNData:                         # any object with a sample method
@@ -192,10 +192,11 @@ def test_data_validation():
             return np.full(np.shape(r), np.nan)
 
     with pytest.raises(DataShapeError, match="finite and nonnegative"):
-        run(P_A, grid, Regularization(eps=1e-3), NaNData(), SolverConfig(t_end=0.1))
+        run(P_A, grid, Regularization(eps=1e-3), NaNData(),
+            SolverConfig(t_end=0.1, tol_ext=1e-9))
     with pytest.raises(GridMismatch, match="problem dimension 2 vs grid dimension 1"):
         run(P_B, grid, Regularization(eps=1e-3),
-            Bump(P_B, m=1e-7, R0=1.0), SolverConfig(t_end=0.1))
+            Bump(P_B, m=1e-7, R0=1.0), SolverConfig(t_end=0.1, tol_ext=1e-9))
 
 
 @pytest.mark.parametrize("N, p, q", [(1, 1.6, 0.8), (1, 1.6, 0.9), (2, 1.5, 0.99)])
@@ -396,18 +397,14 @@ def test_singular_explicit_trajectory_is_pinned():
     assert (res.n_steps, res.T_e_est) == (29719, 1.8225022700375093)
     assert _series_digest(res) == "136f1e22574d1937"
 
-def test_default_tolerance_is_the_domination_slack():
-    from vhjlab.analysis import default_domination_tol
-    from vhjlab.exponents import ExponentOutOfRange
-    cfg = SolverConfig(t_end=1.0)
-    reg = Regularization(eps=1e-4)
-    te, tp = cfg.resolve_tols(P_A, reg)
-    assert te == tp == default_domination_tol(P_A, reg)
-    # the lift's window is empty at q >= 1; an explicit tol_ext needs no lift
-    q_high = ProblemParams(1, 2.0, 1.5)
-    with pytest.raises(ExponentOutOfRange):
-        cfg.resolve_tols(q_high, reg)
-    assert SolverConfig(t_end=1.0, tol_ext=1e-6).resolve_tols(q_high, reg) == (1e-6, 1e-6)
+
+def test_every_run_states_its_extinction_tolerance():
+    # tol_ext has no default; tol_pos defaults to it
+    with pytest.raises(TypeError, match="tol_ext"):
+        SolverConfig(t_end=1.0)
+    cfg = SolverConfig(t_end=1.0, tol_ext=1e-6)
+    assert (cfg.tol_ext, cfg.tol_pos) == (1e-6, 1e-6)
+    assert SolverConfig(t_end=1.0, tol_ext=1e-6, tol_pos=0.0).tol_pos == 0.0
 
 
 def _tridiagonal(seed, M, kind):
@@ -548,7 +545,7 @@ def _reference_series(prm, grid, reg, ic, cfg):
     import vhjlab.solver as solver
     from vhjlab.gridop import face_gradient
     bound, step = solver.SCHEMES[cfg.scheme]
-    tol_ext, tol_pos = cfg.resolve_tols(prm, reg)
+    tol_ext, tol_pos = cfg.tol_ext, cfg.tol_pos
     u = ic.sample(grid.r_cells) + cfg.lift
     sup0 = float(u.max())
     terms = StepTerms(grid, prm, reg)
