@@ -37,14 +37,16 @@ nonnegative and the clamp keeps the discrete one comparable.
 
 The series records t and sup of every series_stride-th state and of the
 last one.  Each recorded state is copied into a block of K = max(1,
-RECORD_BLOCK_CELLS // M) rows; when the block is full, and once when the
-run ends, one pass over the block measures its support radius, mass and,
-if asked for, gradient column (one face_gradient call, over the columns
-up to the block's last cell above series_gradient_floor and one more:
-the faces beyond are masked anyway).  Each row equals the per-state
-formula to the last bit: the mass is a row-wise pairwise sum, as np.sum
-of one state is, and the gradient maximum is a masked reduction from
-0.0 over the faces between two cells above the floor.
+RECORD_BLOCK_CELLS // M) rows: 64 at M = 1024, 16 at M = 4096, one for
+M above 32 768.  When the block is full, and once when the run ends, one
+pass over the block, about fifteen numpy calls whatever K is, measures
+its support radius, mass and, if asked for, gradient column (one
+face_gradient call, over the columns up to the block's last cell above
+series_gradient_floor and one more: the faces beyond are masked
+anyway).  Each row equals the per-state formula to the last bit: the
+mass is a row-wise pairwise sum, as np.sum of one state is, and the
+gradient maximum is a masked reduction from 0.0 over the faces between
+two cells above the floor.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ from .gridop import (
 from .analysis import support_radius
 
 
-# cells in one buffer of the series' record blocks: 64 KiB of float64
-RECORD_BLOCK_CELLS = 8192
+# cells in one buffer of the series' record blocks: 512 KiB of float64
+RECORD_BLOCK_CELLS = 65_536
 # a sup above this multiple of the initial sup ends a run as diverged
 DIVERGENCE_FACTOR = 2.0
 # steps a run may take before it is abandoned with a RuntimeError
@@ -358,8 +360,8 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
     snap_t, snap_u = [0.0], [u.copy()]
     gp, floor = cfg.series_gradient_power, cfg.series_gradient_floor
     # recorded states wait in a block of K rows and are measured a block
-    # at a time; a buffer holds K M cells, at most RECORD_BLOCK_CELLS (the
-    # gradient's face buffers K (M + 1))
+    # at a time; a buffer holds K M cells, at most RECORD_BLOCK_CELLS or
+    # one state (the gradient's face buffers K (M + 1))
     K = max(1, RECORD_BLOCK_CELLS // grid.M)
     block, scratch = np.empty((K, grid.M)), np.empty((K, grid.M))
     if gp is not None:
@@ -432,8 +434,10 @@ def run(problem: ProblemParams, grid: RadialGrid, reg: Regularization,
         t += dt
         n += 1
 
-        # a float64, by the reduction u.max() runs, without its wrapper
-        sup = np.maximum.reduce(u)
+        # u.max() as a float, without its reduction's set-up: argmax
+        # returns the first NaN, so a NaN or +-inf state reads non-finite
+        # and ends the run diverged
+        sup = u.item(u.argmax())
         if not math.isfinite(sup) or sup > sup_cap:
             outcome = Outcome.DIVERGED
         else:

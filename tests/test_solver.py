@@ -577,21 +577,23 @@ def _reference_series(prm, grid, reg, ic, cfg):
     return n, np.array(rows)
 
 
-@pytest.mark.parametrize("gp", [None, 0.5], ids=["plain", "gradient"])
-@pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("case", ["explicit", "semi_implicit", "zero", "diverged", "lifted",
-                                  "sunk", "overflow"])
-def test_block_recorded_series_equals_the_per_state_formulas(monkeypatch, case, stride, gp):
-    # run measures its recorded states a block at a time; every column
-    # must equal the per-state formulas bit for bit, across block edges
-    # (M = 64: blocks of 128 states; M = 1024: of 8) and in a last, partly
-    # filled block.  The gradient column stops at a block's last column
-    # with a cell above the floor; a lift keeps the last cell above it,
-    # so there that column is the grid's last.  With a floor the state
-    # sinks below, a block holds rows with no cell above it (their column
-    # reads 0.0) beside rows with some; an overflowing step records a
-    # state with infinite cells, whose gradient column is NaN
+def _block_cases(test):
+    """The cases of the block-recorded series tests, ids case-stride-gp."""
+    for mark in (pytest.mark.parametrize("case", ["explicit", "semi_implicit", "zero",
+                                                  "diverged", "lifted", "sunk", "overflow",
+                                                  "nan"]),
+                 pytest.mark.parametrize("stride", [1, 3]),
+                 pytest.mark.parametrize("gp", [None, 0.5], ids=["plain", "gradient"])):
+        test = mark(test)
+    return test
+
+
+def _check_block_recorded_series(monkeypatch, case, stride, gp, cells):
+    """run's series against the per-state formulas, bit for bit, with
+    RECORD_BLOCK_CELLS set to cells (None: the library's own)."""
     import vhjlab.solver as solver
+    if cells is not None:
+        monkeypatch.setattr(solver, "RECORD_BLOCK_CELLS", cells)
     grid, reg = RadialGrid(P_A.N, 4.0, 64), Regularization(eps=1e-3)
     prm, ic = P_A, Bump(P_A, m=1 / 96, R0=1.0)
     kw = dict(t_end=0.6, tol_ext=1e-7, tol_pos=1e-7, series_stride=stride,
@@ -613,11 +615,26 @@ def test_block_recorded_series_equals_the_per_state_formulas(monkeypatch, case, 
         ic = Bump(P_A, m=1.0, R0=1.0)
         monkeypatch.setitem(SCHEMES, "explicit", (lambda terms: 1e308, SCHEMES["explicit"][1]))
         kw.update(t_end=1.5e308)
+    elif case == "nan":
+        # every 7th step writes NaN into a cell inside the support, so the
+        # run and then the reference each meet it at their 7th step
+        bound, step = SCHEMES["explicit"]
+        steps = []
+
+        def nan_step(terms, u, dt):
+            u = step(terms, u, dt)
+            steps.append(dt)
+            if len(steps) % 7 == 0:
+                u[grid.M // 8] = np.nan
+            return u
+
+        monkeypatch.setitem(SCHEMES, "explicit", (bound, nan_step))
     cfg = SolverConfig(**kw)
     with np.errstate(over="ignore", invalid="ignore"):
         res = run(prm, grid, reg, ic, cfg)
         n, rows = _reference_series(prm, grid, reg, ic, cfg)
     assert res.n_steps == n
+    K = max(1, solver.RECORD_BLOCK_CELLS // grid.M)
     if case == "zero":
         assert (res.outcome, n) == (Outcome.EXTINCT, 0)
     elif case == "diverged":
@@ -627,19 +644,55 @@ def test_block_recorded_series_equals_the_per_state_formulas(monkeypatch, case, 
         assert math.isinf(rows[-1, 1]) and math.isinf(rows[-1, 3])
         if gp is not None:
             assert math.isnan(rows[-1, 4])
+    elif case == "nan":
+        assert (res.outcome, n) == (Outcome.DIVERGED, 7)
+        assert math.isnan(rows[-1, 1]) and math.isnan(rows[-1, 3])
     else:
-        K = max(1, solver.RECORD_BLOCK_CELLS // grid.M)
-        assert len(rows) > K and len(rows) % K
+        if cells == 8192:
+            assert len(rows) > K and len(rows) % K
+        elif cells is None and grid.M == 64:
+            # one partly filled block
+            assert 1 < len(rows) < K
+        elif cells == 32:
+            assert K == 1
         if case == "sunk" and gp is not None:
             # rows whose sup sits at or below the floor, in a block with a
-            # row above it: the column's cut lies past cell 0 there
-            sunk = [i for i in np.flatnonzero(rows[:, 1] <= cfg.series_gradient_floor)
+            # row above it: the column's cut lies past cell 0 there (a block
+            # of one row has none)
+            low = np.flatnonzero(rows[:, 1] <= cfg.series_gradient_floor)
+            sunk = [i for i in low
                     if (rows[i // K * K:(i // K + 1) * K, 1] > cfg.series_gradient_floor).any()]
-            assert sunk and (rows[sunk, 4] == 0.0).all()
+            assert (sunk or K == 1) and low.size and (rows[low, 4] == 0.0).all()
     names = ["t", "sup", "support_radius", "mass"] + ["grad_pow_sup"] * (gp is not None)
     assert sorted(res.series) == sorted(names)
     for j, name in enumerate(names):
         assert res.series[name].tobytes() == rows[:, j].tobytes(), name
+
+
+@_block_cases
+def test_block_recorded_series_equals_the_per_state_formulas(monkeypatch, case, stride, gp):
+    # run measures its recorded states a block at a time; every column
+    # must equal the per-state formulas bit for bit, across block edges
+    # (at 8192 cells a block, M = 64: blocks of 128 states; M = 1024: of
+    # 8) and in a last, partly filled block.  The gradient column stops
+    # at a block's last column with a cell above the floor; a lift keeps
+    # the last cell above it, so there that column is the grid's last.
+    # With a floor the state sinks below, a block holds rows with no cell
+    # above it (their column reads 0.0) beside rows with some; an
+    # overflowing step records a state with infinite cells, whose
+    # gradient column is NaN, and a NaN cell ends the run diverged with
+    # a NaN sup
+    _check_block_recorded_series(monkeypatch, case, stride, gp, 8192)
+
+
+@pytest.mark.parametrize("cells", [None, 32], ids=["library", "one_row"])
+@_block_cases
+def test_block_recorded_series_at_the_library_block_and_one_row_blocks(
+        monkeypatch, case, stride, gp, cells):
+    # the same at the library's RECORD_BLOCK_CELLS, where an M = 64 run
+    # fits in one partly filled block, and at a constant below M, where
+    # max(1, RECORD_BLOCK_CELLS // M) measures every state on its own
+    _check_block_recorded_series(monkeypatch, case, stride, gp, cells)
 
 
 @pytest.mark.parametrize("scheme, prm, powers", [("explicit", P_A, 1),
